@@ -228,8 +228,17 @@ class Dfa:
         alphabets = [tuple(alpha)] if isinstance(alpha, str) else [tuple(a) for a in alpha]
         names = list(data["states"])
         index = {name: i for i, name in enumerate(names)}
+        if len(alphabets) != arity:
+            raise ValueError(f"{len(alphabets)} alphabets for arity {arity}")
+        tracks = [frozenset(a) | {PAD} for a in alphabets]
         trans = {}
         for q, col, r in data["transitions"]:
+            if len(col) != arity:
+                raise ValueError(f"column {col!r} at {q} has width {len(col)}, "
+                                 f"not the arity {arity}")
+            if any(ch not in track for ch, track in zip(col, tracks)) \
+                    or all(ch == PAD for ch in col):
+                raise ValueError(f"column {col!r} at {q} is outside the alphabet")
             key = (index[q], tuple(col))
             if key in trans and trans[key] != index[r]:
                 raise ValueError(f"nondeterministic transition at {q}/{col}")

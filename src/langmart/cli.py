@@ -46,6 +46,7 @@ from .dyadic import Dyadic, decode_tworow, encode_tworow, rel_l, rel_p, rel_z, t
 from .engine import (
     DEFAULT_THRESHOLD,
     Stream,
+    TextExhaustedError,
     audit_fairness,
     make_text,
     run,
@@ -114,10 +115,9 @@ class Experiment:
         self.overrides = overrides
 
     def _num(self, key: str, default: int) -> int:
-        override = getattr(self.overrides, key.replace("-", "_"), None)
-        if override is not None:
-            return override
-        value = int(self.exp.get(key, default))
+        value = getattr(self.overrides, key.replace("-", "_"), None)
+        if value is None:
+            value = int(self.exp.get(key, default))
         if value <= 0:
             raise ConfigError(f"{key} must be positive, got {value}")
         return value
@@ -346,7 +346,7 @@ def _run_cfl_pipeline(exp: Experiment, out_dir: Path) -> int:
     setup = subset_bettor(r, side)
     oracle = lambda w: cyk_member(cnf, w)
     trace = run(setup, Stream(make_text("ll", domain), oracle), exp.steps,
-                audit=False, stop_threshold=exp.threshold)
+                stop_threshold=exp.threshold)
     audit = _audited(setup, domain, exp.seed)
     members = enumerate_ll(r, 100)
     expect = side == "inside"
@@ -435,6 +435,9 @@ def cmd_run(args) -> int:
         return handler(exp, Path(args.out_dir))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except TextExhaustedError as exc:
+        print(f"text error: {exc}", file=sys.stderr)
         return 2
 
 

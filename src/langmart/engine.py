@@ -158,7 +158,8 @@ def make_text(kind: str, domain: Dfa | None = None, *, items=None,
                     cache.append(next(source))
                 except StopIteration:
                     raise TextExhaustedError(
-                        "domain exhausted by the ordered text") from None
+                        f"domain exhausted by the ordered text at stage {n + 1}: "
+                        f"it has only {len(cache)} words") from None
             return cache[n]
 
         return Text(item_at, kind="ll", budget=budget)
@@ -167,7 +168,8 @@ def make_text(kind: str, domain: Dfa | None = None, *, items=None,
 
         def item_at(n: int):
             if n >= len(seq):
-                raise TextExhaustedError(f"sequence text has only {len(seq)} stages")
+                raise TextExhaustedError(
+                    f"sequence text exhausted at stage {n + 1}: it has only {len(seq)} items")
             return seq[n]
 
         return Text(item_at, kind="from_sequence", budget=budget)

@@ -2,6 +2,12 @@
 extraction of an infinite regular subset inside or outside a context-free
 language relative to a regular domain.
 
+CYK membership and parsing run on one recognizer compiled and kept per CNF
+grammar (`CykRecognizer`): nonterminal sets are int bitmasks and the chart
+is kept by column, so a query recomputes only the columns after the prefix
+it shares with the previous query on that grammar.  `generate_words` stays
+an independent oracle for it.
+
 Grammar files are line oriented: ``NT -> rhs | rhs`` with symbols separated
 by spaces and ``#eps`` for the empty word.  Terminals are the single-letter
 tokens that never occur on a left-hand side.
@@ -11,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .automata import (
     Dfa,
@@ -179,6 +186,12 @@ class CnfGrammar:
                 out.add(z)
         return frozenset(out)
 
+    @cached_property
+    def recognizer(self) -> CykRecognizer:
+        """The grammar's CYK recognizer, compiled on first use and kept, so
+        consecutive queries on this grammar share chart columns."""
+        return CykRecognizer(self)
+
     def as_cfg(self) -> Cfg:
         productions: dict[str, list] = {nt: [] for nt in self.nonterminals}
         for x, pairs in self.pair_rules.items():
@@ -336,43 +349,6 @@ def _prune(g: CnfGrammar) -> CnfGrammar:
 # ---------------------------------------------------------------------------
 
 
-def _pair_index(g: CnfGrammar) -> dict:
-    index: dict[tuple, list] = {}
-    for x, pairs in g.pair_rules.items():
-        for pair in pairs:
-            index.setdefault(pair, []).append(x)
-    return index
-
-
-def _cyk_table(g: CnfGrammar, w: str):
-    n = len(w)
-    index = _pair_index(g)
-    table = [[set() for _ in range(n + 1)] for _ in range(n + 1)]
-    for i, ch in enumerate(w):
-        for x, letters in g.term_rules.items():
-            if ch in letters:
-                table[i][i + 1].add(x)
-    for width in range(2, n + 1):
-        for i in range(n - width + 1):
-            j = i + width
-            cell = table[i][j]
-            for k in range(i + 1, j):
-                left, right = table[i][k], table[k][j]
-                if not left or not right:
-                    continue
-                for y in left:
-                    for z in right:
-                        for x in index.get((y, z), ()):
-                            cell.add(x)
-    return table
-
-
-def cyk_member(g: CnfGrammar, w: str) -> bool:
-    if w == "":
-        return g.start_nullable
-    return g.start in _cyk_table(g, w)[0][len(w)]
-
-
 @dataclass(frozen=True)
 class ParseTree:
     symbol: str
@@ -386,29 +362,113 @@ class ParseTree:
         return "".join(child.yield_word() for child in self.children)
 
 
+class CykRecognizer:
+    """CYK membership and parsing for one CNF grammar, compiled once.
+
+    Nonterminal sets are int bitmasks (bit i is the i-th name in sorted
+    order) and pair rules X -> Y Z are indexed by their left child Y.  The
+    chart is stored by column: column j holds the nonempty cells of the
+    spans that end at j, so it depends only on w[:j].  The chart of the
+    last queried word is kept, and a query recomputes only the columns
+    after its common prefix with that word (the column-wise chart of
+    Earley 1970 and of Lange & Leiss 2009).  Words queried in
+    length-lexicographic order share long prefixes.  `cyk_member` and
+    `parse` use the one recognizer a grammar keeps (`CnfGrammar.recognizer`).
+    """
+
+    def __init__(self, g: CnfGrammar):
+        self.grammar = g
+        self._names = sorted(g.nonterminals)
+        self._bit = {x: 1 << i for i, x in enumerate(self._names)}
+        self._letters: dict[str, int] = {}
+        for x, letters in g.term_rules.items():
+            for a in letters:
+                self._letters[a] = self._letters.get(a, 0) | self._bit[x]
+        by_left: dict[int, dict[int, int]] = {}
+        for x, pairs in g.pair_rules.items():
+            for y, z in pairs:
+                heads = by_left.setdefault(self._bit[y], {})
+                heads[self._bit[z]] = heads.get(self._bit[z], 0) | self._bit[x]
+        self._by_left = {y: tuple(heads.items()) for y, heads in by_left.items()}
+        self._word = ""
+        self._columns: list[dict] = [{}]  # _columns[j][i]: derivers of w[i:j]
+
+    def _product(self, left: int, right: int) -> int:
+        """Heads X of the rules X -> Y Z with Y in left and Z in right."""
+        heads = 0
+        while left:
+            y = left & -left
+            left ^= y
+            for z, xs in self._by_left.get(y, ()):
+                if right & z:
+                    heads |= xs
+        return heads
+
+    def _chart(self, w: str) -> list:
+        """The chart of w; column j is filled right to left, each nonempty
+        cell (k, j) combining with the nonempty cells of column k."""
+        old, columns = self._word, self._columns
+        keep = 0
+        limit = min(len(old), len(w))
+        while keep < limit and old[keep] == w[keep]:
+            keep += 1
+        del columns[keep + 1:]
+        self._word = w[:keep]  # the columns kept if the loop is interrupted
+        product, letters = self._product, self._letters
+        for j in range(keep + 1, len(w) + 1):
+            column = [0] * j
+            column[j - 1] = letters.get(w[j - 1], 0)
+            for k in range(j - 1, 0, -1):
+                right = column[k]
+                if right:
+                    for i, left in columns[k].items():
+                        column[i] |= product(left, right)
+            columns.append({i: m for i, m in enumerate(column) if m})
+        self._word = w
+        return columns
+
+    def member(self, w: str) -> bool:
+        if w == "":
+            return self.grammar.start_nullable
+        return bool(self._chart(w)[len(w)].get(0, 0) & self._bit[self.grammar.start])
+
+    def parse(self, w: str) -> ParseTree:
+        """One derivation tree for a member (raises on non-members)."""
+        g = self.grammar
+        if w == "":
+            if g.start_nullable:
+                return ParseTree(g.start, (0, 0), (), "")
+            raise NotAMemberError("empty word is not a member")
+        if not self.member(w):
+            raise NotAMemberError(f"{w!r} is not a member")
+        columns, names = self._columns, self._names
+
+        def build(x: str, i: int, j: int) -> ParseTree:
+            head = self._bit[x]
+            if j - i == 1 and self._letters.get(w[i], 0) & head:
+                return ParseTree(x, (i, j), (), w[i])
+            for k in range(i + 1, j):
+                left, right = columns[k].get(i, 0), columns[j].get(k, 0)
+                while left:
+                    y = left & -left
+                    left ^= y
+                    for z, xs in self._by_left.get(y, ()):
+                        if right & z and xs & head:
+                            return ParseTree(x, (i, j), (
+                                build(names[y.bit_length() - 1], i, k),
+                                build(names[z.bit_length() - 1], k, j)))
+            raise NotAMemberError(f"no derivation of {x} over {w[i:j]!r}")
+
+        return build(g.start, 0, len(w))
+
+
+def cyk_member(g: CnfGrammar, w: str) -> bool:
+    return g.recognizer.member(w)
+
+
 def parse(g: CnfGrammar, w: str) -> ParseTree:
     """One derivation tree for a member (raises on non-members)."""
-    if w == "":
-        if g.start_nullable:
-            return ParseTree(g.start, (0, 0), (), "")
-        raise NotAMemberError("empty word is not a member")
-    table = _cyk_table(g, w)
-    if g.start not in table[0][len(w)]:
-        raise NotAMemberError(f"{w!r} is not a member")
-    index = _pair_index(g)
-
-    def build(x: str, i: int, j: int) -> ParseTree:
-        if j - i == 1 and x in g.term_rules and w[i] in g.term_rules[x]:
-            return ParseTree(x, (i, j), (), w[i])
-        for k in range(i + 1, j):
-            for y in table[i][k]:
-                for z in table[k][j]:
-                    if x in index.get((y, z), ()):
-                        return ParseTree(
-                            x, (i, j), (build(y, i, k), build(z, k, j)))
-        raise NotAMemberError(f"no derivation of {x} over {w[i:j]!r}")
-
-    return build(g.start, 0, len(w))
+    return g.recognizer.parse(w)
 
 
 # ---------------------------------------------------------------------------

@@ -343,3 +343,27 @@ class TestJson:
         assert d.accepts("1")
         assert not d.accepts("10")
         assert not d.accepts("0")
+
+    @pytest.mark.parametrize("column", ["2", "01", ""])
+    def test_rejects_column_outside_alphabet(self, column):
+        data = {
+            "arity": 1, "alphabet": "01", "states": [0], "start": 0,
+            "accepting": [0], "transitions": [[0, "0", 0], [0, column, 0]],
+        }
+        with pytest.raises(ValueError):
+            Dfa.from_json(data)
+
+    def test_multitrack_columns(self):
+        data = {
+            "arity": 2, "alphabet": ["01", "ab"], "states": [0], "start": 0,
+            "accepting": [0], "transitions": [[0, "0a", 0], [0, "#b", 0]],
+        }
+        assert Dfa.from_json(data).arity == 2
+        for column in ("##", "a0", "0"):
+            data["transitions"] = [[0, column, 0]]
+            with pytest.raises(ValueError):
+                Dfa.from_json(data)
+        data["alphabet"] = "01"  # one alphabet for two tracks
+        data["transitions"] = []
+        with pytest.raises(ValueError):
+            Dfa.from_json(data)

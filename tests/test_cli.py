@@ -298,3 +298,63 @@ def test_audit_subcommand(workdir, capsys):
                  "--out-dir", str(out)]) == 0
     assert json.loads((out / "audit.json").read_text()) == []
     assert main(["audit", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize("kind,flag,value", [
+    ("regular-bettor", "--steps", "-3"),
+    ("regular-bettor", "--seed", "0"),
+    ("adversarial", "--horizon", "0"),
+    ("adversarial", "--search-bound", "-1"),
+])
+def test_nonpositive_override_is_status_2(workdir, capsys, kind, flag, value):
+    cfg = write_config(workdir, "cfg.ini", f"""\
+[experiment]
+kind = {kind}
+steps = 40
+horizon = 40
+search_bound = 200
+[inputs]
+domain = sigma.json
+language = zo.json
+oracle_dfa = zo.json
+""")
+    out = workdir / "out"
+    assert main(["run", cfg, "--out-dir", str(out), flag, value]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exhausted_finite_domain_is_status_2(workdir, capsys):
+    (workdir / "three.json").write_text(json.dumps({
+        "arity": 1, "alphabet": "01", "states": [0, 1, 2], "start": 0,
+        "accepting": [0, 1, 2],
+        "transitions": [[0, "0", 1], [0, "1", 1], [1, "0", 2]],
+    }))  # {"", "0", "1", "00", "10"}
+    cfg = write_config(workdir, "cfg.ini", """\
+[experiment]
+kind = regular-bettor
+steps = 8
+[inputs]
+domain = three.json
+language = zo.json
+""")
+    assert main(["run", cfg, "--out-dir", str(workdir / "out")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "stage 6" in err
+
+
+def test_column_outside_alphabet_is_status_2(workdir, capsys):
+    (workdir / "bad.json").write_text(json.dumps({
+        "arity": 1, "alphabet": "01", "states": [0], "start": 0,
+        "accepting": [0], "transitions": [[0, "0", 0], [0, "2", 0]],
+    }))
+    cfg = write_config(workdir, "cfg.ini", """\
+[experiment]
+kind = regular-bettor
+steps = 8
+[inputs]
+domain = sigma.json
+language = bad.json
+""")
+    assert main(["run", cfg, "--out-dir", str(workdir / "out")]) == 2
+    assert "bad.json" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import brute_words, equal_counts
 from langmart.automata import enumerate_ll, growth_class, universe, word_star
@@ -6,6 +7,7 @@ from langmart.dyadic import Dyadic, ONE, THREE_HALVES
 from langmart.engine import Stream, make_text, run, succeeded
 from langmart.grammar import (
     Cfg,
+    CykRecognizer,
     GrammarError,
     NotAMemberError,
     cfl_nonrandom_pipeline,
@@ -85,6 +87,61 @@ class TestCnfAndCyk:
     def test_parse_nonmember(self, equal_counts_cnf):
         with pytest.raises(NotAMemberError):
             parse(equal_counts_cnf, "011")
+
+
+MAX_QUERY = 6
+NONTERMINALS = ("S", "A", "B")
+symbols = st.sampled_from(NONTERMINALS + ("0", "1"))
+# Alternatives of two or more symbols carry a terminal, so leftmost
+# expansion in generate_words always terminates.
+alternatives = st.one_of(
+    st.just(()),
+    st.tuples(symbols),
+    st.lists(symbols, min_size=2, max_size=3).filter(
+        lambda rhs: any(sym in "01" for sym in rhs)).map(tuple),
+)
+grammars = st.tuples(*[st.lists(alternatives, min_size=1, max_size=3)
+                       for _ in NONTERMINALS])
+words = st.text("01", max_size=MAX_QUERY)
+# Each query derives from the previous one, to exercise chart column reuse.
+queries = st.lists(st.one_of(
+    st.tuples(st.just("fresh"), words),
+    st.tuples(st.sampled_from(["repeat", "shorter", "empty", "diverge"]),
+              st.just("")),
+    st.tuples(st.just("extend"), words),
+), max_size=40)
+
+
+def _query_words(ops):
+    prev = ""
+    for op, word in ops:
+        if op == "fresh":
+            prev = word
+        elif op == "shorter":
+            prev = prev[:len(prev) // 2]
+        elif op == "empty":
+            prev = ""
+        elif op == "diverge" and prev:
+            prev = ("1" if prev[0] == "0" else "0") + prev[1:]
+        elif op == "extend":
+            prev = (prev + word)[:MAX_QUERY]
+        yield prev
+
+
+@settings(max_examples=80, deadline=None)
+@given(grammars, queries)
+def test_recognizer_matches_derivation_oracle(rules, ops):
+    text = "\n".join(
+        f"{head} -> " + " | ".join(" ".join(rhs) if rhs else "#eps" for rhs in alts)
+        for head, alts in zip(NONTERMINALS, rules))
+    g = Cfg.from_text(text)
+    cnf = to_cnf(g)
+    derivable = generate_words(g, MAX_QUERY)
+    recognizer = CykRecognizer(cnf)
+    for w in _query_words(ops):
+        assert recognizer.member(w) == (w in derivable), (text, w)
+        if w in derivable:
+            assert parse(cnf, w).yield_word() == w == recognizer.parse(w).yield_word()
 
 
 class TestQuotient:
