@@ -35,6 +35,7 @@ from .engine import (
     scale_setup,
     succeeded,
     truncated_sum,
+    weighted_sum,
 )
 
 __version__ = "0.1.0"

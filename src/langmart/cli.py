@@ -53,7 +53,7 @@ from .engine import (
     run_dynamic,
     succeeded,
 )
-from .grammar import Cfg, cyk_member, infinite_regular_subset, to_cnf
+from .grammar import Cfg, GrammarError, cyk_member, infinite_regular_subset, to_cnf
 from .rng import Lcg
 
 
@@ -71,12 +71,25 @@ def _load_json(path: Path):
         raise ConfigError(f"bad JSON in {path}: {exc}") from None
 
 
-def _load_dfa(path: Path) -> Dfa:
+def _load_object(path: Path, from_json, what: str):
     data = _load_json(path)
     try:
-        return Dfa.from_json(data)
+        return from_json(data)
     except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad automaton in {path}: {exc}") from None
+        raise ConfigError(f"bad {what} in {path}: {exc}") from None
+
+
+def _load_dfa(path: Path) -> Dfa:
+    return _load_object(path, Dfa.from_json, "automaton")
+
+
+def _load_grammar(path: Path) -> Cfg:
+    try:
+        return Cfg.from_text(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    except GrammarError as exc:
+        raise ConfigError(f"bad grammar in {path}: {exc}") from None
 
 
 def _write_json(path: Path, obj):
@@ -114,10 +127,18 @@ class Experiment:
             raise ConfigError("experiment kind missing")
         self.overrides = overrides
 
-    def _num(self, key: str, default: int) -> int:
-        value = getattr(self.overrides, key.replace("-", "_"), None)
+    def value(self, key: str, default, parse=int):
+        """The CLI override or config value of key, parsed."""
+        value = getattr(self.overrides, key, None)
         if value is None:
-            value = int(self.exp.get(key, default))
+            value = self.exp.get(key, str(default))
+        try:
+            return parse(value)
+        except ValueError:
+            raise ConfigError(f"bad {key} value {value!r}") from None
+
+    def _num(self, key: str, default: int) -> int:
+        value = self.value(key, default)
         if value <= 0:
             raise ConfigError(f"{key} must be positive, got {value}")
         return value
@@ -140,9 +161,7 @@ class Experiment:
 
     @property
     def threshold(self) -> Dyadic:
-        if self.overrides.threshold is not None:
-            return Dyadic.parse(self.overrides.threshold)
-        return Dyadic.parse(self.exp.get("threshold", str(DEFAULT_THRESHOLD)))
+        return self.value("threshold", DEFAULT_THRESHOLD, Dyadic.parse)
 
     def path(self, key: str) -> Path:
         value = self.inputs.get(key)
@@ -158,10 +177,10 @@ class Experiment:
         if self.inputs.get("oracle_dfa"):
             return self.dfa("oracle_dfa").accepts
         if self.inputs.get("oracle_grammar"):
-            cnf = to_cnf(Cfg.from_text(self.path("oracle_grammar").read_text()))
+            cnf = to_cnf(_load_grammar(self.path("oracle_grammar")))
             return lambda w: cyk_member(cnf, w)
         if self.inputs.get("oracle_tm"):
-            prog = TmProgram.from_json(_load_json(self.path("oracle_tm")))
+            prog = _load_object(self.path("oracle_tm"), TmProgram.from_json, "machine")
             return lambda w: bool(prog.decide(w))
         raise ConfigError("no oracle_dfa / oracle_grammar / oracle_tm input")
 
@@ -256,7 +275,7 @@ def _run_family_learner(exp: Experiment, out_dir: Path, variant: bool) -> int:
 
 def _run_tm_dynamic(exp: Experiment, out_dir: Path) -> int:
     domain = exp.dfa("domain")
-    prog = TmProgram.from_json(_load_json(exp.path("tm")))
+    prog = _load_object(exp.path("tm"), TmProgram.from_json, "machine")
     setup, generator = tm_dynamic_bettor(prog, domain)
     trace = run_dynamic(setup, generator, lambda w: bool(prog.decide(w)), exp.steps)
     audit = _audited(setup, domain, exp.seed)
@@ -287,7 +306,7 @@ def _diagonalize_parts(exp: Experiment):
 
 def _run_diagonalize(exp: Experiment, out_dir: Path) -> int:
     domain, setups, descriptors = _diagonalize_parts(exp)
-    words = int(exp.exp.get("words", 30))
+    words = exp.value("words", 30)
     cert = diagonalize(setups, domain, words,
                        descriptors=[json.dumps(d, sort_keys=True) for d in descriptors])
     held = True
@@ -330,7 +349,7 @@ def _run_pclass(exp: Experiment, out_dir: Path) -> int:
     setup = pclass_bettor(space, domain)
     trace = run(setup, Stream(make_text("ll", domain), exp.oracle()), exp.steps)
     audit = _audited(setup, domain, exp.seed)
-    anchors = anchor_gap_report(domain, int(exp.exp.get("anchors", 10)))
+    anchors = anchor_gap_report(domain, exp.value("anchors", 10))
     held = all(row["ok"] for row in anchors)
     for row in anchors:
         row["predecessors"] = str(row["predecessors"])
@@ -340,7 +359,7 @@ def _run_pclass(exp: Experiment, out_dir: Path) -> int:
 
 def _run_cfl_pipeline(exp: Experiment, out_dir: Path) -> int:
     domain = exp.dfa("domain")
-    grammar = Cfg.from_text(exp.path("grammar").read_text())
+    grammar = _load_grammar(exp.path("grammar"))
     cnf = to_cnf(grammar)
     r, side = infinite_regular_subset(cnf, domain)
     setup = subset_bettor(r, side)
@@ -383,7 +402,7 @@ def _growth_obj(domain: Dfa) -> dict:
 
 def _run_dyadic_audit(exp: Experiment, out_dir: Path) -> int:
     rng = Lcg(exp.seed)
-    count = int(exp.exp.get("count", 10000))
+    count = exp.value("count", 10000)
     failures = []
     max_carry = 0
     for _ in range(count):
@@ -528,6 +547,9 @@ def main(argv=None) -> int:
     p_audit.set_defaults(fn=cmd_audit)
 
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        # capitals are exact integers of any size, written in decimal
+        sys.set_int_max_str_digits(0)
     return args.fn(args)
 
 

@@ -512,26 +512,33 @@ def diagonalize(enum, domain: Dfa, words: int,
 def replay_certificate(cert: DiagonalCertificate, enum, domain: Dfa) -> list[str]:
     """Recompute every recorded capital through the composite weighted-sum
     setups (an independent route from the per-component sums used when the
-    certificate was produced).  Returns human-readable mismatches."""
+    certificate was produced).  Returns human-readable mismatches.
+
+    Entry t is composite min(t, top) after t words: the full composite runs
+    once over all W words, each smaller one c < top once over c words, so
+    replay takes O(top * W) steps.
+    """
     setups = list(enum)
     top = len(setups) - 1
-    problems = []
-    expected_words = enumerate_ll(domain, len(cert.entries))
-    if [e.word for e in cert.entries] != expected_words:
-        problems.append("word column is not the domain's ll prefix")
-        return problems
-    oracle = cert.oracle()
     words = [e.word for e in cert.entries]
+    if words != enumerate_ll(domain, len(words)):
+        return ["word column is not the domain's ll prefix"]
+    oracle = cert.oracle()
+    problems = []
+
+    def replay(c: int, t: int):
+        composite = truncated_sum(setups[:c + 1], cert.weight_base)
+        return run(composite, Stream(make_text("from_sequence", items=words[:t]), oracle), t)
+
+    full = replay(top, len(words))
     for t, entry in enumerate(cert.entries, start=1):
         if entry.capital > TWO:
             problems.append(f"capital bound violated at {entry.word!r}")
             continue
-        composite = truncated_sum(setups[:min(t, top) + 1], cert.weight_base)
-        text = make_text("from_sequence", items=words[:t])
-        trace = run(composite, Stream(text, oracle), t, memory_growth_limit=None)
-        if trace.final != entry.capital:
+        replayed = full[t].capital if t >= top else replay(t, t).final
+        if replayed != entry.capital:
             problems.append(
-                f"first divergence at {entry.word!r}: replayed {trace.final}, "
+                f"first divergence at {entry.word!r}: replayed {replayed}, "
                 f"recorded {entry.capital}")
             break
     return problems

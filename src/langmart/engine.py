@@ -9,7 +9,8 @@ labeled transition against the fairness identity
 
 with exact equality, checks that pauses never move capital, that capital
 stays nonnegative, and optionally that each capital jump uses one of the
-step's declared constant factors.
+step's declared constant factors.  `run` and `run_dynamic` share one
+loop, and `weighted_sum` is the one combinator of setups (flat memory).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 from .automata import Dfa, enumerate_ll, iter_ll
@@ -121,38 +123,26 @@ def is_normed(setup: Setup) -> bool:
 
 
 class Text:
-    """Stage-indexed source of domain words and pauses."""
+    """Stage-indexed source of domain words and pauses: at(n, state) may
+    read the run's state at stage n, so a text can schedule itself."""
 
-    def __init__(self, item_at: Callable[[int], object], *, kind: str = "custom",
+    def __init__(self, item_at: Callable[..., object], *,
                  budget: int = DEFAULT_VALIDITY_BUDGET):
-        self._item_at = item_at
-        self.kind = kind
+        self.at = item_at
         self.budget = budget
-
-    def at(self, n: int):
-        return self._item_at(n)
-
-
-class DynamicText:
-    """Marker for texts produced by a state-reading generator g."""
-
-    def __init__(self, generator: Callable[[MState], object], *,
-                 budget: int = DEFAULT_VALIDITY_BUDGET):
-        self.generator = generator
-        self.budget = budget
-        self.kind = "dynamic"
 
 
 def make_text(kind: str, domain: Dfa | None = None, *, items=None,
-              generator=None, budget: int = DEFAULT_VALIDITY_BUDGET):
-    """Build a text: 'll' over a domain, 'from_sequence', or 'dynamic'."""
+              generator=None, budget: int = DEFAULT_VALIDITY_BUDGET) -> Text:
+    """Build a text: 'll' over a domain, 'from_sequence', or 'dynamic'
+    (stage n emits generator(state_n))."""
     if kind == "ll":
         if domain is None:
             raise ValueError("ll texts need a domain automaton")
         cache: list[str] = []
         source = iter_ll(domain)
 
-        def item_at(n: int) -> str:
+        def item_at(n: int, _state=None) -> str:
             while len(cache) <= n:
                 try:
                     cache.append(next(source))
@@ -162,21 +152,21 @@ def make_text(kind: str, domain: Dfa | None = None, *, items=None,
                         f"it has only {len(cache)} words") from None
             return cache[n]
 
-        return Text(item_at, kind="ll", budget=budget)
+        return Text(item_at, budget=budget)
     if kind == "from_sequence":
         seq = list(items or ())
 
-        def item_at(n: int):
+        def item_at(n: int, _state=None):
             if n >= len(seq):
                 raise TextExhaustedError(
                     f"sequence text exhausted at stage {n + 1}: it has only {len(seq)} items")
             return seq[n]
 
-        return Text(item_at, kind="from_sequence", budget=budget)
+        return Text(item_at, budget=budget)
     if kind == "dynamic":
         if generator is None:
             raise ValueError("dynamic texts need a generator")
-        return DynamicText(generator, budget=budget)
+        return Text(lambda _n, state=None: generator(state), budget=budget)
     raise ValueError(f"unknown text kind {kind!r}")
 
 
@@ -187,8 +177,8 @@ class Stream:
         self.text = text
         self.oracle = oracle.accepts if isinstance(oracle, Dfa) else oracle
 
-    def datapoint(self, n: int):
-        item = self.text.at(n)
+    def datapoint(self, n: int, state: MState | None = None):
+        item = self.text.at(n, state)
         if item is PAUSE:
             return PAUSE
         return Labeled(item, 1 if self.oracle(item) else 0)
@@ -331,17 +321,14 @@ def _checked_step(setup: Setup, state: MState, dp, *, audit: bool,
     return nxt
 
 
-def run(setup: Setup, stream: Stream, steps: int = DEFAULT_STEP_BUDGET, *,
-        audit: bool = True, enforce_factors: bool = True,
-        memory_growth_limit: int | None = 64,
-        stop_threshold: Dyadic | None = None) -> CapitalTrace:
-    """Drive the setup over `steps` data points; trace has steps+1 entries."""
+def _run(setup: Setup, stream: Stream, steps: int, stop_threshold: Dyadic | None, *,
+         audit: bool, enforce_factors: bool, memory_growth_limit: int | None) -> CapitalTrace:
     state = setup.start
     entries = [TraceEntry(0, None, None, state.capital)]
     budget = stream.text.budget
     pause_streak = 0
     for n in range(steps):
-        dp = stream.datapoint(n)
+        dp = stream.datapoint(n, state)
         if dp is PAUSE:
             pause_streak += 1
             if pause_streak >= budget:
@@ -363,38 +350,24 @@ def run(setup: Setup, stream: Stream, steps: int = DEFAULT_STEP_BUDGET, *,
     return CapitalTrace(entries)
 
 
+def run(setup: Setup, stream: Stream, steps: int = DEFAULT_STEP_BUDGET, *,
+        audit: bool = True, enforce_factors: bool = True,
+        memory_growth_limit: int | None = 64,
+        stop_threshold: Dyadic | None = None) -> CapitalTrace:
+    """Drive the setup over `steps` data points; trace has steps+1 entries."""
+    return _run(setup, stream, steps, stop_threshold, audit=audit,
+                enforce_factors=enforce_factors, memory_growth_limit=memory_growth_limit)
+
+
 def run_dynamic(setup: Setup, generator, oracle, steps: int = DEFAULT_STEP_BUDGET,
                 *, budget: int = DEFAULT_VALIDITY_BUDGET, audit: bool = True,
                 enforce_factors: bool = True,
                 memory_growth_limit: int | None = 64) -> CapitalTrace:
     """Co-evolve text and state: stage n emits generator(state_n), labels it
     with the oracle, then steps."""
-    oracle_fn = oracle.accepts if isinstance(oracle, Dfa) else oracle
-    state = setup.start
-    entries = [TraceEntry(0, None, None, state.capital)]
-    pause_streak = 0
-    for n in range(steps):
-        item = generator(state)
-        if item is PAUSE:
-            dp = PAUSE
-            pause_streak += 1
-            if pause_streak >= budget:
-                raise ValidityBudgetError(
-                    f"generator paused {pause_streak} stages in a row "
-                    f"(budget {budget})")
-        else:
-            dp = Labeled(item, 1 if oracle_fn(item) else 0)
-            pause_streak = 0
-        state = _checked_step(setup, state, dp, audit=audit,
-                              enforce_factors=enforce_factors,
-                              memory_growth_limit=memory_growth_limit)
-        entries.append(TraceEntry(
-            n + 1,
-            dp.word if isinstance(dp, Labeled) else None,
-            dp.bit if isinstance(dp, Labeled) else None,
-            state.capital,
-        ))
-    return CapitalTrace(entries)
+    text = make_text("dynamic", generator=generator, budget=budget)
+    return _run(setup, Stream(text, oracle), steps, None, audit=audit,
+                enforce_factors=enforce_factors, memory_growth_limit=memory_growth_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -477,43 +450,40 @@ def audit_fairness(setup: Setup, probe_words, *, max_states: int = 256,
 # ---------------------------------------------------------------------------
 
 
-def _encode_state(state: MState) -> str:
-    return json.dumps({"c": str(state.capital), "m": list(state.memory)})
+def weighted_sum(setups, weights) -> Setup:
+    """Weighted sum: capital is the sum of weight_i * capital_i, so the trace
+    is the pointwise weighted sum of the component traces.  The memory is
+    flat: per component, its capital as one word (str, read back with
+    Dyadic.parse), then that component's own memory words.
+    """
+    parts = list(zip(setups, weights, strict=True))
+    if not parts:
+        raise ValueError("need at least one setup")
+    bounds = list(accumulate((1 + d.arity for d, _ in parts), initial=0))
 
+    def combine(states) -> MState:
+        capital = sum((w * s.capital for (_, w), s in zip(parts, states)), ZERO)
+        return MState(capital, tuple(x for s in states for x in (str(s.capital), *s.memory)))
 
-def _decode_state(text: str) -> MState:
-    data = json.loads(text)
-    return MState(Dyadic.parse(data["c"]), tuple(data["m"]))
+    def step(state: MState, dp) -> MState:
+        m = state.memory
+        return combine([d.step(MState(Dyadic.parse(m[lo]), m[lo + 1:hi]), dp)
+                        for (d, _), lo, hi in zip(parts, bounds, bounds[1:])])
+
+    name = "(" + " + ".join(f"{w} * {d.name}" for d, w in parts) + ")"
+    return Setup(name, step, combine([d.start for d, _ in parts]), bounds[-1], None)
 
 
 def add_setups(d1: Setup, d2: Setup) -> Setup:
-    """Sum setup: capital is the sum of component capitals, memory carries
-    both component states; its trace is the pointwise sum of the traces."""
-
-    def step(state: MState, dp) -> MState:
-        p = _decode_state(state.memory[0])
-        q = _decode_state(state.memory[1])
-        p2 = d1.step(p, dp)
-        q2 = d2.step(q, dp)
-        return MState(p2.capital + q2.capital, (_encode_state(p2), _encode_state(q2)))
-
-    start = MState(d1.start.capital + d2.start.capital,
-                   (_encode_state(d1.start), _encode_state(d2.start)))
-    return Setup(f"({d1.name} + {d2.name})", step, start, 2, None)
+    """Sum setup: its trace is the pointwise sum of the component traces."""
+    return weighted_sum([d1, d2], [ONE, ONE])
 
 
 def scale_setup(c: Dyadic, d: Setup) -> Setup:
     """Scaled setup: trace is c times the component trace, pointwise."""
     if c <= ZERO:
         raise ValueError("scale factor must be positive")
-
-    def step(state: MState, dp) -> MState:
-        p = _decode_state(state.memory[0])
-        p2 = d.step(p, dp)
-        return MState(c * p2.capital, (_encode_state(p2),))
-
-    start = MState(c * d.start.capital, (_encode_state(d.start),))
-    return Setup(f"({c} * {d.name})", step, start, 1, None)
+    return weighted_sum([d], [c])
 
 
 def truncated_sum(setups, weight_base: Dyadic = Dyadic(1, 2)) -> Setup:
@@ -523,12 +493,7 @@ def truncated_sum(setups, weight_base: Dyadic = Dyadic(1, 2)) -> Setup:
     geometric partial sum of the weights.
     """
     setups = list(setups)
-    if not setups:
-        raise ValueError("need at least one setup")
     for d in setups:
         if not is_normed(d):
             raise NotNormedError(f"{d.name} does not start at capital 1")
-    total = setups[0]
-    for i, d in enumerate(setups[1:], start=1):
-        total = add_setups(total, scale_setup(weight_base**i, d))
-    return total
+    return weighted_sum(setups, [weight_base**i for i in range(len(setups))])

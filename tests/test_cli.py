@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -358,3 +359,53 @@ language = bad.json
 """)
     assert main(["run", cfg, "--out-dir", str(workdir / "out")]) == 2
     assert "bad.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,inputs,flags", [
+    ("tm-dynamic", "tm = norules.json", []),
+    ("cfl-pipeline", "grammar = bad.grammar", []),
+    ("regular-bettor", "language = zo.json", []),
+    ("cfl-pipeline", "grammar = eq.grammar", ["--threshold", "xyz"]),
+], ids=["tm-without-rules", "bad-grammar-line", "non-integer-steps",
+        "bad-threshold"])
+def test_malformed_input_is_config_error(workdir, capsys, kind, inputs, flags):
+    (workdir / "norules.json").write_text(json.dumps(
+        {"start": "q0", "accept": "acc", "reject": "rej", "blank": "_"}))
+    (workdir / "bad.grammar").write_text("S -> -> 0\n")
+    steps = "abc" if kind == "regular-bettor" else "40"
+    cfg = write_config(workdir, "cfg.ini", f"""\
+[experiment]
+kind = {kind}
+steps = {steps}
+[inputs]
+domain = sigma.json
+{inputs}
+""")
+    out = workdir / "out"
+    assert main(["run", cfg, "--out-dir", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int<->str digit limit")
+def test_capitals_past_the_digit_limit(workdir):
+    cfg = write_config(workdir, "cfg.ini", """\
+[experiment]
+kind = regular-bettor
+steps = 1500
+[inputs]
+domain = sigma.json
+language = zo.json
+""")
+    out = workdir / "out"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # 3**1500 has 716 digits
+    try:
+        assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
+    num, exp = (out / "trace.csv").read_text().splitlines()[-1].split(",")[3:]
+    assert Dyadic(int(num), int(exp)) == Dyadic(3, 1) ** 1500
+    assert json.loads((out / "trace.json").read_text())[-1]["capital_num"] == 3**1500

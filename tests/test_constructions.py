@@ -374,6 +374,23 @@ class TestDiagonalize:
         problems = replay_certificate(bad, enum, sigma)
         assert any("bound" in p for p in problems)
 
+    def test_tampered_first_entry_detected(self, sigma, zeros_then_ones,
+                                           one_zeros):
+        # entry 1 replays through a smaller composite than the full one
+        from langmart.constructions import CertEntry
+
+        enum = self.enum(zeros_then_ones, one_zeros)
+        cert = diagonalize(enum, sigma, 12)
+        tampered = list(cert.entries)
+        victim = tampered[0]
+        assert victim.capital != ZERO
+        tampered[0] = CertEntry(victim.word, victim.bit, ZERO)
+        bad = DiagonalCertificate(tuple(tampered), cert.weight_base,
+                                  cert.enum_hash)
+        problems = replay_certificate(bad, enum, sigma)
+        assert problems == [f"first divergence at {victim.word!r}: replayed "
+                            f"{victim.capital}, recorded {ZERO}"]
+
     def test_json_roundtrip(self, sigma, zeros_then_ones, one_zeros):
         cert = diagonalize(self.enum(zeros_then_ones, one_zeros), sigma, 10)
         back = DiagonalCertificate.from_json_obj(cert.to_json_obj())

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import equal_counts
-from langmart.automata import universe, word_star
+from langmart.automata import concat, from_word, universe, word_star
 from langmart.dyadic import Dyadic, ONE, THREE_HALVES
 from langmart.engine import (
     CapitalTrace,
@@ -25,8 +26,9 @@ from langmart.engine import (
     scale_setup,
     succeeded,
     truncated_sum,
+    weighted_sum,
 )
-from langmart.constructions import regular_bettor, subset_bettor
+from langmart.constructions import family_learner, prefix_family, regular_bettor, subset_bettor
 from langmart.rng import Lcg
 
 
@@ -291,3 +293,80 @@ class TestTraceSerialization:
         assert lines[3] == "2,01,1,3,1"
         obj = trace.to_json_obj()
         assert obj[3]["word"] == "10" and obj[3]["label"] == "0"
+
+
+# ---------------------------------------------------------------------------
+# The flat weighted-sum combinator
+# ---------------------------------------------------------------------------
+
+ZEROS_THEN_ONES = concat(word_star("0"), word_star("1"))
+ONE_ZEROS = concat(from_word("1"), word_star("0"))
+SHIPPED = (
+    regular_bettor(ZEROS_THEN_ONES),
+    regular_bettor(word_star("00")),
+    subset_bettor(ONE_ZEROS, "inside"),
+    subset_bettor(word_star("1"), "outside"),
+    family_learner(prefix_family("01")),
+)
+leaves = st.builds(lambda i: ("leaf", i), st.integers(0, len(SHIPPED) - 1))
+# truncated_sum takes normed components only: leaves and one-part sums of them
+normed = st.recursive(leaves, lambda inner: st.builds(
+    lambda part: ("tsum", [part]), inner), max_leaves=3)
+scalars = st.builds(Dyadic, st.integers(1, 7), st.integers(0, 3))
+trees = st.recursive(st.one_of(leaves, normed), lambda inner: st.one_of(
+    st.builds(lambda a, b: ("add", a, b), inner, inner),
+    st.builds(lambda c, a: ("scale", c, a), scalars, inner),
+    st.builds(lambda parts, base: ("tsum", parts, base),
+              st.lists(normed, min_size=1, max_size=3), scalars),
+), max_leaves=6)
+
+
+def build_tree(tree):
+    """The composite setup and its leaves as (weight, shipped index) terms."""
+    if tree[0] == "leaf":
+        return SHIPPED[tree[1]], [(ONE, tree[1])]
+    if tree[0] == "add":
+        (d1, t1), (d2, t2) = build_tree(tree[1]), build_tree(tree[2])
+        return add_setups(d1, d2), t1 + t2
+    if tree[0] == "scale":
+        d, terms = build_tree(tree[2])
+        return scale_setup(tree[1], d), [(tree[1] * w, i) for w, i in terms]
+    base = tree[2] if len(tree) == 3 else Dyadic(1, 1)
+    built = [build_tree(part) for part in tree[1]]
+    terms = [(base**k * w, i) for k, (_, ts) in enumerate(built) for w, i in ts]
+    return truncated_sum([d for d, _ in built], base), terms
+
+
+stream_items = st.lists(st.one_of(st.just(PAUSE), st.text("01", max_size=6)),
+                        max_size=25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees, stream_items)
+def test_weighted_sum_trace_is_pointwise_sum(tree, items):
+    composite, terms = build_tree(tree)
+    stream = lambda: Stream(make_text("from_sequence", items=items), equal_counts)
+    traces = {i: run(SHIPPED[i], stream(), len(items)).capitals()
+              for _, i in terms}
+    got = run(composite, stream(), len(items)).capitals()
+    for stage, capital in enumerate(got):
+        assert capital == sum((w * traces[i][stage] for w, i in terms), Dyadic(0))
+    report = audit_fairness(composite, ["", "0", "1", "01", "10", "0011"],
+                            max_states=24)
+    assert report.ok, report.violations[:3]
+
+
+def test_weighted_sum_memory_is_flat():
+    d = regular_bettor(ZEROS_THEN_ONES)
+    total = truncated_sum([d] * 16)
+    assert total.arity == 16 * (1 + d.arity)
+    assert sum(len(m) for m in total.start.memory) < 200
+    assert total.start.memory[:2] == ("1/2^0", d.start.memory[0])
+
+
+def test_weighted_sum_rejects_mismatched_weights():
+    d = regular_bettor(ZEROS_THEN_ONES)
+    with pytest.raises(ValueError):
+        weighted_sum([d, d], [ONE])
+    with pytest.raises(ValueError):
+        weighted_sum([], [])
