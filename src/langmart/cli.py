@@ -109,6 +109,25 @@ def _write_outputs(out_dir: Path, trace=None, audit=None, extra=None):
         _write_json(out_dir / name, obj)
 
 
+def _one_of(*options):
+    """Parser for a value that must be one of options."""
+
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(text)
+        return text
+
+    return parse
+
+
+def _boolean(text: str) -> bool:
+    """configparser's booleans: 1/yes/true/on and 0/no/false/off."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
 class Experiment:
     """Parsed config plus resolved input files."""
 
@@ -225,8 +244,7 @@ def _run_regular_bettor(exp: Experiment, out_dir: Path) -> int:
 def _run_subset_bettor(exp: Experiment, out_dir: Path) -> int:
     domain = exp.dfa("domain")
     subset = exp.dfa("subset")
-    side = exp.exp.get("side", "inside")
-    setup = subset_bettor(subset, side)
+    setup = subset_bettor(subset, exp.value("side", "inside", _one_of("inside", "outside")))
     trace = run(setup, Stream(make_text("ll", domain), exp.oracle()), exp.steps)
     audit = _audited(setup, domain, exp.seed)
     return _finish(out_dir, trace, audit, held=True)
@@ -237,7 +255,8 @@ def _run_adversarial(exp: Experiment, out_dir: Path) -> int:
     bettor = regular_bettor(exp.dfa("language"))
     oracle = exp.oracle()
     outcome = adversarial_text(bettor, domain, oracle,
-                               mode=exp.exp.get("mode", "any"),
+                               mode=exp.value("mode", "any",
+                                              _one_of("any", "repetition-free")),
                                horizon=exp.horizon,
                                search_bound=exp.search_bound)
     audit = _audited(bettor, domain, exp.seed)
@@ -298,7 +317,10 @@ def _diagonalize_parts(exp: Experiment):
         else:
             raise ConfigError(f"bad setup spec {spec!r}")
         descriptors.append(desc)
-        setups.append(build_setup(desc))
+        try:
+            setups.append(build_setup(desc))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ConfigError(f"bad setup {spec!r}: {exc}") from None
     if not setups:
         raise ConfigError("diagonalize needs setup1, setup2, ... inputs")
     return domain, setups, descriptors
@@ -345,7 +367,7 @@ def _run_pclass(exp: Experiment, out_dir: Path) -> int:
     if not hyps:
         raise ConfigError("pclass needs a hypotheses list")
     space = HypothesisSpace(tuple(hyps),
-                            cycle=exp.exp.getboolean("cycle", True))
+                            cycle=exp.value("cycle", True, _boolean))
     setup = pclass_bettor(space, domain)
     trace = run(setup, Stream(make_text("ll", domain), exp.oracle()), exp.steps)
     audit = _audited(setup, domain, exp.seed)
@@ -363,6 +385,9 @@ def _run_cfl_pipeline(exp: Experiment, out_dir: Path) -> int:
     cnf = to_cnf(grammar)
     r, side = infinite_regular_subset(cnf, domain)
     setup = subset_bettor(r, side)
+    if exp.threshold <= setup.start.capital:
+        raise ConfigError(f"threshold {exp.threshold} must exceed the starting "
+                          f"capital {setup.start.capital}")
     oracle = lambda w: cyk_member(cnf, w)
     trace = run(setup, Stream(make_text("ll", domain), oracle), exp.steps,
                 stop_threshold=exp.threshold)
@@ -370,9 +395,14 @@ def _run_cfl_pipeline(exp: Experiment, out_dir: Path) -> int:
     members = enumerate_ll(r, 100)
     expect = side == "inside"
     leaks = [w for w in members if cyk_member(cnf, w) != expect]
-    held = succeeded(trace, exp.threshold) and not leaks
+    reached = succeeded(trace, exp.threshold)
+    held = reached and not leaks
     if leaks:
         print(f"extracted subset leaks: {leaks[:3]}", file=sys.stderr)
+    if not reached:
+        print(f"threshold {exp.threshold} not reached in {len(trace) - 1} stages: "
+              f"final capital {trace.final}, maximum {trace.max_capital()}",
+              file=sys.stderr)
     extra = {"extracted.json": {"side": side, "dfa": r.to_json(),
                                 "first_members": members[:20]}}
     return _finish(out_dir, trace, audit, extra, held=held)
@@ -503,7 +533,7 @@ def cmd_audit(args) -> int:
             setup, domain = subset_bettor(dfa, args.side), dfa
         else:
             raise ConfigError(f"unknown setup kind {args.setup_kind!r}")
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"audit setup error: {exc}", file=sys.stderr)
         return 2
     report = audit_fairness(setup, _probe_words(domain, args.seed or 1))
@@ -511,7 +541,8 @@ def cmd_audit(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "audit.json", report.to_json_obj())
     print(f"checked {report.transitions_checked} transitions, "
-          f"{len(report.violations)} violations")
+          f"{len(report.violations)} violations, {report.states_visited} states visited, "
+          f"{'closed' if report.closed else 'open'}")
     return 0 if report.ok else 1
 
 

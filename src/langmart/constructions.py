@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .automata import (
@@ -208,19 +209,27 @@ def extract_language(setup: Setup, state: MState) -> Callable[[str], bool]:
 # ---------------------------------------------------------------------------
 
 
+def _last_answers(fam: AutomaticFamily):
+    """fam.member and fam.succ_index, each remembering its last answer: the
+    audited step asks both labels of one word, and the fairness audit asks
+    them again at every ladder capital."""
+    return lru_cache(maxsize=1)(fam.member), lru_cache(maxsize=1)(fam.succ_index)
+
+
 def family_learner(fam: AutomaticFamily) -> Setup:
     """Keeps an index as memory: right bets pay 3/2, wrong bets halve the
     capital and advance the index to its ll-successor."""
     start_index = fam.min_index()
+    member, succ_index = _last_answers(fam)
 
     def step(state: MState, dp) -> MState:
         if dp is PAUSE:
             return state
         e = state.memory[0]
-        if fam.member(dp.word, e) == bool(dp.bit):
+        if member(dp.word, e) == bool(dp.bit):
             return MState(state.capital * THREE_HALVES, (e,))
         try:
-            return MState(state.capital * HALF, (fam.succ_index(e),))
+            return MState(state.capital * HALF, (succ_index(e),))
         except NoSuccessorError:
             raise LearnerStallError(f"index set exhausted after {e!r}") from None
 
@@ -239,16 +248,17 @@ def variant_family_learner(fam: AutomaticFamily) -> Setup:
     what tolerates a finite symmetric difference with a family member."""
     e0 = fam.min_index()
     letters = fam.index_language.alphabets[0]
+    member, succ_index = _last_answers(fam)
 
     def step(state: MState, dp) -> MState:
         if dp is PAUSE:
             return state
         e, d = state.memory
-        if fam.member(dp.word, e) == bool(dp.bit):
+        if member(dp.word, e) == bool(dp.bit):
             return MState(state.capital * THREE_HALVES, (e, d))
         if _ll_key(e, letters) < _ll_key(d, letters):
-            return MState(state.capital * HALF, (fam.succ_index(e), d))
-        return MState(state.capital * HALF, (e0, fam.succ_index(d)))
+            return MState(state.capital * HALF, (succ_index(e), d))
+        return MState(state.capital * HALF, (e0, succ_index(d)))
 
     return Setup("variant_family_learner", step, MState(ONE, (e0, e0)), 2,
                  frozenset({THREE_HALVES, HALF}))

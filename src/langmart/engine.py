@@ -11,14 +11,24 @@ with exact equality, checks that pauses never move capital, that capital
 stays nonnegative, and optionally that each capital jump uses one of the
 step's declared constant factors.  `run` and `run_dynamic` share one
 loop, and `weighted_sum` is the one combinator of setups (flat memory).
+
+`audit_fairness` explores a setup that declares bet_factors by memory, not
+by full state: such a setup bets a fraction of its capital set by its
+memory alone.  Each memory is checked at the capital it was first reached
+with and again at the fixed HOMOGENEITY_LADDER of capitals, where the step
+must be fair, reach the same memory and scale the capital by one factor
+(a 'homogeneity' violation otherwise).  Composite setups, whose memory
+holds their component capitals, are explored by full state.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import is_
 from typing import Callable
 
 from .automata import Dfa, enumerate_ll, iter_ll
@@ -392,6 +402,7 @@ class AuditReport:
     violations: list = field(default_factory=list)
     transitions_checked: int = 0
     states_visited: int = 0
+    closed: bool = True  # False once max_states turned a reachable key away
 
     @property
     def ok(self) -> bool:
@@ -401,47 +412,137 @@ class AuditReport:
         return [v.to_json_obj() for v in self.violations]
 
 
+# Capitals at which every explored memory is stepped again: odd numerators
+# 3**(9*i) over 2**64, from 2**-64 to about 2**136, a ratio of 3**9 apart.
+# The lowest is 2**-64, so the factor a step applies there is a dyadic.
+_LADDER_EXP = 64
+HOMOGENEITY_LADDER = tuple(Dyadic(3 ** (9 * i), _LADDER_EXP) for i in range(15))
+
+
+def _ladder_fault(rungs, los, his, state: MState, lo: MState, hi: MState) -> str | None:
+    """How the steps of state's memory at the ladder capitals (to los and
+    his) fail to be its step (to lo and hi) at state.capital, scaled; None
+    when they do not.
+
+    Each label must reach the memory it reached at state.capital and scale
+    every rung by one factor, read at the lowest rung, 2**-64; that factor
+    must also be the one at state.capital when that is nonzero.  Given one
+    factor per label, fairness and nonnegative capital at every rung are
+    f0 + f1 == 2 and f0, f1 >= 0.
+    """
+    outs = (lo, hi)
+    bottom = (los[0], his[0])
+    factors = [nxt.capital.scale_pow2(_LADDER_EXP) for nxt in bottom]
+    if factors[0] + factors[1] != 2 or factors[0].num < 0 or factors[1].num < 0:
+        return (f"at capital {rungs[0].capital}: labels pay {bottom[0].capital} "
+                f"and {bottom[1].capital}")
+    for bit, (out, f) in enumerate(zip(outs, factors)):
+        if state.capital and out.capital != state.capital * f:
+            return (f"label {bit}: {state.capital} -> {out.capital} is not "
+                    f"{rungs[0].capital} -> {bottom[bit].capital} scaled")
+    for rung, x, y in zip(rungs, los, his):
+        for bit, (nxt, out, f) in enumerate(zip((x, y), outs, factors)):
+            if nxt.memory != out.memory:
+                fault = f"memory {nxt.memory!r} != {out.memory!r}"
+            elif nxt.capital != rung.capital * f:
+                fault = f"{nxt.capital} is not {rung.capital} * {f}"
+            else:
+                continue
+            return f"at capital {rung.capital}, label {bit}: {fault}"
+    return None
+
+
+def _pause_ladder_fault(rungs, pauses, state: MState, out: MState) -> str | None:
+    """How pauses at the ladder capitals (to pauses) move the capital or
+    reach another memory than out, the pause's result at state.capital."""
+    if out is state and all(map(is_, pauses, rungs)):
+        return None
+    for rung, nxt in zip(rungs, pauses):
+        if nxt.capital != rung.capital or nxt.memory != out.memory:
+            return f"at capital {rung.capital}: pause -> ({nxt.capital}, {nxt.memory!r})"
+    return None
+
+
 def audit_fairness(setup: Setup, probe_words, *, max_states: int = 256,
                    include_pause: bool = True) -> AuditReport:
     """Exact fairness and pause checks on states reached from the start.
 
     Exploration closes the start state under stepping with every probe
-    word and both labels (plus pauses), breadth first, up to max_states
-    distinct states.  Violations are returned as data, never raised.
+    word and both labels (plus pauses), breadth first.  A setup that
+    declares bet_factors bets a fraction of its capital set by its memory
+    alone, so it is explored by memory: each distinct memory (at most
+    max_states of them) is expanded from the state it was first reached
+    with, and is also stepped at every HOMOGENEITY_LADDER capital, where
+    each label must be fair, nonnegative, reach the same memory and scale
+    the capital by one factor; pauses must keep the capital there too.  A
+    failure there is a 'homogeneity' violation.  Composite setups
+    (bet_factors None) keep their capitals in memory, so they are explored
+    by full state, up to max_states states, without the ladder.
+
+    transitions_checked counts every step call; closed is False when the
+    cap turned a reachable memory (or state) away.  Violations are
+    returned as data, never raised.
     """
-    probe_words = list(probe_words)
+    step = setup.step
+    points = [(w, Labeled(w, 0), Labeled(w, 1)) for w in probe_words]
+    by_memory = setup.bet_factors is not None
     report = AuditReport()
-    seen = {setup.start}
-    frontier = [setup.start]
-    while frontier and len(seen) <= max_states:
-        state = frontier.pop(0)
+    seen = {setup.start.memory if by_memory else setup.start}
+    frontier = deque([setup.start])
+
+    def reach(nxt: MState):
+        key = nxt.memory if by_memory else nxt
+        if key in seen:
+            return
+        if len(seen) < max_states:
+            seen.add(key)
+            frontier.append(nxt)
+        else:
+            report.closed = False
+
+    while frontier:
+        state = frontier.popleft()
         report.states_visited += 1
-        state_repr = f"({state.capital}, {state.memory!r})"
-        for w in probe_words:
-            lo = setup.step(state, Labeled(w, 0))
-            hi = setup.step(state, Labeled(w, 1))
-            report.transitions_checked += 2
-            if lo.capital + hi.capital != state.capital * 2:
-                report.violations.append(Violation(
-                    "fairness", state_repr, w,
-                    f"2*{state.capital} != {lo.capital} + {hi.capital}"))
-            for nxt in (lo, hi):
-                if nxt.capital < ZERO:
+        capital = state.capital
+        twice = capital * 2
+        rungs = [MState(a, state.memory) for a in HOMOGENEITY_LADDER] if by_memory else []
+        state_repr = lambda: f"({capital}, {state.memory!r})"
+        for w, dp0, dp1 in points:
+            lo = step(state, dp0)
+            hi = step(state, dp1)
+            report.transitions_checked += 2 + 2 * len(rungs)
+            if lo is not state or hi is not state:
+                if lo.capital + hi.capital != twice:
                     report.violations.append(Violation(
-                        "negative-capital", state_repr, w, str(nxt.capital)))
-                if nxt not in seen and len(seen) < max_states:
-                    seen.add(nxt)
-                    frontier.append(nxt)
+                        "fairness", state_repr(), w,
+                        f"2*{capital} != {lo.capital} + {hi.capital}"))
+                for nxt in (lo, hi):
+                    if nxt.capital < ZERO:
+                        report.violations.append(Violation(
+                            "negative-capital", state_repr(), w, str(nxt.capital)))
+                    reach(nxt)
+            if not rungs:
+                continue
+            los = [step(rung, dp0) for rung in rungs]
+            his = [step(rung, dp1) for rung in rungs]
+            if lo is state and hi is state and all(map(is_, los, rungs)) \
+                    and all(map(is_, his, rungs)):
+                continue  # the identity step is fair and homogeneous
+            fault = _ladder_fault(rungs, los, his, state, lo, hi)
+            if fault:
+                report.violations.append(Violation("homogeneity", state_repr(), w, fault))
         if include_pause:
-            nxt = setup.step(state, PAUSE)
-            report.transitions_checked += 1
-            if nxt.capital != state.capital:
+            nxt = step(state, PAUSE)
+            report.transitions_checked += 1 + len(rungs)
+            if nxt.capital != capital:
                 report.violations.append(Violation(
-                    "pause", state_repr, None,
-                    f"{state.capital} -> {nxt.capital}"))
-            elif nxt not in seen and len(seen) < max_states:
-                seen.add(nxt)
-                frontier.append(nxt)
+                    "pause", state_repr(), None, f"{capital} -> {nxt.capital}"))
+            else:
+                reach(nxt)
+            pauses = [step(rung, PAUSE) for rung in rungs]
+            fault = _pause_ladder_fault(rungs, pauses, state, nxt)
+            if fault:
+                report.violations.append(Violation("homogeneity", state_repr(), None, fault))
     return report
 
 

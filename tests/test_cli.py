@@ -409,3 +409,70 @@ language = zo.json
     num, exp = (out / "trace.csv").read_text().splitlines()[-1].split(",")[3:]
     assert Dyadic(int(num), int(exp)) == Dyadic(3, 1) ** 1500
     assert json.loads((out / "trace.json").read_text())[-1]["capital_num"] == 3**1500
+
+
+@pytest.mark.parametrize("kind,lines", [
+    ("subset-bettor", "side = sideways\n[inputs]\nsubset = zero_star.json\n"
+                      "oracle_grammar = eq.grammar"),
+    ("adversarial", "mode = weird\n[inputs]\nlanguage = zo.json\noracle_dfa = zo.json"),
+    ("pclass", "cycle = maybe\nhypotheses = const0\n[inputs]\noracle_dfa = zero_star.json"),
+    ("diagonalize", "[inputs]\nsetup1 = subset_bettor:sideways:zero_star.json"),
+    ("audit", None),
+], ids=["side", "mode", "cycle", "setup-side", "audit-side"])
+def test_bad_choice_is_status_2(workdir, capsys, kind, lines):
+    out = workdir / "out"
+    if lines is None:
+        argv = ["audit", "subset-bettor", "--dfa", str(workdir / "zo.json"),
+                "--side", "sideways", "--out-dir", str(out)]
+        prefix = "audit setup error:"
+    else:
+        cfg = write_config(workdir, "cfg.ini",
+                           f"[experiment]\nkind = {kind}\n{lines}\ndomain = sigma.json\n")
+        argv = ["run", cfg, "--out-dir", str(out)]
+        prefix = "config error:"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and len(err.splitlines()) == 1
+    assert "sideways" in err or "weird" in err or "maybe" in err
+    assert not out.exists()
+
+
+def test_cfl_pipeline_says_why_it_failed(workdir, capsys):
+    (workdir / "01.grammar").write_text("S -> 0 1\n")
+    cfg = write_config(workdir, "cfg.ini", """\
+[experiment]
+kind = cfl-pipeline
+steps = 50
+[inputs]
+domain = sigma.json
+grammar = 01.grammar
+""")
+    assert main(["run", cfg, "--out-dir", str(workdir / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("threshold 1048576/2^0 not reached in 50 stages")
+
+
+def test_threshold_not_above_start_is_status_2(workdir, capsys):
+    cfg = write_config(workdir, "cfg.ini", """\
+[experiment]
+kind = cfl-pipeline
+steps = 50
+[inputs]
+domain = sigma.json
+grammar = eq.grammar
+""")
+    out = workdir / "out"
+    assert main(["run", cfg, "--out-dir", str(out), "--threshold", "1/2^1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: threshold 1/2^1") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_audit_subcommand_reports_coverage(workdir, capsys):
+    for kind in ("regular-bettor", "subset-bettor"):
+        assert main(["audit", kind, "--dfa", str(workdir / "zo.json"),
+                     "--out-dir", str(workdir / "out")]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("checked ") and " transitions, 0 violations, " in line
+        assert line.endswith(", 1 states visited, closed")

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from conftest import brute_words, equal_counts, equal_counts_tm
+from test_acceptance import shipped_constructions
 from langmart.automata import (
     combine,
     concat,
@@ -511,3 +512,10 @@ class TestAuditsOnConstructions:
         }[which]
         report = audit_fairness(setup, enumerate_ll(sigma, 24))
         assert report.ok
+
+
+def test_shipped_constructions_clean_on_24_word_probes(sigma):
+    for setup in shipped_constructions():
+        report = audit_fairness(setup, enumerate_ll(sigma, 24))
+        assert report.ok, f"{setup.name}: {report.violations[:2]}"
+        assert setup.bet_factors is not None  # each one gets the ladder

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import equal_counts
-from langmart.automata import concat, from_word, universe, word_star
+from langmart.automata import concat, enumerate_ll, from_word, universe, word_star
 from langmart.dyadic import Dyadic, ONE, THREE_HALVES
 from langmart.engine import (
     CapitalTrace,
@@ -370,3 +370,118 @@ def test_weighted_sum_rejects_mismatched_weights():
         weighted_sum([d, d], [ONE])
     with pytest.raises(ValueError):
         weighted_sum([], [])
+
+
+# ---------------------------------------------------------------------------
+# The audit by memory class and its homogeneity ladder
+# ---------------------------------------------------------------------------
+
+PROBES = enumerate_ll(universe("01"), 32)
+BASE = regular_bettor(ZEROS_THEN_ONES)
+
+
+def threshold_mutant(threshold, above=True):
+    """BASE's step, except that it pays 3/2 on both labels at every capital
+    on one side of threshold (at or above it, or below it)."""
+
+    def step(state, dp):
+        if dp is not PAUSE and (state.capital >= threshold) == above:
+            return MState(state.capital * THREE_HALVES, state.memory)
+        return BASE.step(state, dp)
+
+    return step
+
+
+def still_at_1(state, dp):
+    if dp is PAUSE or state.capital == ONE:
+        return state
+    return MState(state.capital * THREE_HALVES, state.memory)
+
+
+def remembers_size(state, dp):
+    nxt = BASE.step(state, dp)
+    if dp is not PAUSE and state.capital >= 4:
+        return MState(nxt.capital, ("big",))
+    return nxt
+
+
+def bets_only_at_1(state, dp):
+    return BASE.step(state, dp) if state.capital == ONE else state
+
+
+def bets_less_from_4(state, dp):
+    if dp is PAUSE or state.capital < 4:
+        return BASE.step(state, dp)
+    return MState(state.capital * (Dyadic(5, 2) if dp.bit else Dyadic(3, 2)), state.memory)
+
+
+def pause_moves_from_4(state, dp):
+    if dp is PAUSE and state.capital >= 4:
+        return MState(state.capital * 2, state.memory)
+    return BASE.step(state, dp)
+
+
+def unfair_from_0(state, dp):
+    return state if dp is PAUSE else MState(state.capital * THREE_HALVES, state.memory)
+
+
+def negative_from_0(state, dp):
+    if dp is PAUSE:
+        return state
+    return MState(state.capital * (Dyadic(5, 1) if dp.bit else Dyadic(-1, 1)), state.memory)
+
+
+# Each is fair at its start capital, and unfair or inhomogeneous elsewhere.
+LADDER_MUTANTS = {
+    "pays-both-from-4": (threshold_mutant(Dyadic(4)), ONE),
+    "pays-both-below-2^-40": (threshold_mutant(Dyadic(1, 40), above=False), ONE),
+    "still-at-1": (still_at_1, ONE),  # the identity shortcut must not skip the ladder
+    "remembers-size": (remembers_size, ONE),
+    "bets-only-at-1": (bets_only_at_1, ONE),
+    "bets-less-from-4": (bets_less_from_4, ONE),
+    "pause-moves-from-4": (pause_moves_from_4, ONE),
+    "unfair-from-0": (unfair_from_0, Dyadic(0)),
+    "negative-from-0": (negative_from_0, Dyadic(0)),
+}
+
+
+@pytest.mark.parametrize("name", LADDER_MUTANTS)
+def test_ladder_mutant_is_homogeneity(name):
+    step, start = LADDER_MUTANTS[name]
+    report = audit_fairness(Setup(name, step, MState(start, ("",)), 1, BASE.bet_factors),
+                            PROBES)
+    assert report.violations
+    assert {v.kind for v in report.violations} == {"homogeneity"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2**0, 2**180), st.booleans())
+def test_threshold_mutant_is_reported_anywhere(num, above):
+    # threshold num / 2**60 lies between 2**-60 and 2**120
+    step = threshold_mutant(Dyadic(num, 60), above)
+    setup = Setup("mutant", step, BASE.start, 1, BASE.bet_factors)
+    assert not audit_fairness(setup, PROBES[:8]).ok
+
+
+def test_composite_is_audited_by_full_state():
+    composite = add_setups(broken_setup(), lazy_setup())
+    assert composite.bet_factors is None
+    report = audit_fairness(composite, ["0", "1"], max_states=16)
+    assert report.violations and report.violations[0].kind == "fairness"
+    assert report.states_visited == 16 and not report.closed
+
+
+@pytest.mark.parametrize("setup", [BASE, subset_bettor(ONE_ZEROS, "inside")],
+                         ids=["regular", "subset"])
+def test_memory_constant_audits_close(setup):
+    report = audit_fairness(setup, PROBES)
+    assert report.ok and report.closed
+    assert report.states_visited == 1
+    # both labels and a pause at the first capital and at 15 ladder capitals
+    assert report.transitions_checked == (2 * len(PROBES) + 1) * 16
+
+
+def test_learner_audit_stays_open_at_the_cap():
+    report = audit_fairness(family_learner(prefix_family("01")), PROBES[:8], max_states=12)
+    assert report.ok and not report.closed
+    assert report.states_visited == 12
