@@ -93,6 +93,14 @@ def convolve(words) -> ConvolvedWord:
 # ---------------------------------------------------------------------------
 
 
+def admissible_columns(alphabets):
+    """All column symbols over per-track alphabets (no all-padding column)."""
+    padded = [tuple(a) + (PAD,) for a in alphabets]
+    for col in itertools.product(*padded):
+        if any(ch != PAD for ch in col):
+            yield col
+
+
 class Dfa:
     """Total deterministic automaton; states are 0..n_states-1.
 
@@ -110,7 +118,7 @@ class Dfa:
         if len(self.alphabets) != arity:
             raise ArityMismatchError("one alphabet per track required")
         trans = dict(transitions)
-        columns = list(self.columns())
+        columns = list(admissible_columns(self.alphabets))
         trap = None
         for q in range(n_states):
             for col in columns:
@@ -127,13 +135,6 @@ class Dfa:
         self.accepting = frozenset(accepting)
         self.transitions = trans
         self._layers = None  # lazy per-length acceptance counts
-
-    def columns(self):
-        """All admissible column symbols (no all-padding column)."""
-        padded = [tuple(a) + (PAD,) for a in self.alphabets]
-        for col in itertools.product(*padded):
-            if any(ch != PAD for ch in col):
-                yield col
 
     def _as_columns(self, w):
         if isinstance(w, ConvolvedWord):
@@ -167,7 +168,7 @@ class Dfa:
         stack = [self.start]
         while stack:
             q = stack.pop()
-            for col in self.columns():
+            for col in admissible_columns(self.alphabets):
                 r = self.transitions[(q, col)]
                 if r not in seen:
                     seen.add(r)
@@ -223,6 +224,8 @@ class Dfa:
 
     @classmethod
     def from_json(cls, data: dict) -> "Dfa":
+        if not isinstance(data, dict):
+            raise TypeError(f"an automaton is a JSON object, not {type(data).__name__}")
         arity = data.get("arity", 1)
         alpha = data["alphabet"]
         alphabets = [tuple(alpha)] if isinstance(alpha, str) else [tuple(a) for a in alpha]
@@ -230,6 +233,10 @@ class Dfa:
         index = {name: i for i, name in enumerate(names)}
         if len(alphabets) != arity:
             raise ValueError(f"{len(alphabets)} alphabets for arity {arity}")
+        for a in alphabets:
+            if len(set(a)) != len(a) or not all(
+                    isinstance(ch, str) and len(ch) == 1 and ch != PAD for ch in a):
+                raise ValueError(f"alphabet {a!r} is not distinct letters other than {PAD!r}")
         tracks = [frozenset(a) | {PAD} for a in alphabets]
         trans = {}
         for q, col, r in data["transitions"]:
@@ -264,12 +271,6 @@ class Nfa:
         self.transitions = {k: frozenset(v) for k, v in transitions.items()}
         self.epsilon = {k: frozenset(v) for k, v in (epsilon or {}).items()}
 
-    def columns(self):
-        padded = [tuple(a) + (PAD,) for a in self.alphabets]
-        for col in itertools.product(*padded):
-            if any(ch != PAD for ch in col):
-                yield col
-
     def closure(self, states) -> frozenset:
         seen = set(states)
         stack = list(states)
@@ -290,7 +291,7 @@ class Nfa:
 
 def determinize(nfa: Nfa) -> Dfa:
     """Subset construction; the result is trimmed to reachable subsets."""
-    columns = list(nfa.columns())
+    columns = list(admissible_columns(nfa.alphabets))
     start = nfa.closure(nfa.starts)
     index = {start: 0}
     order = [start]
@@ -315,7 +316,7 @@ def determinize(nfa: Nfa) -> Dfa:
 def minimize(d: Dfa) -> Dfa:
     """Merge indistinguishable states (plain partition refinement)."""
     d = d.trim()
-    columns = list(d.columns())
+    columns = list(admissible_columns(d.alphabets))
     block = {q: int(q in d.accepting) for q in range(d.n_states)}
     while True:
         signature = {
@@ -373,7 +374,7 @@ def combine(a: Dfa, b: Dfa, op: str) -> Dfa:
         test = tests[op]
     except KeyError:
         raise ValueError(f"unknown operation {op!r}") from None
-    columns = list(a.columns())
+    columns = list(admissible_columns(a.alphabets))
     index = {(a.start, b.start): 0}
     order = [(a.start, b.start)]
     trans = {}
@@ -707,7 +708,7 @@ def _sccs(nodes, edges):
     return sccs
 
 
-def growth_class(d: Dfa, horizon_cap: int = 4096) -> GrowthClass:
+def growth_class(d: Dfa) -> GrowthClass:
     """Classify |D ∩ Σ^n| growth from the cycle structure of useful states.
 
     A strongly connected component with more internal edges than states
@@ -769,18 +770,18 @@ def growth_class(d: Dfa, horizon_cap: int = 4096) -> GrowthClass:
     for i, comp in enumerate(comps):
         if cyclic[i]:
             period = period * len(comp) // gcd(period, len(comp))
-    horizon = min(2 * d.n_states + 2 * period, horizon_cap)
+    horizon = min(2 * d.n_states + 2 * period, 4096)
     c = max(slice_count(d, n) for n in range(horizon + 1))
     return GrowthClass.bounded(c)
 
 
-def exponential_growth_witness(d: Dfa, max_k: int = 8, length_budget: int = 48) -> int:
-    """Least k with |D ∩ Σ^{<nk}| >= 2^n on the checkable range."""
+def exponential_growth_witness(d: Dfa) -> int:
+    """Least k <= 8 with |D ∩ Σ^{<nk}| >= 2^n for every n with nk <= 48."""
     _require_words(d)
     if growth_class(d).kind != "exponential":
         raise AutomatonError("witness only exists for exponential domains")
-    for k in range(1, max_k + 1):
-        ns = range(1, length_budget // k + 1)
+    for k in range(1, 9):
+        ns = range(1, 48 // k + 1)
         if all(count_below_length(d, n * k) >= 2**n for n in ns):
             return k
     raise AutomatonError("no growth witness within the probed range")

@@ -21,9 +21,19 @@ import json
 import sys
 from pathlib import Path
 
-from .automata import Dfa, enumerate_ll, growth_class, slice_count, words_of_length
+from .automata import (
+    AutomatonError,
+    Dfa,
+    EmptyLanguageError,
+    NoSuccessorError,
+    enumerate_ll,
+    growth_class,
+    slice_count,
+    words_of_length,
+)
 from .constructions import (
     AutomaticFamily,
+    ConstructionError,
     DiagonalCertificate,
     Hypothesis,
     HypothesisSpace,
@@ -53,7 +63,7 @@ from .engine import (
     run_dynamic,
     succeeded,
 )
-from .grammar import Cfg, GrammarError, cyk_member, infinite_regular_subset, to_cnf
+from .grammar import Cfg, GrammarError, cfl_nonrandom_pipeline, cyk_member, to_cnf
 from .rng import Lcg
 
 
@@ -61,13 +71,17 @@ class ConfigError(Exception):
     pass
 
 
+def _not_a_number(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_json(path: Path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_not_a_number)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a json.JSONDecodeError, or NaN or Infinity
         raise ConfigError(f"bad JSON in {path}: {exc}") from None
 
 
@@ -79,8 +93,12 @@ def _load_object(path: Path, from_json, what: str):
         raise ConfigError(f"bad {what} in {path}: {exc}") from None
 
 
-def _load_dfa(path: Path) -> Dfa:
-    return _load_object(path, Dfa.from_json, "automaton")
+def _load_dfa(path: Path, tracks: int = 1) -> Dfa:
+    dfa = _load_object(path, Dfa.from_json, "automaton")
+    if dfa.arity != tracks:
+        raise ConfigError(f"automaton in {path} must read {tracks} track(s), "
+                          f"not {dfa.arity}")
+    return dfa
 
 
 def _load_grammar(path: Path) -> Cfg:
@@ -188,8 +206,8 @@ class Experiment:
             raise ConfigError(f"[inputs] {key} is required for kind {self.kind}")
         return self.base / value
 
-    def dfa(self, key: str) -> Dfa:
-        return _load_dfa(self.path(key))
+    def dfa(self, key: str, tracks: int = 1) -> Dfa:
+        return _load_dfa(self.path(key), tracks)
 
     def oracle(self):
         """Membership oracle from oracle_dfa / oracle_grammar / oracle_tm."""
@@ -204,11 +222,13 @@ class Experiment:
         raise ConfigError("no oracle_dfa / oracle_grammar / oracle_tm input")
 
 
-def _probe_words(domain: Dfa, seed: int, count: int = 64) -> list[str]:
+def _probe_words(domain: Dfa, seed: int) -> list[str]:
+    """The domain's 32 least members, then seeded random words of length 8
+    up to 64 words in all, sorted without repeats."""
     rng = Lcg(seed)
     alphabet = "".join(domain.alphabets[0])
-    words = enumerate_ll(domain, count // 2)
-    words += [rng.word(alphabet, 8) for _ in range(count - len(words))]
+    words = enumerate_ll(domain, 32)
+    words += [rng.word(alphabet, 8) for _ in range(64 - len(words))]
     return sorted(set(words))
 
 
@@ -279,7 +299,7 @@ def _run_adversarial(exp: Experiment, out_dir: Path) -> int:
 
 def _run_family_learner(exp: Experiment, out_dir: Path, variant: bool) -> int:
     domain = exp.dfa("domain")
-    fam = AutomaticFamily(exp.dfa("index_language"), exp.dfa("membership"))
+    fam = AutomaticFamily(exp.dfa("index_language"), exp.dfa("membership", tracks=2))
     target = exp.exp.get("target_index", fam.min_index())
     difference = {w for w in exp.exp.get("difference", "").split(",") if w}
 
@@ -329,8 +349,11 @@ def _diagonalize_parts(exp: Experiment):
 def _run_diagonalize(exp: Experiment, out_dir: Path) -> int:
     domain, setups, descriptors = _diagonalize_parts(exp)
     words = exp.value("words", 30)
-    cert = diagonalize(setups, domain, words,
-                       descriptors=[json.dumps(d, sort_keys=True) for d in descriptors])
+    try:
+        cert = diagonalize(setups, domain, words,
+                           descriptors=[json.dumps(d, sort_keys=True) for d in descriptors])
+    except (EmptyLanguageError, NoSuccessorError) as exc:
+        raise ConfigError(f"the domain has fewer than {words} members: {exc}") from None
     held = True
     if exp.overrides.replay:
         problems = replay_certificate(cert, setups, domain)
@@ -368,10 +391,13 @@ def _run_pclass(exp: Experiment, out_dir: Path) -> int:
         raise ConfigError("pclass needs a hypotheses list")
     space = HypothesisSpace(tuple(hyps),
                             cycle=exp.value("cycle", True, _boolean))
-    setup = pclass_bettor(space, domain)
+    try:
+        setup = pclass_bettor(space, domain)
+        anchors = anchor_gap_report(domain, exp.value("anchors", 10))
+    except (ConstructionError, AutomatonError) as exc:
+        raise ConfigError(str(exc)) from None
     trace = run(setup, Stream(make_text("ll", domain), exp.oracle()), exp.steps)
     audit = _audited(setup, domain, exp.seed)
-    anchors = anchor_gap_report(domain, exp.value("anchors", 10))
     held = all(row["ok"] for row in anchors)
     for row in anchors:
         row["predecessors"] = str(row["predecessors"])
@@ -383,8 +409,7 @@ def _run_cfl_pipeline(exp: Experiment, out_dir: Path) -> int:
     domain = exp.dfa("domain")
     grammar = _load_grammar(exp.path("grammar"))
     cnf = to_cnf(grammar)
-    r, side = infinite_regular_subset(cnf, domain)
-    setup = subset_bettor(r, side)
+    setup, r, side = cfl_nonrandom_pipeline(cnf, domain)
     if exp.threshold <= setup.start.capital:
         raise ConfigError(f"threshold {exp.threshold} must exceed the starting "
                           f"capital {setup.start.capital}")
@@ -497,7 +522,9 @@ def cmd_verify(args) -> int:
             raise ConfigError("certificate carries no rebuildable setups")
         setups = [build_setup(json.loads(d)) for d in cert.setup_descriptors]
         domain = Dfa.from_json(cert.domain_json)
-    except (ConfigError, KeyError, ValueError) as exc:
+        if domain.arity != 1:
+            raise ConfigError(f"the domain reads {domain.arity} tracks, not 1")
+    except (ConfigError, KeyError, ValueError, TypeError) as exc:
         print(f"bad certificate: {exc}", file=sys.stderr)
         return 2
     problems = replay_certificate(cert, setups, domain)

@@ -350,14 +350,14 @@ class TmProgram:
                 right2 = ""
         return f"{left2}|{nxt}|{right2}"
 
-    def decide(self, word: str, max_steps: int = 10**6) -> int:
+    def decide(self, word: str) -> int:
         config = self.init_config(word)
-        for _ in range(max_steps):
+        for _ in range(10**6):
             out = self.config_output(config)
             if out is not None:
                 return int(out)
             config = self.step_config(config)
-        raise ConstructionError(f"machine ran past {max_steps} steps on {word!r}")
+        raise ConstructionError(f"machine ran past 1000000 steps on {word!r}")
 
     def to_json(self) -> dict:
         return {
@@ -451,6 +451,8 @@ class DiagonalCertificate:
 
     @classmethod
     def from_json_obj(cls, data: dict) -> "DiagonalCertificate":
+        if not isinstance(data, dict) or not isinstance(data.get("words"), list):
+            raise TypeError("a certificate is a JSON object with a list of words")
         entries = tuple(
             CertEntry(row["w"], int(row["bit"]), Dyadic.parse(row["capital"]))
             for row in data["words"]
@@ -468,9 +470,7 @@ def _enum_hash(descriptors, domain_json, weight_base: Dyadic) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def diagonalize(enum, domain: Dfa, words: int,
-                weight_base: Dyadic = Dyadic(1, 2),
-                descriptors=None) -> DiagonalCertificate:
+def diagonalize(enum, domain: Dfa, words: int, descriptors=None) -> DiagonalCertificate:
     """Fix memberships of the first `words` domain words so that the
     weighted truncated sums of the enumerated setups never rise.
 
@@ -486,6 +486,7 @@ def diagonalize(enum, domain: Dfa, words: int,
         if not is_normed(d):
             raise NotNormedError(f"{d.name} is not normed")
     top = len(setups) - 1
+    weight_base = Dyadic(1, 2)  # the i-th setup weighs 1/4**i
     weights = [weight_base**i for i in range(len(setups))]
     states = [d.start for d in setups]
     entries = []
@@ -557,11 +558,14 @@ def replay_certificate(cert: DiagonalCertificate, enum, domain: Dfa) -> list[str
 def build_setup(descriptor: dict) -> Setup:
     """Rebuild a setup from a serializable descriptor (certificate replay)."""
     kind = descriptor["kind"]
+    if kind not in ("regular_bettor", "subset_bettor"):
+        raise ValueError(f"unknown setup descriptor kind {kind!r}")
+    dfa = Dfa.from_json(descriptor["dfa"])
+    if dfa.arity != 1:
+        raise ValueError(f"a {kind} bets along a 1-track automaton, not {dfa.arity} tracks")
     if kind == "regular_bettor":
-        return regular_bettor(Dfa.from_json(descriptor["dfa"]))
-    if kind == "subset_bettor":
-        return subset_bettor(Dfa.from_json(descriptor["dfa"]), descriptor["side"])
-    raise ValueError(f"unknown setup descriptor kind {kind!r}")
+        return regular_bettor(dfa)
+    return subset_bettor(dfa, descriptor["side"])
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +608,7 @@ def anchor_word(domain: Dfa, threshold: int) -> str:
     return min_word_of_length_at_least(domain, threshold)
 
 
-def anchor_gap_report(domain: Dfa, count: int, k: int | None = None):
+def anchor_gap_report(domain: Dfa, count: int):
     """Check the gap inequality for the first `count` anchors.
 
     For each threshold t the anchor has at least 2^((t-k)/k) predecessors
@@ -613,8 +617,7 @@ def anchor_gap_report(domain: Dfa, count: int, k: int | None = None):
     in exact integer arithmetic: gap + t >= 2^((t-k)/k) is checked as
     (gap + t)^k >= 2^(t-k).
     """
-    if k is None:
-        k = exponential_growth_witness(domain)
+    k = exponential_growth_witness(domain)
     rows = []
     prev = anchor_word(domain, 0)
     prev_count = count_leq_ll(domain, prev)

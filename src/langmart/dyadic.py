@@ -44,6 +44,8 @@ class Dyadic:
     @classmethod
     def parse(cls, text: str) -> "Dyadic":
         """Parse "num/2^exp" (plain integers also accepted)."""
+        if not isinstance(text, str):
+            raise TypeError(f"a dyadic literal is a string, not {type(text).__name__}")
         text = text.strip()
         if "/" not in text:
             return cls(int(text))

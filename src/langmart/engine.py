@@ -8,9 +8,12 @@ labeled transition against the fairness identity
     2 * capital(s) == capital(step(s, x, 0)) + capital(step(s, x, 1))
 
 with exact equality, checks that pauses never move capital, that capital
-stays nonnegative, and optionally that each capital jump uses one of the
-step's declared constant factors.  `run` and `run_dynamic` share one
-loop, and `weighted_sum` is the one combinator of setups (flat memory).
+stays nonnegative, that each capital jump uses one of the step's declared
+constant factors when the setup declares them, and that the memory keeps
+its arity and grows each word by at most MEMORY_GROWTH_LIMIT letters plus
+2 per letter of the incoming word.  Every run makes all of these checks
+at every step.  `run` and `run_dynamic` share one loop, and
+`weighted_sum` is the one combinator of setups (flat memory).
 
 `audit_fairness` explores a setup that declares bet_factors by memory, not
 by full state: such a setup bets a fraction of its capital set by its
@@ -37,6 +40,9 @@ from .dyadic import Dyadic, ONE, ZERO
 DEFAULT_THRESHOLD = Dyadic(2**20)
 DEFAULT_STEP_BUDGET = 10**5
 DEFAULT_VALIDITY_BUDGET = 10**4
+# A step may lengthen each memory word by this many letters, plus 2 per
+# letter of the incoming word.
+MEMORY_GROWTH_LIMIT = 64
 
 
 class EngineError(Exception):
@@ -293,25 +299,21 @@ def succeeded(trace: CapitalTrace, threshold: Dyadic = DEFAULT_THRESHOLD) -> boo
 # ---------------------------------------------------------------------------
 
 
-def _checked_step(setup: Setup, state: MState, dp, *, audit: bool,
-                  enforce_factors: bool, memory_growth_limit: int | None):
+def _checked_step(setup: Setup, state: MState, dp):
     if dp is PAUSE:
         nxt = setup.step(state, PAUSE)
-        if audit and nxt.capital != state.capital:
+        if nxt.capital != state.capital:
             raise PausePreservationError(
                 f"pause moved capital {state.capital} -> {nxt.capital}")
     else:
-        if audit:
-            lo = setup.step(state, Labeled(dp.word, 0))
-            hi = setup.step(state, Labeled(dp.word, 1))
-            if lo.capital + hi.capital != state.capital * 2:
-                raise FairnessViolationError(
-                    f"2*{state.capital} != {lo.capital} + {hi.capital} "
-                    f"at word {dp.word!r}")
-            nxt = hi if dp.bit else lo
-        else:
-            nxt = setup.step(state, dp)
-        if enforce_factors and setup.bet_factors is not None:
+        lo = setup.step(state, Labeled(dp.word, 0))
+        hi = setup.step(state, Labeled(dp.word, 1))
+        if lo.capital + hi.capital != state.capital * 2:
+            raise FairnessViolationError(
+                f"2*{state.capital} != {lo.capital} + {hi.capital} "
+                f"at word {dp.word!r}")
+        nxt = hi if dp.bit else lo
+        if setup.bet_factors is not None:
             if not any(state.capital * f == nxt.capital for f in setup.bet_factors):
                 raise BetFactorError(
                     f"capital {state.capital} -> {nxt.capital} uses no declared "
@@ -321,18 +323,16 @@ def _checked_step(setup: Setup, state: MState, dp, *, audit: bool,
     if len(nxt.memory) != setup.arity:
         raise MemoryDisciplineError(
             f"memory arity changed {setup.arity} -> {len(nxt.memory)}")
-    if memory_growth_limit is not None:
-        incoming = len(dp.word) if isinstance(dp, Labeled) else 0
-        allowed = memory_growth_limit + 2 * incoming
-        for before, after in zip(state.memory, nxt.memory):
-            if len(after) - len(before) > allowed:
-                raise MemoryDisciplineError(
-                    f"memory word grew by {len(after) - len(before)} in one step")
+    allowed = MEMORY_GROWTH_LIMIT + (0 if dp is PAUSE else 2 * len(dp.word))
+    for before, after in zip(state.memory, nxt.memory):
+        if len(after) - len(before) > allowed:
+            raise MemoryDisciplineError(
+                f"memory word grew by {len(after) - len(before)} in one step")
     return nxt
 
 
-def _run(setup: Setup, stream: Stream, steps: int, stop_threshold: Dyadic | None, *,
-         audit: bool, enforce_factors: bool, memory_growth_limit: int | None) -> CapitalTrace:
+def _run(setup: Setup, stream: Stream, steps: int,
+         stop_threshold: Dyadic | None) -> CapitalTrace:
     state = setup.start
     entries = [TraceEntry(0, None, None, state.capital)]
     budget = stream.text.budget
@@ -346,9 +346,7 @@ def _run(setup: Setup, stream: Stream, steps: int, stop_threshold: Dyadic | None
                     f"{pause_streak} consecutive pauses exceed budget {budget}")
         else:
             pause_streak = 0
-        state = _checked_step(setup, state, dp, audit=audit,
-                              enforce_factors=enforce_factors,
-                              memory_growth_limit=memory_growth_limit)
+        state = _checked_step(setup, state, dp)
         entries.append(TraceEntry(
             n + 1,
             dp.word if isinstance(dp, Labeled) else None,
@@ -361,23 +359,17 @@ def _run(setup: Setup, stream: Stream, steps: int, stop_threshold: Dyadic | None
 
 
 def run(setup: Setup, stream: Stream, steps: int = DEFAULT_STEP_BUDGET, *,
-        audit: bool = True, enforce_factors: bool = True,
-        memory_growth_limit: int | None = 64,
         stop_threshold: Dyadic | None = None) -> CapitalTrace:
     """Drive the setup over `steps` data points; trace has steps+1 entries."""
-    return _run(setup, stream, steps, stop_threshold, audit=audit,
-                enforce_factors=enforce_factors, memory_growth_limit=memory_growth_limit)
+    return _run(setup, stream, steps, stop_threshold)
 
 
 def run_dynamic(setup: Setup, generator, oracle, steps: int = DEFAULT_STEP_BUDGET,
-                *, budget: int = DEFAULT_VALIDITY_BUDGET, audit: bool = True,
-                enforce_factors: bool = True,
-                memory_growth_limit: int | None = 64) -> CapitalTrace:
+                *, budget: int = DEFAULT_VALIDITY_BUDGET) -> CapitalTrace:
     """Co-evolve text and state: stage n emits generator(state_n), labels it
     with the oracle, then steps."""
     text = make_text("dynamic", generator=generator, budget=budget)
-    return _run(setup, Stream(text, oracle), steps, None, audit=audit,
-                enforce_factors=enforce_factors, memory_growth_limit=memory_growth_limit)
+    return _run(setup, Stream(text, oracle), steps, None)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +455,7 @@ def _pause_ladder_fault(rungs, pauses, state: MState, out: MState) -> str | None
     return None
 
 
-def audit_fairness(setup: Setup, probe_words, *, max_states: int = 256,
-                   include_pause: bool = True) -> AuditReport:
+def audit_fairness(setup: Setup, probe_words, *, max_states: int = 256) -> AuditReport:
     """Exact fairness and pause checks on states reached from the start.
 
     Exploration closes the start state under stepping with every probe
@@ -531,18 +522,17 @@ def audit_fairness(setup: Setup, probe_words, *, max_states: int = 256,
             fault = _ladder_fault(rungs, los, his, state, lo, hi)
             if fault:
                 report.violations.append(Violation("homogeneity", state_repr(), w, fault))
-        if include_pause:
-            nxt = step(state, PAUSE)
-            report.transitions_checked += 1 + len(rungs)
-            if nxt.capital != capital:
-                report.violations.append(Violation(
-                    "pause", state_repr(), None, f"{capital} -> {nxt.capital}"))
-            else:
-                reach(nxt)
-            pauses = [step(rung, PAUSE) for rung in rungs]
-            fault = _pause_ladder_fault(rungs, pauses, state, nxt)
-            if fault:
-                report.violations.append(Violation("homogeneity", state_repr(), None, fault))
+        nxt = step(state, PAUSE)
+        report.transitions_checked += 1 + len(rungs)
+        if nxt.capital != capital:
+            report.violations.append(Violation(
+                "pause", state_repr(), None, f"{capital} -> {nxt.capital}"))
+        else:
+            reach(nxt)
+        pauses = [step(rung, PAUSE) for rung in rungs]
+        fault = _pause_ladder_fault(rungs, pauses, state, nxt)
+        if fault:
+            report.violations.append(Violation("homogeneity", state_repr(), None, fault))
     return report
 
 

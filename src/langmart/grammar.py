@@ -663,15 +663,16 @@ def intersect_regular(g: CnfGrammar, d: Dfa) -> CnfGrammar:
 # ---------------------------------------------------------------------------
 
 
-def infinite_regular_subset(g: CnfGrammar, domain: Dfa, *,
-                            sweep: int = 20, max_power: int = 64):
+def infinite_regular_subset(g: CnfGrammar, domain: Dfa):
     """Return (r, side): an infinite regular language r inside ('inside')
     or outside ('outside') the grammar's language, relative to the domain.
 
     Picks the least domain member x at pumping length, splits x = u v w,
     and analyses the intersection with u v* w: finite intersections leave
     the complement branch, infinite ones are thinned to an arithmetic
-    progression of v-powers via the context-free pumping lemma.
+    progression of v-powers via the context-free pumping lemma (powers
+    v^1 to v^64 are tried).  The 20 least words of r are checked against
+    the grammar before r is returned.
     """
     alphabet = "".join(domain.alphabets[0])
     p = pumping_constant(domain)
@@ -690,12 +691,12 @@ def infinite_regular_subset(g: CnfGrammar, domain: Dfa, *,
             if cyk_member(m_grammar, u + v * j + w)
         ]
         r = combine(uvw, finite_language(members, alphabet), "minus")
-        _sweep_check(r, g, False, sweep)
+        _sweep_check(r, g, False)
         return r, "outside"
 
     n_grammar = quotient(m_grammar, u, w)
     failures = []
-    for j in range(1, max_power + 1):
+    for j in range(1, 65):
         y = v * j
         if not cyk_member(n_grammar, y):
             continue
@@ -711,7 +712,7 @@ def infinite_regular_subset(g: CnfGrammar, domain: Dfa, *,
         r = concat(from_word(u + v * m, alphabet),
                    concat(word_star(v * k, alphabet), from_word(w, alphabet)))
         try:
-            _sweep_check(r, g, True, sweep)
+            _sweep_check(r, g, True)
         except GrammarError:
             continue
         return r, "inside"
@@ -720,20 +721,21 @@ def infinite_regular_subset(g: CnfGrammar, domain: Dfa, *,
         + (f" ({failures[0]})" if failures else ""))
 
 
-def _sweep_check(r: Dfa, g: CnfGrammar, expect_member: bool, count: int):
+def _sweep_check(r: Dfa, g: CnfGrammar, expect_member: bool):
     from .automata import enumerate_ll
 
-    for word in enumerate_ll(r, count):
+    for word in enumerate_ll(r, 20):
         if cyk_member(g, word) != expect_member:
             raise GrammarError(
                 f"extracted language leaks: {word!r} membership != {expect_member}")
 
 
 def cfl_nonrandom_pipeline(g: Cfg, domain: Dfa):
-    """Bettor that grows capital on the grammar's language under every
-    exhaustive text, via an extracted infinite regular subset."""
+    """(setup, r, side): a bettor that grows capital on the grammar's
+    language under every exhaustive text, and the infinite regular subset
+    r, inside or outside the language as side says, that it bets on."""
     from .constructions import subset_bettor
 
     cnf = g if isinstance(g, CnfGrammar) else to_cnf(g)
     r, side = infinite_regular_subset(cnf, domain)
-    return subset_bettor(r, side)
+    return subset_bettor(r, side), r, side

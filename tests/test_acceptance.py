@@ -150,10 +150,10 @@ def test_criterion_4_cfl_pipeline():
     # the closed form agrees with the grammar (cross-checked exhaustively)
     for w in brute_words("01", 8):
         assert cyk_member(cnf, w) == equal_counts(w)
-    setup = cfl_nonrandom_pipeline(grammar, sigma)
+    setup, _, _ = cfl_nonrandom_pipeline(grammar, sigma)
     threshold = Dyadic(2**10)
     trace = run(setup, Stream(make_text("ll", sigma), equal_counts),
-                400000, audit=False, stop_threshold=threshold)
+                400000, stop_threshold=threshold)
     assert succeeded(trace, threshold)
 
     from langmart.grammar import infinite_regular_subset
@@ -198,9 +198,9 @@ def test_criterion_6_setup_algebra_identities():
         make = lambda: Stream(make_text("from_sequence", items=items), oracle)
         t1 = run(d1, make(), 50)
         t2 = run(d2, make(), 50)
-        ts = run(add_setups(d1, d2), make(), 50, memory_growth_limit=None)
+        ts = run(add_setups(d1, d2), make(), 50)
         scalar = Dyadic(rng.below(15) + 1, rng.below(4))
-        tc = run(scale_setup(scalar, d1), make(), 50, memory_growth_limit=None)
+        tc = run(scale_setup(scalar, d1), make(), 50)
         for stage in range(51):
             assert ts.capitals()[stage] == t1.capitals()[stage] + t2.capitals()[stage]
             assert tc.capitals()[stage] == scalar * t1.capitals()[stage]

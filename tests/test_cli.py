@@ -1,12 +1,15 @@
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import equal_counts_tm
-from langmart.automata import universe, word_star, concat, combine
+from langmart.automata import from_word, universe, word_star, concat, combine
 from langmart.cli import main
-from langmart.constructions import prefix_family
+from langmart.constructions import diagonalize, prefix_family, regular_bettor, subset_bettor
 from langmart.dyadic import Dyadic
 
 
@@ -476,3 +479,144 @@ def test_audit_subcommand_reports_coverage(workdir, capsys):
         line = capsys.readouterr().out.strip()
         assert line.startswith("checked ") and " transitions, 0 violations, " in line
         assert line.endswith(", 1 states visited, closed")
+
+
+def slow_exponential_domain() -> dict:
+    """(0^9 | 1^9)*: exponential, but grows too slowly for a witness k <= 8."""
+    zeros = [[0 if k == 0 else k, "0", (k + 1) % 9] for k in range(9)]
+    ones = [[0 if k == 0 else 8 + k, "1", 0 if k == 8 else 9 + k] for k in range(9)]
+    return {"arity": 1, "alphabet": "01", "states": list(range(17)), "start": 0,
+            "accepting": [0], "transitions": zeros + ones}
+
+
+@pytest.mark.parametrize("argv,prefix,needle", [
+    (["run", "pclass-bounded.ini"], "config error:", "exponential"),
+    (["run", "pclass-slow.ini"], "config error:", "growth witness"),
+    (["run", "learner.ini"], "config error:", "prefix_index.json must read 2 track"),
+    (["run", "regular.ini"], "config error:", "prefix_member.json must read 1 track"),
+    (["run", "growth.ini"], "config error:", "prefix_member.json must read 1 track"),
+    (["growth", "prefix_member.json"], "cannot load automaton:", "must read 1 track"),
+    (["audit", "regular-bettor", "--dfa", "prefix_member.json"], "audit setup error:",
+     "must read 1 track"),
+    (["run", "diag.ini"], "config error:", "fewer than 9 members"),
+    (["verify", "words-int.json"], "bad certificate:", "list of words"),
+    (["verify", "list.json"], "bad certificate:", "list of words"),
+    (["verify", "infinite-bit.json"], "bad certificate:", "Infinity is not a JSON number"),
+    (["verify", "two-track-domain.json"], "bad certificate:", "reads 2 tracks"),
+    (["verify", "two-track-setup.json"], "bad certificate:", "1-track automaton, not 2"),
+    (["run", "diag-two-track.ini"], "config error:", "1-track automaton, not 2"),
+    (["growth", "repeated-letter.json"], "cannot load automaton:", "not distinct letters"),
+    (["growth", "padding-letter.json"], "cannot load automaton:", "not distinct letters"),
+], ids=["pclass-bounded-domain", "pclass-slow-domain", "learner-one-track-membership",
+        "regular-two-track-domain", "growth-report-two-track", "growth-two-track",
+        "audit-two-track", "diagonalize-past-finite-domain", "verify-words-int",
+        "verify-list", "verify-infinite-bit", "verify-two-track-domain",
+        "verify-two-track-setup", "diagonalize-two-track-setup",
+        "growth-repeated-letter", "growth-padding-letter"])
+def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needle):
+    (workdir / "slow.json").write_text(json.dumps(slow_exponential_domain()))
+    (workdir / "three.json").write_text(json.dumps({
+        "arity": 1, "alphabet": "01", "states": [0, 1, 2], "start": 0,
+        "accepting": [0, 1, 2],
+        "transitions": [[0, "0", 1], [0, "1", 1], [1, "0", 2]],
+    }))  # {"", "0", "1", "00", "10"}
+    configs = {
+        "pclass-bounded.ini": "kind = pclass\nhypotheses = const0\n[inputs]\n"
+                              "domain = zero_star.json\noracle_dfa = zero_star.json",
+        "pclass-slow.ini": "kind = pclass\nhypotheses = const0\n[inputs]\n"
+                           "domain = slow.json\noracle_dfa = slow.json",
+        "learner.ini": "kind = family-learner\n[inputs]\ndomain = sigma.json\n"
+                       "index_language = prefix_index.json\nmembership = prefix_index.json",
+        "regular.ini": "kind = regular-bettor\n[inputs]\ndomain = prefix_member.json\n"
+                       "language = zo.json",
+        "growth.ini": "kind = growth-report\n[inputs]\ndomain = prefix_member.json",
+        "diag.ini": "kind = diagonalize\nwords = 9\n[inputs]\ndomain = three.json\n"
+                    "setup1 = regular_bettor:zo.json",
+        "diag-two-track.ini": "kind = diagonalize\n[inputs]\ndomain = sigma.json\n"
+                              "setup1 = regular_bettor:prefix_member.json",
+    }
+    for name, body in configs.items():
+        write_config(workdir, name, f"[experiment]\n{body}\n")
+    (workdir / "words-int.json").write_text(json.dumps(
+        {"words": 5, "weight_base": "1/2^2", "enum_hash": "", "setups": None, "domain": None}))
+    (workdir / "list.json").write_text("[1, 2]")
+    two_track = json.loads((workdir / "prefix_member.json").read_text())
+    for name, key, value in [
+        ("infinite-bit.json", "words", [{"w": "", "bit": float("inf"), "capital": "1"}]),
+        ("two-track-domain.json", "domain", two_track),
+        ("two-track-setup.json", "setups",
+         [json.dumps({"kind": "regular_bettor", "dfa": two_track})]),
+    ]:
+        (workdir / name).write_text(json.dumps({**SEED_OBJECTS[1], key: value}))
+    for name, alphabet in [("repeated-letter.json", "001"), ("padding-letter.json", "0#1")]:
+        (workdir / name).write_text(json.dumps({**SEED_OBJECTS[0], "alphabet": alphabet}))
+    monkeypatch.chdir(workdir)
+    out = workdir / "out"
+    extra = ["--out-dir", str(out)] if argv[0] in ("run", "audit") else []
+    assert main(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and len(err.splitlines()) == 1
+    assert needle in err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Parser fuzzing: every input file ends in exit status 0, 1 or 2
+# ---------------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 2**70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10)
+
+ZEROS_THEN_ONES = concat(word_star("0"), word_star("1"))
+ONE_ZEROS = concat(from_word("1"), word_star("0"))
+SEED_OBJECTS = [
+    ZEROS_THEN_ONES.to_json(),
+    diagonalize([regular_bettor(ZEROS_THEN_ONES), subset_bettor(ONE_ZEROS, "inside")],
+                universe("01"), 8,
+                descriptors=[json.dumps({"kind": "regular_bettor",
+                                         "dfa": ZEROS_THEN_ONES.to_json()}),
+                             json.dumps({"kind": "subset_bettor", "side": "inside",
+                                         "dfa": ONE_ZEROS.to_json()})]).to_json_obj(),
+]
+
+
+# Replacements: any JSON value, or a small number or a short string over
+# the letters that automata, capitals and descriptors are written in.
+REPLACEMENTS = JSON_VALUES | st.integers(-2, 20) | st.text("01#|/^2-", max_size=5)
+
+
+def mutated(data, value):
+    """value with one node replaced, or one entry of an object or array
+    deleted; the node is usually a leaf.  A certificate's setup
+    descriptors are JSON text, and are mutated inside too."""
+    if isinstance(value, str) and value.startswith("{") and data.draw(st.booleans()):
+        return json.dumps(mutated(data, json.loads(value)))
+    if isinstance(value, (dict, list)) and value and data.draw(st.integers(0, 3)):
+        copy = dict(value) if isinstance(value, dict) else list(value)
+        key = data.draw(st.sampled_from(sorted(copy) if isinstance(copy, dict)
+                                        else range(len(copy))))
+        if not data.draw(st.integers(0, 5)):
+            del copy[key]
+        else:
+            copy[key] = mutated(data, copy[key])
+        return copy
+    return data.draw(REPLACEMENTS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_growth_and_verify_exit_0_1_or_2_on_any_json(data):
+    if data.draw(st.booleans()):
+        value = data.draw(JSON_VALUES)
+    else:
+        value = data.draw(st.sampled_from(SEED_OBJECTS))
+        for _ in range(data.draw(st.integers(1, 3))):
+            value = mutated(data, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(value))
+        assert main(["growth", str(path)]) in (0, 1, 2)
+        assert main(["verify", str(path)]) in (0, 1, 2)

@@ -3,12 +3,15 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import equal_counts
 from langmart.automata import concat, enumerate_ll, from_word, universe, word_star
-from langmart.dyadic import Dyadic, ONE, THREE_HALVES
+from langmart.dyadic import Dyadic, HALF, ONE, THREE_HALVES
 from langmart.engine import (
+    BetFactorError,
     CapitalTrace,
     FairnessViolationError,
     Labeled,
+    MemoryDisciplineError,
     MState,
+    NegativeCapitalError,
     NotNormedError,
     PAUSE,
     PausePreservationError,
@@ -65,6 +68,47 @@ def random_stream(seed: int, domain, oracle, length: int) -> Stream:
     return Stream(make_text("from_sequence", items=items), oracle)
 
 
+def pays_5_4(state, dp):
+    """Fair, but 5/4 and 3/4 are not the factors it declares."""
+    if dp is PAUSE:
+        return state
+    return MState(state.capital * (Dyadic(5, 2) if dp.bit else Dyadic(3, 2)), state.memory)
+
+
+def goes_negative(state, dp):
+    """Fair: 5/2 on label 0 and -1/2 on label 1."""
+    if dp is PAUSE:
+        return state
+    return MState(state.capital * (Dyadic(-1, 1) if dp.bit else Dyadic(5, 1)), state.memory)
+
+
+def adds_a_word(state, dp):
+    return MState(state.capital, state.memory + ("",))
+
+
+def grows_by(letters):
+    """Keeps the capital and appends `letters` letters to the memory word."""
+
+    def step(state, dp):
+        return MState(state.capital, (state.memory[0] + "x" * letters,))
+
+    return step
+
+
+# (step, bet_factors, the one item of the text, expected error or None).
+# Words are labeled 1; a memory word may grow by 64 letters plus 2 per
+# letter of the incoming word.
+CHECKED_STEP_CASES = {
+    "undeclared-factor": (pays_5_4, frozenset({THREE_HALVES, HALF}), "0", BetFactorError),
+    "negative-capital": (goes_negative, None, "0", NegativeCapitalError),
+    "arity-change": (adds_a_word, None, "0", MemoryDisciplineError),
+    "pause-grows-64": (grows_by(64), None, PAUSE, None),
+    "pause-grows-65": (grows_by(65), None, PAUSE, MemoryDisciplineError),
+    "word-01-grows-68": (grows_by(68), None, "01", None),
+    "word-01-grows-69": (grows_by(69), None, "01", MemoryDisciplineError),
+}
+
+
 class TestRun:
     def test_trace_shape(self, sigma, zeros_then_ones):
         setup = regular_bettor(zeros_then_ones)
@@ -101,6 +145,17 @@ class TestRun:
         stream = Stream(make_text("from_sequence", items=[PAUSE]), sigma)
         with pytest.raises(PausePreservationError):
             run(bad, stream, 1)
+
+    @pytest.mark.parametrize("case", CHECKED_STEP_CASES, ids=list(CHECKED_STEP_CASES))
+    def test_every_step_is_checked(self, case):
+        step, factors, item, error = CHECKED_STEP_CASES[case]
+        setup = Setup(case, step, MState(ONE, ("",)), 1, factors)
+        stream = Stream(make_text("from_sequence", items=[item]), lambda w: True)
+        if error is None:
+            assert len(run(setup, stream, 1)) == 2
+        else:
+            with pytest.raises(error):
+                run(setup, stream, 1)
 
     def test_validity_budget(self, sigma):
         items = [PAUSE] * 10 + ["0"]
@@ -204,7 +259,7 @@ class TestSetupAlgebra:
             s = lambda: random_stream(seed, sigma, equal_counts, 50)
             t1 = run(d1, s(), 50)
             t2 = run(d2, s(), 50)
-            ts = run(total, s(), 50, memory_growth_limit=None)
+            ts = run(total, s(), 50)
             for a, b, c in zip(t1.capitals(), t2.capitals(), ts.capitals()):
                 assert a + b == c
 
@@ -216,8 +271,8 @@ class TestSetupAlgebra:
         for seed in range(3):
             s = lambda: random_stream(seed, sigma, equal_counts, 50)
             base = run(d, s(), 50)
-            t_same = run(same, s(), 50, memory_growth_limit=None)
-            t_scaled = run(scaled, s(), 50, memory_growth_limit=None)
+            t_same = run(same, s(), 50)
+            t_scaled = run(scaled, s(), 50)
             assert t_same.capitals() == base.capitals()
             for a, b in zip(base.capitals(), t_scaled.capitals()):
                 assert a * c == b
@@ -230,8 +285,7 @@ class TestSetupAlgebra:
         d = regular_bettor(zeros_then_ones)
         single = truncated_sum([d], Dyadic(1, 2))
         base = run(d, random_stream(1, sigma, equal_counts, 20), 20)
-        got = run(single, random_stream(1, sigma, equal_counts, 20), 20,
-                  memory_growth_limit=None)
+        got = run(single, random_stream(1, sigma, equal_counts, 20), 20)
         assert got.capitals() == base.capitals()
 
     def test_truncated_sum_start_value(self, sigma, zeros_then_ones, one_zeros,
@@ -249,8 +303,7 @@ class TestSetupAlgebra:
         weights = [Dyadic(1, 2) ** i for i in range(3)]
         traces = [run(p, random_stream(9, sigma, equal_counts, 30), 30)
                   for p in parts]
-        got = run(total, random_stream(9, sigma, equal_counts, 30), 30,
-                  memory_growth_limit=None)
+        got = run(total, random_stream(9, sigma, equal_counts, 30), 30)
         for stage in range(31):
             expected = sum((w * t.capitals()[stage] for w, t in zip(weights, traces)),
                            Dyadic(0))

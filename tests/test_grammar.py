@@ -260,26 +260,26 @@ class TestInfiniteRegularSubset:
 
 class TestPipeline:
     def test_grows_past_threshold(self, sigma, equal_counts_grammar):
-        setup = cfl_nonrandom_pipeline(equal_counts_grammar, sigma)
+        setup, _, _ = cfl_nonrandom_pipeline(equal_counts_grammar, sigma)
         threshold = Dyadic(2**10)
         trace = run(setup, Stream(make_text("ll", sigma), equal_counts),
-                    300000, audit=False, stop_threshold=threshold)
+                    300000, stop_threshold=threshold)
         assert succeeded(trace, threshold)
 
     def test_shuffled_exhaustive_text(self, sigma, equal_counts_grammar):
-        setup = cfl_nonrandom_pipeline(equal_counts_grammar, sigma)
+        setup, _, _ = cfl_nonrandom_pipeline(equal_counts_grammar, sigma)
         # deterministic interleave: swap adjacent pairs of the ll order
         base = enumerate_ll(sigma, 3000)
         shuffled = []
         for i in range(0, len(base) - 1, 2):
             shuffled += [base[i + 1], base[i]]
         stream = Stream(make_text("from_sequence", items=shuffled), equal_counts)
-        trace = run(setup, stream, len(shuffled), audit=False)
+        trace = run(setup, stream, len(shuffled))
         assert trace.final > ONE  # same eventual growth on r-member hits
 
     def test_text_avoiding_subset_stays_flat(self, sigma, equal_counts_grammar):
-        setup = cfl_nonrandom_pipeline(equal_counts_grammar, sigma)
+        setup, _, _ = cfl_nonrandom_pipeline(equal_counts_grammar, sigma)
         items = [w for w in enumerate_ll(sigma, 200) if "1" in w]  # avoids 0 0*
         stream = Stream(make_text("from_sequence", items=items), equal_counts)
-        trace = run(setup, stream, len(items), audit=False)
+        trace = run(setup, stream, len(items))
         assert trace.capitals() == [ONE] * (len(items) + 1)
