@@ -12,7 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from langmart.automata import concat, enumerate_ll, universe, word_star
 from langmart.constructions import regular_bettor
-from langmart.engine import Stream, audit_fairness, make_text, run
+from langmart.engine import audit_fairness, ll_text, run
 
 
 def main():
@@ -20,7 +20,7 @@ def main():
     language = concat(word_star("0"), word_star("1"))
     setup = regular_bettor(language)
 
-    trace = run(setup, Stream(make_text("ll", domain), language), 40)
+    trace = run(setup, ll_text(domain), language, 40)
     print("stage  word   label  capital")
     for entry in trace.entries[:6] + trace.entries[-3:]:
         word = entry.word if entry.word is not None else "-"

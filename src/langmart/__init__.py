@@ -25,14 +25,14 @@ from .engine import (
     MState,
     PAUSE,
     Setup,
-    Stream,
     add_setups,
     audit_fairness,
     classify_text_prefix,
-    make_text,
+    ll_text,
     run,
     run_dynamic,
     scale_setup,
+    sequence_text,
     succeeded,
     truncated_sum,
     weighted_sum,

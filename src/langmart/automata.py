@@ -511,11 +511,7 @@ def _min_word_from(d: Dfa, state: int, length: int) -> str:
 
 def min_ll(d: Dfa) -> str:
     """Least member in length-lexicographic order."""
-    _require_words(d)
-    for n in range(d.n_states + 1):
-        if slice_count(d, n) > 0:
-            return _min_word_from(d, d.start, n)
-    raise EmptyLanguageError("language is empty")
+    return min_word_of_length_at_least(d, 0)
 
 
 def min_word_of_length_at_least(d: Dfa, bound: int) -> str:
@@ -573,6 +569,14 @@ def count_leq_ll(d: Dfa, w: str) -> int:
     return total
 
 
+def _slice_members(d: Dfa, n: int):
+    """Yield the members of length exactly n in lexicographic order."""
+    w = _min_word_from(d, d.start, n) if slice_count(d, n) else None
+    while w is not None:
+        yield w
+        w = _next_same_length(d, w)
+
+
 def iter_ll(d: Dfa):
     """Yield every member in length-lexicographic order (until exhausted)."""
     _require_words(d)
@@ -580,15 +584,9 @@ def iter_ll(d: Dfa):
     last_nonempty = -1
     # past a gap of a full pump length no longer member can exist
     while n <= last_nonempty + d.n_states + 1:
-        if slice_count(d, n):
+        for w in _slice_members(d, n):
             last_nonempty = n
-            w = _min_word_from(d, d.start, n)
             yield w
-            while True:
-                w = _next_same_length(d, w)
-                if w is None:
-                    break
-                yield w
         n += 1
 
 
@@ -600,14 +598,7 @@ def enumerate_ll(d: Dfa, limit: int):
 def words_of_length(d: Dfa, n: int) -> list[str]:
     """Members of length exactly n, lexicographically ordered."""
     _require_words(d)
-    if slice_count(d, n) == 0:
-        return []
-    out = [_min_word_from(d, d.start, n)]
-    while True:
-        nxt = _next_same_length(d, out[-1])
-        if nxt is None:
-            return out
-        out.append(nxt)
+    return list(_slice_members(d, n))
 
 
 # ---------------------------------------------------------------------------

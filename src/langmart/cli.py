@@ -55,10 +55,10 @@ from .constructions import (
 from .dyadic import Dyadic, decode_tworow, encode_tworow, rel_l, rel_p, rel_z, tworow_add
 from .engine import (
     DEFAULT_THRESHOLD,
-    Stream,
     TextExhaustedError,
+    ValidityBudgetError,
     audit_fairness,
-    make_text,
+    ll_text,
     run,
     run_dynamic,
     succeeded,
@@ -93,12 +93,37 @@ def _load_object(path: Path, from_json, what: str):
         raise ConfigError(f"bad {what} in {path}: {exc}") from None
 
 
-def _load_dfa(path: Path, tracks: int = 1) -> Dfa:
+def _check_letters(dfa: Dfa, domain: Dfa, what: str) -> None:
+    """Reject an automaton that domain words are fed to (on its first
+    track) unless it reads every letter of the domain's alphabet."""
+    missing = "".join(ch for ch in domain.alphabets[0] if ch not in dfa.alphabets[0])
+    if missing:
+        raise ConfigError(f"{what} does not read the domain letter(s) {missing!r}")
+
+
+def _load_dfa(path: Path, tracks: int = 1, domain: Dfa | None = None) -> Dfa:
+    """The automaton in path; it must read `tracks` tracks and, when a
+    domain is given, every domain letter."""
     dfa = _load_object(path, Dfa.from_json, "automaton")
     if dfa.arity != tracks:
         raise ConfigError(f"automaton in {path} must read {tracks} track(s), "
                           f"not {dfa.arity}")
+    if domain is not None:
+        _check_letters(dfa, domain, f"automaton in {path}")
     return dfa
+
+
+def _tm_oracle(prog: TmProgram):
+    """prog's verdicts as a predicate; a machine that does not halt within
+    its step budget is bad input."""
+
+    def oracle(w: str) -> bool:
+        try:
+            return bool(prog.decide(w))
+        except ConstructionError as exc:
+            raise ConfigError(f"the machine does not decide: {exc}") from None
+
+    return oracle
 
 
 def _load_grammar(path: Path) -> Cfg:
@@ -206,19 +231,20 @@ class Experiment:
             raise ConfigError(f"[inputs] {key} is required for kind {self.kind}")
         return self.base / value
 
-    def dfa(self, key: str, tracks: int = 1) -> Dfa:
-        return _load_dfa(self.path(key), tracks)
+    def dfa(self, key: str, tracks: int = 1, domain: Dfa | None = None) -> Dfa:
+        return _load_dfa(self.path(key), tracks, domain)
 
-    def oracle(self):
-        """Membership oracle from oracle_dfa / oracle_grammar / oracle_tm."""
+    def oracle(self, domain: Dfa):
+        """Membership oracle on domain words from oracle_dfa / oracle_grammar
+        / oracle_tm."""
         if self.inputs.get("oracle_dfa"):
-            return self.dfa("oracle_dfa").accepts
+            return self.dfa("oracle_dfa", domain=domain).accepts
         if self.inputs.get("oracle_grammar"):
             cnf = to_cnf(_load_grammar(self.path("oracle_grammar")))
             return lambda w: cyk_member(cnf, w)
         if self.inputs.get("oracle_tm"):
-            prog = _load_object(self.path("oracle_tm"), TmProgram.from_json, "machine")
-            return lambda w: bool(prog.decide(w))
+            return _tm_oracle(_load_object(self.path("oracle_tm"), TmProgram.from_json,
+                                           "machine"))
         raise ConfigError("no oracle_dfa / oracle_grammar / oracle_tm input")
 
 
@@ -252,28 +278,28 @@ def _finish(out_dir, trace, audit, extra=None, *, held: bool) -> int:
 
 def _run_regular_bettor(exp: Experiment, out_dir: Path) -> int:
     domain = exp.dfa("domain")
-    language = exp.dfa("language")
+    language = exp.dfa("language", domain=domain)
     oracle_keys = ("oracle_dfa", "oracle_grammar", "oracle_tm")
-    oracle = exp.oracle() if any(exp.inputs.get(k) for k in oracle_keys) else language
+    oracle = exp.oracle(domain) if any(exp.inputs.get(k) for k in oracle_keys) else language
     setup = regular_bettor(language)
-    trace = run(setup, Stream(make_text("ll", domain), oracle), exp.steps)
+    trace = run(setup, ll_text(domain), oracle, exp.steps)
     audit = _audited(setup, domain, exp.seed)
     return _finish(out_dir, trace, audit, held=True)
 
 
 def _run_subset_bettor(exp: Experiment, out_dir: Path) -> int:
     domain = exp.dfa("domain")
-    subset = exp.dfa("subset")
+    subset = exp.dfa("subset", domain=domain)
     setup = subset_bettor(subset, exp.value("side", "inside", _one_of("inside", "outside")))
-    trace = run(setup, Stream(make_text("ll", domain), exp.oracle()), exp.steps)
+    trace = run(setup, ll_text(domain), exp.oracle(domain), exp.steps)
     audit = _audited(setup, domain, exp.seed)
     return _finish(out_dir, trace, audit, held=True)
 
 
 def _run_adversarial(exp: Experiment, out_dir: Path) -> int:
     domain = exp.dfa("domain")
-    bettor = regular_bettor(exp.dfa("language"))
-    oracle = exp.oracle()
+    bettor = regular_bettor(exp.dfa("language", domain=domain))
+    oracle = exp.oracle(domain)
     outcome = adversarial_text(bettor, domain, oracle,
                                mode=exp.value("mode", "any",
                                               _one_of("any", "repetition-free")),
@@ -290,7 +316,7 @@ def _run_adversarial(exp: Experiment, out_dir: Path) -> int:
             "extracted_sample": {w: bool(v) for w, v in sample.items()},
         }}
         return _finish(out_dir, None, audit, extra, held=True)
-    trace = run(bettor, Stream(outcome, oracle), exp.horizon)
+    trace = run(bettor, outcome, oracle, exp.horizon)
     held = trace.max_capital() <= bettor.start.capital
     if not held:
         print("adversarial text let the capital rise", file=sys.stderr)
@@ -299,7 +325,8 @@ def _run_adversarial(exp: Experiment, out_dir: Path) -> int:
 
 def _run_family_learner(exp: Experiment, out_dir: Path, variant: bool) -> int:
     domain = exp.dfa("domain")
-    fam = AutomaticFamily(exp.dfa("index_language"), exp.dfa("membership", tracks=2))
+    fam = AutomaticFamily(exp.dfa("index_language"),
+                          exp.dfa("membership", tracks=2, domain=domain))
     target = exp.exp.get("target_index", fam.min_index())
     difference = {w for w in exp.exp.get("difference", "").split(",") if w}
 
@@ -307,7 +334,7 @@ def _run_family_learner(exp: Experiment, out_dir: Path, variant: bool) -> int:
         return fam.member(w, target) != (w in difference)
 
     setup = variant_family_learner(fam) if variant else family_learner(fam)
-    trace = run(setup, Stream(make_text("ll", domain), oracle), exp.steps)
+    trace = run(setup, ll_text(domain), oracle, exp.steps)
     audit = _audited(setup, domain, exp.seed)
     return _finish(out_dir, trace, audit, held=True)
 
@@ -316,7 +343,7 @@ def _run_tm_dynamic(exp: Experiment, out_dir: Path) -> int:
     domain = exp.dfa("domain")
     prog = _load_object(exp.path("tm"), TmProgram.from_json, "machine")
     setup, generator = tm_dynamic_bettor(prog, domain)
-    trace = run_dynamic(setup, generator, lambda w: bool(prog.decide(w)), exp.steps)
+    trace = run_dynamic(setup, generator, _tm_oracle(prog), exp.steps)
     audit = _audited(setup, domain, exp.seed)
     return _finish(out_dir, trace, audit, held=True)
 
@@ -341,6 +368,7 @@ def _diagonalize_parts(exp: Experiment):
             setups.append(build_setup(desc))
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"bad setup {spec!r}: {exc}") from None
+        _check_letters(Dfa.from_json(desc["dfa"]), domain, f"setup {spec!r}")
     if not setups:
         raise ConfigError("diagonalize needs setup1, setup2, ... inputs")
     return domain, setups, descriptors
@@ -382,7 +410,7 @@ def _run_pclass(exp: Experiment, out_dir: Path) -> int:
         elif spec == "const1":
             hyps.append(Hypothesis("const1", lambda w: 1, lambda w: len(w) + 1))
         elif spec.startswith("dfa:"):
-            dfa = _load_dfa(exp.base / spec[4:])
+            dfa = _load_dfa(exp.base / spec[4:], domain=domain)
             hyps.append(Hypothesis(spec, lambda w, d=dfa: int(d.accepts(w)),
                                    lambda w: len(w) + 1))
         else:
@@ -396,7 +424,7 @@ def _run_pclass(exp: Experiment, out_dir: Path) -> int:
         anchors = anchor_gap_report(domain, exp.value("anchors", 10))
     except (ConstructionError, AutomatonError) as exc:
         raise ConfigError(str(exc)) from None
-    trace = run(setup, Stream(make_text("ll", domain), exp.oracle()), exp.steps)
+    trace = run(setup, ll_text(domain), exp.oracle(domain), exp.steps)
     audit = _audited(setup, domain, exp.seed)
     held = all(row["ok"] for row in anchors)
     for row in anchors:
@@ -414,8 +442,7 @@ def _run_cfl_pipeline(exp: Experiment, out_dir: Path) -> int:
         raise ConfigError(f"threshold {exp.threshold} must exceed the starting "
                           f"capital {setup.start.capital}")
     oracle = lambda w: cyk_member(cnf, w)
-    trace = run(setup, Stream(make_text("ll", domain), oracle), exp.steps,
-                stop_threshold=exp.threshold)
+    trace = run(setup, ll_text(domain), oracle, exp.steps, stop_threshold=exp.threshold)
     audit = _audited(setup, domain, exp.seed)
     members = enumerate_ll(r, 100)
     expect = side == "inside"
@@ -510,7 +537,7 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except TextExhaustedError as exc:
+    except (TextExhaustedError, ValidityBudgetError) as exc:
         print(f"text error: {exc}", file=sys.stderr)
         return 2
 
@@ -520,10 +547,13 @@ def cmd_verify(args) -> int:
         cert = DiagonalCertificate.from_json_obj(_load_json(Path(args.certificate)))
         if not cert.setup_descriptors or not cert.domain_json:
             raise ConfigError("certificate carries no rebuildable setups")
-        setups = [build_setup(json.loads(d)) for d in cert.setup_descriptors]
+        descriptors = [json.loads(d) for d in cert.setup_descriptors]
+        setups = [build_setup(d) for d in descriptors]
         domain = Dfa.from_json(cert.domain_json)
         if domain.arity != 1:
             raise ConfigError(f"the domain reads {domain.arity} tracks, not 1")
+        for d in descriptors:
+            _check_letters(Dfa.from_json(d["dfa"]), domain, f"setup {d['kind']}")
     except (ConfigError, KeyError, ValueError, TypeError) as exc:
         print(f"bad certificate: {exc}", file=sys.stderr)
         return 2

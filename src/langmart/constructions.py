@@ -38,10 +38,9 @@ from .engine import (
     NotNormedError,
     PAUSE,
     Setup,
-    Stream,
     is_normed,
-    make_text,
     run,
+    sequence_text,
     truncated_sum,
 )
 
@@ -122,7 +121,7 @@ def regular_bettor(lang: Dfa) -> Setup:
             return MState(state.capital * THREE_HALVES, state.memory)
         return MState(state.capital * HALF, state.memory)
 
-    return Setup("regular_bettor", step, MState(ONE, ("",)), 1,
+    return Setup("regular_bettor", step, MState(ONE, ("",)),
                  frozenset({THREE_HALVES, HALF}))
 
 
@@ -140,7 +139,7 @@ def subset_bettor(r: Dfa, side: str) -> Setup:
             return MState(state.capital * THREE_HALVES, state.memory)
         return MState(state.capital * HALF, state.memory)
 
-    return Setup(f"subset_bettor[{side}]", step, MState(ONE, ("",)), 1,
+    return Setup(f"subset_bettor[{side}]", step, MState(ONE, ("",)),
                  frozenset({ONE, THREE_HALVES, HALF}))
 
 
@@ -189,7 +188,7 @@ def adversarial_text(setup: Setup, domain: Dfa, oracle, *, mode: str = "any",
         x, state = chosen
         items.append(x)
         used.add(x)
-    return make_text("from_sequence", items=items)
+    return sequence_text(items)
 
 
 def extract_language(setup: Setup, state: MState) -> Callable[[str], bool]:
@@ -233,7 +232,7 @@ def family_learner(fam: AutomaticFamily) -> Setup:
         except NoSuccessorError:
             raise LearnerStallError(f"index set exhausted after {e!r}") from None
 
-    return Setup("family_learner", step, MState(ONE, (start_index,)), 1,
+    return Setup("family_learner", step, MState(ONE, (start_index,)),
                  frozenset({THREE_HALVES, HALF}))
 
 
@@ -260,7 +259,7 @@ def variant_family_learner(fam: AutomaticFamily) -> Setup:
             return MState(state.capital * HALF, (succ_index(e), d))
         return MState(state.capital * HALF, (e0, succ_index(d)))
 
-    return Setup("variant_family_learner", step, MState(ONE, (e0, e0)), 2,
+    return Setup("variant_family_learner", step, MState(ONE, (e0, e0)),
                  frozenset({THREE_HALVES, HALF}))
 
 
@@ -405,7 +404,7 @@ def tm_dynamic_bettor(prog: TmProgram, domain: Dfa) -> tuple[Setup, Callable]:
             return MState(ZERO, memory)
         return state  # off-schedule words are not bet on
 
-    setup = Setup("tm_dynamic_bettor", step, MState(ONE, (d0, "", "")), 3,
+    setup = Setup("tm_dynamic_bettor", step, MState(ONE, (d0, "", "")),
                   frozenset({TWO, ZERO, ONE}))
     return setup, generator
 
@@ -539,7 +538,7 @@ def replay_certificate(cert: DiagonalCertificate, enum, domain: Dfa) -> list[str
 
     def replay(c: int, t: int):
         composite = truncated_sum(setups[:c + 1], cert.weight_base)
-        return run(composite, Stream(make_text("from_sequence", items=words[:t]), oracle), t)
+        return run(composite, sequence_text(words[:t]), oracle, t)
 
     full = replay(top, len(words))
     for t, entry in enumerate(cert.entries, start=1):
@@ -683,8 +682,7 @@ def pclass_bettor(hyp: HypothesisSpace, domain: Dfa) -> Setup:
         return MState(capital, (counter, nxt, nxt, new_idx, "run", "", ""))
 
     start = MState(ONE, ("", first, first, "0", "run", "", ""))
-    return Setup("pclass_bettor", step, start, 7,
-                 frozenset({THREE_HALVES, HALF, ONE}))
+    return Setup("pclass_bettor", step, start, frozenset({THREE_HALVES, HALF, ONE}))
 
 
 # ---------------------------------------------------------------------------

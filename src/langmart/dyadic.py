@@ -43,7 +43,7 @@ class Dyadic:
 
     @classmethod
     def parse(cls, text: str) -> "Dyadic":
-        """Parse "num/2^exp" (plain integers also accepted)."""
+        """Parse "num/2^exp" with exp >= 0 (plain integers also accepted)."""
         if not isinstance(text, str):
             raise TypeError(f"a dyadic literal is a string, not {type(text).__name__}")
         text = text.strip()
@@ -52,7 +52,10 @@ class Dyadic:
         num_part, den_part = text.split("/", 1)
         if not den_part.startswith("2^"):
             raise ValueError(f"not a dyadic literal: {text!r}")
-        return cls(int(num_part), int(den_part[2:]))
+        exp = int(den_part[2:])
+        if exp < 0:
+            raise ValueError(f"negative exponent in dyadic literal: {text!r}")
+        return cls(int(num_part), exp)
 
     # -- arithmetic ------------------------------------------------------------
 

@@ -1,9 +1,11 @@
-"""Betting engine: states, data points, texts, streams, runs, setup algebra.
+"""Betting engine: states, data points, texts, runs, setup algebra.
 
 A state couples a capital value (exact dyadic) with a tuple of memory
 words.  A step function consumes one data point, either a labeled domain
-word or a pause, and returns the next state.  The engine audits every
-labeled transition against the fairness identity
+word or a pause, and returns the next state.  A text is a plain function
+text(n, state) -> word | PAUSE (`ll_text`, `sequence_text`); `run` labels
+each word of it with the oracle, so there is no stream type.  The engine
+audits every labeled transition against the fairness identity
 
     2 * capital(s) == capital(step(s, x, 0)) + capital(step(s, x, 1))
 
@@ -125,8 +127,12 @@ class Setup:
     name: str
     step: Callable[[MState, object], MState]
     start: MState
-    arity: int
     bet_factors: frozenset | None = None
+
+    @property
+    def arity(self) -> int:
+        """Number of memory words, fixed by the start state."""
+        return len(self.start.memory)
 
 
 def is_normed(setup: Setup) -> bool:
@@ -134,70 +140,41 @@ def is_normed(setup: Setup) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Texts and streams
+# Texts
 # ---------------------------------------------------------------------------
+# A text is a function text(n, state) -> word | PAUSE: the item at stage n,
+# which may read the run's state there, so a text can schedule itself.
 
 
-class Text:
-    """Stage-indexed source of domain words and pauses: at(n, state) may
-    read the run's state at stage n, so a text can schedule itself."""
+def ll_text(domain: Dfa):
+    """The domain's members in length-lexicographic order."""
+    cache: list[str] = []
+    source = iter_ll(domain)
 
-    def __init__(self, item_at: Callable[..., object], *,
-                 budget: int = DEFAULT_VALIDITY_BUDGET):
-        self.at = item_at
-        self.budget = budget
-
-
-def make_text(kind: str, domain: Dfa | None = None, *, items=None,
-              generator=None, budget: int = DEFAULT_VALIDITY_BUDGET) -> Text:
-    """Build a text: 'll' over a domain, 'from_sequence', or 'dynamic'
-    (stage n emits generator(state_n))."""
-    if kind == "ll":
-        if domain is None:
-            raise ValueError("ll texts need a domain automaton")
-        cache: list[str] = []
-        source = iter_ll(domain)
-
-        def item_at(n: int, _state=None) -> str:
-            while len(cache) <= n:
-                try:
-                    cache.append(next(source))
-                except StopIteration:
-                    raise TextExhaustedError(
-                        f"domain exhausted by the ordered text at stage {n + 1}: "
-                        f"it has only {len(cache)} words") from None
-            return cache[n]
-
-        return Text(item_at, budget=budget)
-    if kind == "from_sequence":
-        seq = list(items or ())
-
-        def item_at(n: int, _state=None):
-            if n >= len(seq):
+    def text(n: int, _state) -> str:
+        while len(cache) <= n:
+            try:
+                cache.append(next(source))
+            except StopIteration:
                 raise TextExhaustedError(
-                    f"sequence text exhausted at stage {n + 1}: it has only {len(seq)} items")
-            return seq[n]
+                    f"domain exhausted by the ordered text at stage {n + 1}: "
+                    f"it has only {len(cache)} words") from None
+        return cache[n]
 
-        return Text(item_at, budget=budget)
-    if kind == "dynamic":
-        if generator is None:
-            raise ValueError("dynamic texts need a generator")
-        return Text(lambda _n, state=None: generator(state), budget=budget)
-    raise ValueError(f"unknown text kind {kind!r}")
+    return text
 
 
-class Stream:
-    """A text labeled by true membership in the target language."""
+def sequence_text(items):
+    """The given words and pauses, in order."""
+    seq = list(items)
 
-    def __init__(self, text: Text, oracle):
-        self.text = text
-        self.oracle = oracle.accepts if isinstance(oracle, Dfa) else oracle
+    def text(n: int, _state):
+        if n >= len(seq):
+            raise TextExhaustedError(
+                f"sequence text exhausted at stage {n + 1}: it has only {len(seq)} items")
+        return seq[n]
 
-    def datapoint(self, n: int, state: MState | None = None):
-        item = self.text.at(n, state)
-        if item is PAUSE:
-            return PAUSE
-        return Labeled(item, 1 if self.oracle(item) else 0)
+    return text
 
 
 @dataclass(frozen=True)
@@ -331,45 +308,45 @@ def _checked_step(setup: Setup, state: MState, dp):
     return nxt
 
 
-def _run(setup: Setup, stream: Stream, steps: int,
-         stop_threshold: Dyadic | None) -> CapitalTrace:
+def _run(setup: Setup, text, oracle, steps: int, stop_threshold: Dyadic | None,
+         budget: int) -> CapitalTrace:
+    member = oracle.accepts if isinstance(oracle, Dfa) else oracle
     state = setup.start
     entries = [TraceEntry(0, None, None, state.capital)]
-    budget = stream.text.budget
     pause_streak = 0
     for n in range(steps):
-        dp = stream.datapoint(n, state)
-        if dp is PAUSE:
+        item = text(n, state)
+        if item is PAUSE:
             pause_streak += 1
             if pause_streak >= budget:
                 raise ValidityBudgetError(
                     f"{pause_streak} consecutive pauses exceed budget {budget}")
+            dp, word, label = PAUSE, None, None
         else:
             pause_streak = 0
+            word, label = item, 1 if member(item) else 0
+            dp = Labeled(word, label)
         state = _checked_step(setup, state, dp)
-        entries.append(TraceEntry(
-            n + 1,
-            dp.word if isinstance(dp, Labeled) else None,
-            dp.bit if isinstance(dp, Labeled) else None,
-            state.capital,
-        ))
+        entries.append(TraceEntry(n + 1, word, label, state.capital))
         if stop_threshold is not None and state.capital >= stop_threshold:
             break
     return CapitalTrace(entries)
 
 
-def run(setup: Setup, stream: Stream, steps: int = DEFAULT_STEP_BUDGET, *,
-        stop_threshold: Dyadic | None = None) -> CapitalTrace:
-    """Drive the setup over `steps` data points; trace has steps+1 entries."""
-    return _run(setup, stream, steps, stop_threshold)
+def run(setup: Setup, text, oracle, steps: int = DEFAULT_STEP_BUDGET, *,
+        stop_threshold: Dyadic | None = None,
+        budget: int = DEFAULT_VALIDITY_BUDGET) -> CapitalTrace:
+    """Drive the setup over `steps` items of the text, each word labeled by
+    the oracle (a predicate or a Dfa); the trace has steps+1 entries.
+    `budget` pauses in a row raise ValidityBudgetError."""
+    return _run(setup, text, oracle, steps, stop_threshold, budget)
 
 
 def run_dynamic(setup: Setup, generator, oracle, steps: int = DEFAULT_STEP_BUDGET,
                 *, budget: int = DEFAULT_VALIDITY_BUDGET) -> CapitalTrace:
     """Co-evolve text and state: stage n emits generator(state_n), labels it
     with the oracle, then steps."""
-    text = make_text("dynamic", generator=generator, budget=budget)
-    return _run(setup, Stream(text, oracle), steps, None)
+    return _run(setup, lambda _n, state: generator(state), oracle, steps, None, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +539,7 @@ def weighted_sum(setups, weights) -> Setup:
                         for (d, _), lo, hi in zip(parts, bounds, bounds[1:])])
 
     name = "(" + " + ".join(f"{w} * {d.name}" for d, w in parts) + ")"
-    return Setup(name, step, combine([d.start for d, _ in parts]), bounds[-1], None)
+    return Setup(name, step, combine([d.start for d, _ in parts]), None)
 
 
 def add_setups(d1: Setup, d2: Setup) -> Setup:

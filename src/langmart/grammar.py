@@ -192,16 +192,6 @@ class CnfGrammar:
         consecutive queries on this grammar share chart columns."""
         return CykRecognizer(self)
 
-    def as_cfg(self) -> Cfg:
-        productions: dict[str, list] = {nt: [] for nt in self.nonterminals}
-        for x, pairs in self.pair_rules.items():
-            productions[x].extend(pairs)
-        for x, letters in self.term_rules.items():
-            productions[x].extend((a,) for a in letters)
-        if self.start_nullable:
-            productions[self.start].append(())
-        return Cfg(self.start, {k: tuple(v) for k, v in productions.items()})
-
 
 def _fresh_namer(taken):
     taken = set(taken)

@@ -52,13 +52,13 @@ from langmart.dyadic import (
     tworow_add,
 )
 from langmart.engine import (
-    Stream,
     add_setups,
     audit_fairness,
-    make_text,
+    ll_text,
     run,
     run_dynamic,
     scale_setup,
+    sequence_text,
     succeeded,
 )
 from langmart.grammar import Cfg, cfl_nonrandom_pipeline, cyk_member, to_cnf
@@ -115,7 +115,7 @@ def test_criterion_2_regular_bettor_growth():
     expected = THREE_HALVES**40
     for domain, language in cases:
         setup = regular_bettor(language)
-        trace = run(setup, Stream(make_text("ll", domain), language), 40)
+        trace = run(setup, ll_text(domain), language, 40)
         assert trace.final == expected
     report(2, "capital is exactly (3/2)^40 after 40 agreed words",
            "domains Sigma*, 0*1*, (00)*")
@@ -128,7 +128,7 @@ def test_criterion_3_adversarial_and_extraction():
     text = adversarial_text(bettor, sigma, equal_counts,
                             horizon=100, search_bound=1000)
     assert not isinstance(text, StallWitness)
-    trace = run(bettor, Stream(text, equal_counts), 100)
+    trace = run(bettor, text, equal_counts, 100)
     assert trace.max_capital() <= ONE
 
     witness = adversarial_text(regular_bettor(zo), sigma, zo,
@@ -152,7 +152,7 @@ def test_criterion_4_cfl_pipeline():
         assert cyk_member(cnf, w) == equal_counts(w)
     setup, _, _ = cfl_nonrandom_pipeline(grammar, sigma)
     threshold = Dyadic(2**10)
-    trace = run(setup, Stream(make_text("ll", sigma), equal_counts),
+    trace = run(setup, ll_text(sigma), equal_counts,
                 400000, stop_threshold=threshold)
     assert succeeded(trace, threshold)
 
@@ -195,12 +195,12 @@ def test_criterion_6_setup_algebra_identities():
             w = rng.word("01", 6)
             items.append(w)
         oracle = equal_counts if index % 2 else (lambda w: w.startswith("1"))
-        make = lambda: Stream(make_text("from_sequence", items=items), oracle)
-        t1 = run(d1, make(), 50)
-        t2 = run(d2, make(), 50)
-        ts = run(add_setups(d1, d2), make(), 50)
+        text = sequence_text(items)
+        t1 = run(d1, text, oracle, 50)
+        t2 = run(d2, text, oracle, 50)
+        ts = run(add_setups(d1, d2), text, oracle, 50)
         scalar = Dyadic(rng.below(15) + 1, rng.below(4))
-        tc = run(scale_setup(scalar, d1), make(), 50)
+        tc = run(scale_setup(scalar, d1), text, oracle, 50)
         for stage in range(51):
             assert ts.capitals()[stage] == t1.capitals()[stage] + t2.capitals()[stage]
             assert tc.capitals()[stage] == scalar * t1.capitals()[stage]
@@ -232,7 +232,7 @@ def test_criterion_8_learners():
 
     learner = family_learner(fam)
     target = lambda w: w.startswith("1")
-    trace = run(learner, Stream(make_text("ll", sigma), target), 60)
+    trace = run(learner, ll_text(sigma), target, 60)
     caps = trace.capitals()
     stable_from = next(
         i for i in range(len(caps))
@@ -245,7 +245,7 @@ def test_criterion_8_learners():
     variant = variant_family_learner(fam)
     difference = {"1", "00"}
     target2 = lambda w: w.startswith("1") != (w in difference)
-    trace2 = run(variant, Stream(make_text("ll", sigma), target2), 90)
+    trace2 = run(variant, ll_text(sigma), target2, 90)
     caps2 = trace2.capitals()
     stable2 = next(
         i for i in range(len(caps2))
@@ -305,7 +305,7 @@ def test_criterion_10_anchored_bettor():
     ), cycle=True)
     setup = pclass_bettor(hyp, sigma)
     target = lambda w: set(w) <= {"0"}
-    trace = run(setup, Stream(make_text("ll", sigma), target), 4200)
+    trace = run(setup, ll_text(sigma), target, 4200)
     moves = [(i, e) for i, e in enumerate(trace.entries[1:], start=1)
              if e.capital != trace.entries[i - 1].capital]
     assert len(moves) >= 8

@@ -481,6 +481,13 @@ def test_audit_subcommand_reports_coverage(workdir, capsys):
         assert line.endswith(", 1 states visited, closed")
 
 
+# A word automaton over the alphabet "0" only, and a machine that never halts.
+ZERO_ONLY = {"arity": 1, "alphabet": "0", "states": [0], "start": 0, "accepting": [0],
+             "transitions": [[0, "0", 0]]}
+LOOPING_TM = {"start": "q", "accept": "acc", "reject": "rej", "blank": "_",
+              "rules": [["q", a, a, "S", "q"] for a in "01_"]}
+
+
 def slow_exponential_domain() -> dict:
     """(0^9 | 1^9)*: exponential, but grows too slowly for a witness k <= 8."""
     zeros = [[0 if k == 0 else k, "0", (k + 1) % 9] for k in range(9)]
@@ -507,14 +514,29 @@ def slow_exponential_domain() -> dict:
     (["run", "diag-two-track.ini"], "config error:", "1-track automaton, not 2"),
     (["growth", "repeated-letter.json"], "cannot load automaton:", "not distinct letters"),
     (["growth", "padding-letter.json"], "cannot load automaton:", "not distinct letters"),
+    (["run", "foreign-language.ini"], "config error:", "does not read the domain letter(s) '1'"),
+    (["run", "foreign-oracle.ini"], "config error:", "does not read the domain letter(s) '1'"),
+    (["run", "foreign-subset.ini"], "config error:", "does not read the domain letter(s) '1'"),
+    (["run", "foreign-setup.ini"], "config error:", "does not read the domain letter(s) '1'"),
+    (["verify", "foreign-setup.json"], "bad certificate:", "does not read the domain letter"),
+    (["run", "looping-oracle.ini"], "config error:", "machine ran past 1000000 steps"),
+    (["run", "looping-tm.ini"], "text error:", "10000 consecutive pauses"),
+    (["run", "cfl.ini", "--threshold", "1/2^-5"], "config error:", "bad threshold value"),
+    (["verify", "negative-exponent.json"], "bad certificate:", "negative exponent"),
 ], ids=["pclass-bounded-domain", "pclass-slow-domain", "learner-one-track-membership",
         "regular-two-track-domain", "growth-report-two-track", "growth-two-track",
         "audit-two-track", "diagonalize-past-finite-domain", "verify-words-int",
         "verify-list", "verify-infinite-bit", "verify-two-track-domain",
         "verify-two-track-setup", "diagonalize-two-track-setup",
-        "growth-repeated-letter", "growth-padding-letter"])
+        "growth-repeated-letter", "growth-padding-letter",
+        "regular-language-misses-letter", "regular-oracle-misses-letter",
+        "subset-misses-letter", "diagonalize-setup-misses-letter",
+        "verify-setup-misses-letter", "oracle-tm-never-halts", "tm-dynamic-never-halts",
+        "threshold-negative-exponent", "verify-capital-negative-exponent"])
 def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needle):
     (workdir / "slow.json").write_text(json.dumps(slow_exponential_domain()))
+    (workdir / "zero-only.json").write_text(json.dumps(ZERO_ONLY))
+    (workdir / "loop.tm.json").write_text(json.dumps(LOOPING_TM))
     (workdir / "three.json").write_text(json.dumps({
         "arity": 1, "alphabet": "01", "states": [0, 1, 2], "start": 0,
         "accepting": [0, 1, 2],
@@ -534,6 +556,21 @@ def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needl
                     "setup1 = regular_bettor:zo.json",
         "diag-two-track.ini": "kind = diagonalize\n[inputs]\ndomain = sigma.json\n"
                               "setup1 = regular_bettor:prefix_member.json",
+        "foreign-language.ini": "kind = regular-bettor\n[inputs]\ndomain = sigma.json\n"
+                                "language = zero-only.json",
+        "foreign-oracle.ini": "kind = regular-bettor\n[inputs]\ndomain = sigma.json\n"
+                              "language = zo.json\noracle_dfa = zero-only.json",
+        "foreign-subset.ini": "kind = subset-bettor\n[inputs]\ndomain = sigma.json\n"
+                              "subset = zero-only.json\noracle_dfa = zo.json",
+        "foreign-setup.ini": "kind = diagonalize\n[inputs]\ndomain = sigma.json\n"
+                             "setup1 = regular_bettor:zero-only.json",
+        "looping-oracle.ini": "kind = regular-bettor\nsteps = 3\n[inputs]\n"
+                              "domain = sigma.json\nlanguage = zo.json\n"
+                              "oracle_tm = loop.tm.json",
+        "looping-tm.ini": "kind = tm-dynamic\nsteps = 10000\n[inputs]\n"
+                          "domain = sigma.json\ntm = loop.tm.json",
+        "cfl.ini": "kind = cfl-pipeline\n[inputs]\ndomain = sigma.json\n"
+                   "grammar = eq.grammar",
     }
     for name, body in configs.items():
         write_config(workdir, name, f"[experiment]\n{body}\n")
@@ -546,6 +583,10 @@ def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needl
         ("two-track-domain.json", "domain", two_track),
         ("two-track-setup.json", "setups",
          [json.dumps({"kind": "regular_bettor", "dfa": two_track})]),
+        ("foreign-setup.json", "setups",
+         [json.dumps({"kind": "regular_bettor", "dfa": ZERO_ONLY})]),
+        ("negative-exponent.json", "words",
+         [{**SEED_OBJECTS[1]["words"][0], "capital": "1/2^-5"}, *SEED_OBJECTS[1]["words"][1:]]),
     ]:
         (workdir / name).write_text(json.dumps({**SEED_OBJECTS[1], key: value}))
     for name, alphabet in [("repeated-letter.json", "001"), ("padding-letter.json", "0#1")]:

@@ -46,19 +46,19 @@ from langmart.dyadic import Dyadic, HALF, ONE, THREE_HALVES, TWO, ZERO
 from langmart.engine import (
     Labeled,
     PAUSE,
-    Stream,
     ValidityBudgetError,
     audit_fairness,
-    make_text,
+    ll_text,
     run,
     run_dynamic,
+    sequence_text,
 )
 
 
 class TestRegularBettor:
     def test_capital_counts_agreements(self, sigma, zeros_then_ones):
         setup = regular_bettor(zeros_then_ones)
-        trace = run(setup, Stream(make_text("ll", sigma), equal_counts), 60)
+        trace = run(setup, ll_text(sigma), equal_counts, 60)
         agree = disagree = 0
         for entry in trace.entries[1:]:
             if zeros_then_ones.accepts(entry.word) == bool(entry.label):
@@ -69,16 +69,14 @@ class TestRegularBettor:
 
     def test_pause_only_text(self, zeros_then_ones):
         setup = regular_bettor(zeros_then_ones)
-        stream = Stream(make_text("from_sequence", items=[PAUSE] * 10),
-                        zeros_then_ones)
-        assert run(setup, stream, 10).capitals() == [ONE] * 11
+        text = sequence_text([PAUSE] * 10)
+        assert run(setup, text, zeros_then_ones, 10).capitals() == [ONE] * 11
 
     def test_pure_disagreement_text(self, zeros_then_ones):
         setup = regular_bettor(zeros_then_ones)
         # words inside 0*1* but outside {0^n 1^n}: the bettor loses each time
         items = ["011", "001", "0111", "00011"]
-        stream = Stream(make_text("from_sequence", items=items), equal_counts)
-        trace = run(setup, stream, 4)
+        trace = run(setup, sequence_text(items), equal_counts, 4)
         assert trace.final == HALF**4
 
 
@@ -94,14 +92,13 @@ class TestSubsetBettor:
     def test_neutral_branch(self, one_zeros):
         setup = subset_bettor(one_zeros, "outside")
         items = ["0", "01", "001", "011"]  # no members of 1 0*
-        stream = Stream(make_text("from_sequence", items=items), equal_counts)
-        assert run(setup, stream, 4).capitals() == [ONE] * 5
+        assert run(setup, sequence_text(items), equal_counts, 4).capitals() == [ONE] * 5
 
     def test_grows_on_members(self, sigma, one_zeros):
         # 1 0* sits inside L = {1 0^n} | {0^n 1^n}
         target = lambda w: one_zeros.accepts(w) or equal_counts(w)
         setup = subset_bettor(one_zeros, "inside")
-        trace = run(setup, Stream(make_text("ll", sigma), target), 2**7)
+        trace = run(setup, ll_text(sigma), target, 2**7)
         hits = sum(1 for e in trace.entries[1:] if e.word and one_zeros.accepts(e.word))
         assert trace.final == THREE_HALVES**hits
         assert hits >= 6
@@ -117,7 +114,7 @@ class TestAdversarial:
         text = adversarial_text(setup, sigma, equal_counts,
                                 horizon=100, search_bound=1000)
         assert not isinstance(text, StallWitness)
-        trace = run(setup, Stream(text, equal_counts), 100)
+        trace = run(setup, text, equal_counts, 100)
         assert trace.max_capital() <= ONE
 
     def test_stalls_when_every_word_pays(self, sigma, zeros_then_ones):
@@ -132,9 +129,9 @@ class TestAdversarial:
         text = adversarial_text(setup, sigma, equal_counts,
                                 mode="repetition-free", horizon=30,
                                 search_bound=1000)
-        words = [text.at(i) for i in range(30)]
+        words = [text(i, None) for i in range(30)]
         assert len(set(words)) == len(words)
-        trace = run(setup, Stream(text, equal_counts), 30)
+        trace = run(setup, text, equal_counts, 30)
         assert trace.max_capital() <= ONE
 
     def test_extracted_language_matches_dfa(self, sigma, zeros_then_ones):
@@ -148,7 +145,7 @@ class TestAdversarial:
     def test_tie_means_nonmember(self):
         from langmart.engine import MState, Setup
 
-        neutral = Setup("flat", lambda s, dp: s, MState(ONE, ("",)), 1, None)
+        neutral = Setup("flat", lambda s, dp: s, MState(ONE, ("",)), None)
         predicate = extract_language(neutral, neutral.start)
         assert not predicate("0")
 
@@ -166,7 +163,7 @@ class TestFamilyLearner:
         fam = prefix_family("01")
         setup = family_learner(fam)
         target = lambda w: w.startswith("1")
-        trace = run(setup, Stream(make_text("ll", sigma), target), 40)
+        trace = run(setup, ll_text(sigma), target, 40)
         caps = trace.capitals()
         # two mind changes (indices "" and "0"), then steady 3/2 growth
         assert caps[1] == HALF and caps[2] == HALF * HALF
@@ -177,7 +174,7 @@ class TestFamilyLearner:
         fam = prefix_family("01")
         setup = family_learner(fam)
         target = lambda w: True  # the least index "" matches everything
-        trace = run(setup, Stream(make_text("ll", sigma), target), 30)
+        trace = run(setup, ll_text(sigma), target, 30)
         assert trace.final == THREE_HALVES**30
 
     def test_mind_change_halves(self, sigma):
@@ -193,7 +190,7 @@ class TestFamilyLearner:
         setup = family_learner(fam)
         target_index = "1"
         target = lambda w: fam.member(w, target_index)
-        trace = run(setup, Stream(make_text("ll", sigma), target), 50)
+        trace = run(setup, ll_text(sigma), target, 50)
         caps = trace.capitals()
         mind_changes = sum(1 for a, b in zip(caps, caps[1:]) if b == a * HALF)
         history = [(e.word, e.label) for e in trace.entries[1:]]
@@ -249,7 +246,7 @@ class TestVariantLearner:
         difference = {"1", "00"}
         target = lambda w: w.startswith("1") != (w in difference)
         setup = variant_family_learner(fam)
-        trace = run(setup, Stream(make_text("ll", sigma), target), 80)
+        trace = run(setup, ll_text(sigma), target, 80)
         caps = trace.capitals()
         stable_from = next(
             i for i in range(len(caps))
@@ -262,7 +259,7 @@ class TestVariantLearner:
         fam = prefix_family("01")
         target = lambda w: w.startswith("1")
         variant = variant_family_learner(fam)
-        trace = run(variant, Stream(make_text("ll", sigma), target), 50)
+        trace = run(variant, ll_text(sigma), target, 50)
         caps = trace.capitals()
         stable_from = next(
             i for i in range(len(caps))
@@ -338,7 +335,7 @@ class TestDiagonalize:
         d = regular_bettor(zeros_then_ones)
         cert = diagonalize([d], sigma, 25)
         oracle = cert.oracle()
-        trace = run(d, Stream(make_text("ll", sigma), oracle), 25)
+        trace = run(d, ll_text(sigma), oracle, 25)
         caps = trace.capitals()
         for before, after in zip(caps, caps[1:]):
             assert after <= before
@@ -400,7 +397,7 @@ class TestDiagonalize:
     def test_ties_choose_zero(self, sigma):
         from langmart.engine import MState, Setup
 
-        neutral = Setup("flat", lambda s, dp: s, MState(ONE, ("",)), 1, None)
+        neutral = Setup("flat", lambda s, dp: s, MState(ONE, ("",)), None)
         cert = diagonalize([neutral], sigma, 8)
         assert all(e.bit == 0 for e in cert.entries)
 
@@ -436,7 +433,7 @@ class TestPclass:
     def test_stabilizes_then_bets_three_halves(self, sigma):
         setup = pclass_bettor(three_hypotheses(), sigma)
         target = lambda w: set(w) <= {"0"}
-        trace = run(setup, Stream(make_text("ll", sigma), target), 4200)
+        trace = run(setup, ll_text(sigma), target, 4200)
         bets = [(i, e) for i, e in enumerate(trace.entries[1:], start=1)
                 if e.capital != trace.entries[i - 1].capital]
         # two wrong hypotheses halve the capital, then each anchor pays 3/2
@@ -453,7 +450,7 @@ class TestPclass:
         setup = pclass_bettor(space, sigma)
         target = lambda w: set(w) <= {"0"}
         with pytest.raises(HypothesisExhaustedError):
-            run(setup, Stream(make_text("ll", sigma), target), 4200)
+            run(setup, ll_text(sigma), target, 4200)
 
 
 class TestFiniteSetIndexing:

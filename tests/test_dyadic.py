@@ -50,6 +50,36 @@ def test_parse_roundtrip():
         Dyadic.parse("1/3")
 
 
+# Arbitrary text, text over the letters of dyadic literals, and literals.
+dyadic_texts = (st.text(max_size=12) | st.text("0123456789-+/^2 _", max_size=12)
+                | st.builds("{}/2^{}".format, st.integers(-10**6, 10**6), st.integers(-60, 60)))
+
+
+@given(dyadic_texts)
+def test_parse_any_text(text):
+    """Any text parses to a dyadic that round-trips through str, or raises ValueError."""
+    try:
+        x = Dyadic.parse(text)
+    except ValueError:
+        return
+    assert Dyadic.parse(str(x)) == x
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-60, 60))
+def test_parse_literal(num, exp):
+    text = f"{num}/2^{exp}"
+    if exp < 0:
+        with pytest.raises(ValueError, match="negative exponent"):
+            Dyadic.parse(text)
+    else:
+        assert Dyadic.parse(text) == Dyadic(num, exp)
+
+
+@given(dyadics)
+def test_str_roundtrip(x):
+    assert Dyadic.parse(str(x)) == x
+
+
 @given(dyadics, dyadics, dyadics)
 def test_ring_laws(x, y, z):
     assert x + y == y + x
@@ -86,6 +116,17 @@ def test_tworow_malformed():
         TwoRowCode("", "0")
     with pytest.raises(MalformedCodeError):
         TwoRowCode("2", "0")
+
+
+@given(st.text(max_size=10) | st.text("01|", max_size=10))
+def test_tworow_parse_any_text(text):
+    """Any text parses to a canonical code, or raises MalformedCodeError."""
+    try:
+        code = TwoRowCode.parse(text)
+    except MalformedCodeError:
+        return
+    assert TwoRowCode.parse(str(code)) == code
+    assert encode_tworow(decode_tworow(code)) == code
 
 
 @given(dyadics)

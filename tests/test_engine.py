@@ -16,17 +16,17 @@ from langmart.engine import (
     PAUSE,
     PausePreservationError,
     Setup,
-    Stream,
     TextExhaustedError,
     ValidityBudgetError,
     add_setups,
     audit_fairness,
     classify_text_prefix,
     is_normed,
-    make_text,
+    ll_text,
     run,
     run_dynamic,
     scale_setup,
+    sequence_text,
     succeeded,
     truncated_sum,
     weighted_sum,
@@ -44,7 +44,7 @@ def broken_setup():
         factor = Dyadic(3, 1) if dp.bit else Dyadic(3, 2)
         return MState(state.capital * factor, state.memory)
 
-    return Setup("broken", step, MState(ONE, ("",)), 1, None)
+    return Setup("broken", step, MState(ONE, ("",)), None)
 
 
 def lazy_setup():
@@ -53,10 +53,10 @@ def lazy_setup():
     def step(state, dp):
         return state
 
-    return Setup("lazy", step, MState(ONE, ("",)), 1, frozenset({ONE}))
+    return Setup("lazy", step, MState(ONE, ("",)), frozenset({ONE}))
 
 
-def random_stream(seed: int, domain, oracle, length: int) -> Stream:
+def random_text(seed: int, domain, length: int):
     rng = Lcg(seed)
     alphabet = "".join(domain.alphabets[0])
     items = []
@@ -65,7 +65,7 @@ def random_stream(seed: int, domain, oracle, length: int) -> Stream:
         while not domain.accepts(w):
             w = rng.word(alphabet, 6)
         items.append(w)
-    return Stream(make_text("from_sequence", items=items), oracle)
+    return sequence_text(items)
 
 
 def pays_5_4(state, dp):
@@ -112,28 +112,27 @@ CHECKED_STEP_CASES = {
 class TestRun:
     def test_trace_shape(self, sigma, zeros_then_ones):
         setup = regular_bettor(zeros_then_ones)
-        trace = run(setup, Stream(make_text("ll", sigma), zeros_then_ones), 0)
+        trace = run(setup, ll_text(sigma), zeros_then_ones, 0)
         assert len(trace) == 1 and trace[0].capital == ONE
-        trace = run(setup, Stream(make_text("ll", sigma), zeros_then_ones), 10)
+        trace = run(setup, ll_text(sigma), zeros_then_ones, 10)
         assert len(trace) == 11
 
     def test_growth_example(self, sigma, zeros_then_ones):
         setup = regular_bettor(zeros_then_ones)
-        trace = run(setup, Stream(make_text("ll", sigma), zeros_then_ones), 4)
+        trace = run(setup, ll_text(sigma), zeros_then_ones, 4)
         expected = [Dyadic(3, 1) ** n for n in range(5)]
         assert trace.capitals() == expected
 
     def test_pause_prefix_keeps_capital(self, zeros_then_ones):
         setup = regular_bettor(zeros_then_ones)
         items = [PAUSE] * 5 + ["01"]
-        trace = run(setup, Stream(make_text("from_sequence", items=items),
-                                  zeros_then_ones), 6)
+        trace = run(setup, sequence_text(items), zeros_then_ones, 6)
         assert trace.capitals()[:6] == [ONE] * 6
         assert trace.final == THREE_HALVES
 
     def test_fairness_violation_detected(self, sigma):
         with pytest.raises(FairnessViolationError):
-            run(broken_setup(), Stream(make_text("ll", sigma), sigma), 3)
+            run(broken_setup(), ll_text(sigma), sigma, 3)
 
     def test_pause_violation_detected(self, sigma):
         def step(state, dp):
@@ -141,46 +140,41 @@ class TestRun:
                 return MState(state.capital * Dyadic(2), state.memory)
             return state
 
-        bad = Setup("pause-breaker", step, MState(ONE, ("",)), 1, None)
-        stream = Stream(make_text("from_sequence", items=[PAUSE]), sigma)
+        bad = Setup("pause-breaker", step, MState(ONE, ("",)), None)
         with pytest.raises(PausePreservationError):
-            run(bad, stream, 1)
+            run(bad, sequence_text([PAUSE]), sigma, 1)
 
     @pytest.mark.parametrize("case", CHECKED_STEP_CASES, ids=list(CHECKED_STEP_CASES))
     def test_every_step_is_checked(self, case):
         step, factors, item, error = CHECKED_STEP_CASES[case]
-        setup = Setup(case, step, MState(ONE, ("",)), 1, factors)
-        stream = Stream(make_text("from_sequence", items=[item]), lambda w: True)
+        setup = Setup(case, step, MState(ONE, ("",)), factors)
+        text = sequence_text([item])
         if error is None:
-            assert len(run(setup, stream, 1)) == 2
+            assert len(run(setup, text, lambda w: True, 1)) == 2
         else:
             with pytest.raises(error):
-                run(setup, stream, 1)
+                run(setup, text, lambda w: True, 1)
 
     def test_validity_budget(self, sigma):
         items = [PAUSE] * 10 + ["0"]
-        text = make_text("from_sequence", items=items, budget=5)
         with pytest.raises(ValidityBudgetError):
-            run(lazy_setup(), Stream(text, sigma), 11)
+            run(lazy_setup(), sequence_text(items), sigma, 11, budget=5)
 
     def test_text_exhaustion(self, sigma):
-        text = make_text("from_sequence", items=["0"])
         with pytest.raises(TextExhaustedError):
-            run(lazy_setup(), Stream(text, sigma), 2)
+            run(lazy_setup(), sequence_text(["0"]), sigma, 2)
 
     def test_ll_text_exhaustion_on_finite_domain(self):
         from langmart.automata import from_word
 
-        text = make_text("ll", from_word("01"))
-        stream = Stream(text, lambda w: True)
         with pytest.raises(TextExhaustedError):
-            run(lazy_setup(), stream, 2)
+            run(lazy_setup(), ll_text(from_word("01")), lambda w: True, 2)
 
     def test_honest_labels(self, sigma, zeros_then_ones):
-        stream = Stream(make_text("ll", sigma), zeros_then_ones)
-        for n in range(40):
-            dp = stream.datapoint(n)
-            assert dp.bit == int(zeros_then_ones.accepts(dp.word))
+        trace = run(lazy_setup(), ll_text(sigma), zeros_then_ones, 40)
+        assert [e.word for e in trace.entries[1:]] == enumerate_ll(sigma, 40)
+        for e in trace.entries[1:]:
+            assert e.label == int(zeros_then_ones.accepts(e.word))
 
 
 class TestSucceeded:
@@ -200,7 +194,7 @@ class TestSucceeded:
 
     def test_long_run_reaches_big_threshold(self, sigma, zeros_then_ones):
         setup = regular_bettor(zeros_then_ones)
-        trace = run(setup, Stream(make_text("ll", sigma), zeros_then_ones), 36)
+        trace = run(setup, ll_text(sigma), zeros_then_ones, 36)
         assert succeeded(trace, Dyadic(2**20))  # (3/2)^n tops 2^20 at n >= 35
 
 
@@ -231,8 +225,8 @@ class TestAudit:
 
 class TestTexts:
     def test_ll_text(self, sigma):
-        text = make_text("ll", sigma)
-        assert [text.at(i) for i in range(5)] == ["", "0", "1", "00", "01"]
+        text = ll_text(sigma)
+        assert [text(i, None) for i in range(5)] == ["", "0", "1", "00", "01"]
 
     def test_classify_prefix(self, sigma):
         flags = classify_text_prefix(["0", PAUSE, "0"])
@@ -244,10 +238,6 @@ class TestTexts:
         flags = classify_text_prefix(["1", "0"], sigma)
         assert flags.exhaustive_up_to == 0  # epsilon is missing
 
-    def test_dynamic_text_requires_generator(self):
-        with pytest.raises(ValueError):
-            make_text("dynamic")
-
 
 class TestSetupAlgebra:
     def test_sum_start_and_traces(self, sigma, zeros_then_ones, one_zeros):
@@ -256,10 +246,10 @@ class TestSetupAlgebra:
         total = add_setups(d1, d2)
         assert total.start.capital == d1.start.capital + d2.start.capital
         for seed in range(5):
-            s = lambda: random_stream(seed, sigma, equal_counts, 50)
-            t1 = run(d1, s(), 50)
-            t2 = run(d2, s(), 50)
-            ts = run(total, s(), 50)
+            text = random_text(seed, sigma, 50)
+            t1 = run(d1, text, equal_counts, 50)
+            t2 = run(d2, text, equal_counts, 50)
+            ts = run(total, text, equal_counts, 50)
             for a, b, c in zip(t1.capitals(), t2.capitals(), ts.capitals()):
                 assert a + b == c
 
@@ -269,10 +259,10 @@ class TestSetupAlgebra:
         c = Dyadic(5, 3)
         scaled = scale_setup(c, d)
         for seed in range(3):
-            s = lambda: random_stream(seed, sigma, equal_counts, 50)
-            base = run(d, s(), 50)
-            t_same = run(same, s(), 50)
-            t_scaled = run(scaled, s(), 50)
+            text = random_text(seed, sigma, 50)
+            base = run(d, text, equal_counts, 50)
+            t_same = run(same, text, equal_counts, 50)
+            t_scaled = run(scaled, text, equal_counts, 50)
             assert t_same.capitals() == base.capitals()
             for a, b in zip(base.capitals(), t_scaled.capitals()):
                 assert a * c == b
@@ -284,8 +274,8 @@ class TestSetupAlgebra:
     def test_truncated_sum_single_is_identity(self, sigma, zeros_then_ones):
         d = regular_bettor(zeros_then_ones)
         single = truncated_sum([d], Dyadic(1, 2))
-        base = run(d, random_stream(1, sigma, equal_counts, 20), 20)
-        got = run(single, random_stream(1, sigma, equal_counts, 20), 20)
+        base = run(d, random_text(1, sigma, 20), equal_counts, 20)
+        got = run(single, random_text(1, sigma, 20), equal_counts, 20)
         assert got.capitals() == base.capitals()
 
     def test_truncated_sum_start_value(self, sigma, zeros_then_ones, one_zeros,
@@ -301,9 +291,9 @@ class TestSetupAlgebra:
                  regular_bettor(double_zeros)]
         total = truncated_sum(parts, Dyadic(1, 2))
         weights = [Dyadic(1, 2) ** i for i in range(3)]
-        traces = [run(p, random_stream(9, sigma, equal_counts, 30), 30)
+        traces = [run(p, random_text(9, sigma, 30), equal_counts, 30)
                   for p in parts]
-        got = run(total, random_stream(9, sigma, equal_counts, 30), 30)
+        got = run(total, random_text(9, sigma, 30), equal_counts, 30)
         for stage in range(31):
             expected = sum((w * t.capitals()[stage] for w, t in zip(weights, traces)),
                            Dyadic(0))
@@ -336,8 +326,7 @@ class TestTraceSerialization:
     def test_csv_and_json(self, tmp_path, sigma, zeros_then_ones):
         setup = regular_bettor(zeros_then_ones)
         items = [PAUSE, "01", "10"]
-        trace = run(setup, Stream(make_text("from_sequence", items=items),
-                                  zeros_then_ones), 3)
+        trace = run(setup, sequence_text(items), zeros_then_ones, 3)
         trace.write_csv(tmp_path / "t.csv")
         lines = (tmp_path / "t.csv").read_text().splitlines()
         assert lines[0] == "stage,word,label,capital_num,capital_exp"
@@ -398,10 +387,10 @@ stream_items = st.lists(st.one_of(st.just(PAUSE), st.text("01", max_size=6)),
 @given(trees, stream_items)
 def test_weighted_sum_trace_is_pointwise_sum(tree, items):
     composite, terms = build_tree(tree)
-    stream = lambda: Stream(make_text("from_sequence", items=items), equal_counts)
-    traces = {i: run(SHIPPED[i], stream(), len(items)).capitals()
+    text = sequence_text(items)
+    traces = {i: run(SHIPPED[i], text, equal_counts, len(items)).capitals()
               for _, i in terms}
-    got = run(composite, stream(), len(items)).capitals()
+    got = run(composite, text, equal_counts, len(items)).capitals()
     for stage, capital in enumerate(got):
         assert capital == sum((w * traces[i][stage] for w, i in terms), Dyadic(0))
     report = audit_fairness(composite, ["", "0", "1", "01", "10", "0011"],
@@ -501,7 +490,7 @@ LADDER_MUTANTS = {
 @pytest.mark.parametrize("name", LADDER_MUTANTS)
 def test_ladder_mutant_is_homogeneity(name):
     step, start = LADDER_MUTANTS[name]
-    report = audit_fairness(Setup(name, step, MState(start, ("",)), 1, BASE.bet_factors),
+    report = audit_fairness(Setup(name, step, MState(start, ("",)), BASE.bet_factors),
                             PROBES)
     assert report.violations
     assert {v.kind for v in report.violations} == {"homogeneity"}
@@ -512,7 +501,7 @@ def test_ladder_mutant_is_homogeneity(name):
 def test_threshold_mutant_is_reported_anywhere(num, above):
     # threshold num / 2**60 lies between 2**-60 and 2**120
     step = threshold_mutant(Dyadic(num, 60), above)
-    setup = Setup("mutant", step, BASE.start, 1, BASE.bet_factors)
+    setup = Setup("mutant", step, BASE.start, BASE.bet_factors)
     assert not audit_fairness(setup, PROBES[:8]).ok
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import brute_words, equal_counts
 from langmart.automata import enumerate_ll, growth_class, universe, word_star
 from langmart.dyadic import Dyadic, ONE, THREE_HALVES
-from langmart.engine import Stream, make_text, run, succeeded
+from langmart.engine import ll_text, run, sequence_text, succeeded
 from langmart.grammar import (
     Cfg,
     CykRecognizer,
@@ -42,6 +42,16 @@ class TestParsingFormat:
             Cfg.from_text("S -> ab")  # multi-letter terminal
         with pytest.raises(GrammarError):
             Cfg.from_text("")
+
+    @given(st.text(max_size=40) | st.text("SA01 -|>#eps\n", max_size=40))
+    def test_any_text(self, text):
+        """Any text reads as a grammar that round-trips through to_text, or
+        raises GrammarError."""
+        try:
+            g = Cfg.from_text(text)
+        except GrammarError:
+            return
+        assert Cfg.from_text(g.to_text()) == g
 
 
 class TestCnfAndCyk:
@@ -262,7 +272,7 @@ class TestPipeline:
     def test_grows_past_threshold(self, sigma, equal_counts_grammar):
         setup, _, _ = cfl_nonrandom_pipeline(equal_counts_grammar, sigma)
         threshold = Dyadic(2**10)
-        trace = run(setup, Stream(make_text("ll", sigma), equal_counts),
+        trace = run(setup, ll_text(sigma), equal_counts,
                     300000, stop_threshold=threshold)
         assert succeeded(trace, threshold)
 
@@ -273,13 +283,11 @@ class TestPipeline:
         shuffled = []
         for i in range(0, len(base) - 1, 2):
             shuffled += [base[i + 1], base[i]]
-        stream = Stream(make_text("from_sequence", items=shuffled), equal_counts)
-        trace = run(setup, stream, len(shuffled))
+        trace = run(setup, sequence_text(shuffled), equal_counts, len(shuffled))
         assert trace.final > ONE  # same eventual growth on r-member hits
 
     def test_text_avoiding_subset_stays_flat(self, sigma, equal_counts_grammar):
         setup, _, _ = cfl_nonrandom_pipeline(equal_counts_grammar, sigma)
         items = [w for w in enumerate_ll(sigma, 200) if "1" in w]  # avoids 0 0*
-        stream = Stream(make_text("from_sequence", items=items), equal_counts)
-        trace = run(setup, stream, len(items))
+        trace = run(setup, sequence_text(items), equal_counts, len(items))
         assert trace.capitals() == [ONE] * (len(items) + 1)
