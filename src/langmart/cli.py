@@ -37,6 +37,7 @@ from .constructions import (
     DiagonalCertificate,
     Hypothesis,
     HypothesisSpace,
+    LearnerStallError,
     StallWitness,
     TmProgram,
     adversarial_text,
@@ -334,8 +335,11 @@ def _run_family_learner(exp: Experiment, out_dir: Path, variant: bool) -> int:
         return fam.member(w, target) != (w in difference)
 
     setup = variant_family_learner(fam) if variant else family_learner(fam)
-    trace = run(setup, ll_text(domain), oracle, exp.steps)
-    audit = _audited(setup, domain, exp.seed)
+    try:  # each step also tries the losing label, which advances the index
+        trace = run(setup, ll_text(domain), oracle, exp.steps)
+        audit = _audited(setup, domain, exp.seed)
+    except (LearnerStallError, NoSuccessorError) as exc:
+        raise ConfigError(f"index_language is finite: {exc}") from None
     return _finish(out_dir, trace, audit, held=True)
 
 
@@ -422,10 +426,11 @@ def _run_pclass(exp: Experiment, out_dir: Path) -> int:
     try:
         setup = pclass_bettor(space, domain)
         anchors = anchor_gap_report(domain, exp.value("anchors", 10))
+        # each step also tries the losing label, which may need a next hypothesis
+        trace = run(setup, ll_text(domain), exp.oracle(domain), exp.steps)
+        audit = _audited(setup, domain, exp.seed)
     except (ConstructionError, AutomatonError) as exc:
         raise ConfigError(str(exc)) from None
-    trace = run(setup, ll_text(domain), exp.oracle(domain), exp.steps)
-    audit = _audited(setup, domain, exp.seed)
     held = all(row["ok"] for row in anchors)
     for row in anchors:
         row["predecessors"] = str(row["predecessors"])

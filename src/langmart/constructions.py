@@ -38,6 +38,7 @@ from .engine import (
     NotNormedError,
     PAUSE,
     Setup,
+    checked_step,
     is_normed,
     run,
     sequence_text,
@@ -476,7 +477,8 @@ def diagonalize(enum, domain: Dfa, words: int, descriptors=None) -> DiagonalCert
     For the t-th word the decision sum uses components up to index t-1;
     fairness gives one label under which that sum cannot increase (ties
     resolve to label 0), and the freshly included component can at most
-    double, so the recorded capitals telescope below 2.
+    double, so the recorded capitals telescope below 2.  Every setup steps
+    each word through the engine's checked_step, so an unfair setup raises.
     """
     setups = list(enum)
     if not setups:
@@ -484,7 +486,6 @@ def diagonalize(enum, domain: Dfa, words: int, descriptors=None) -> DiagonalCert
     for d in setups:
         if not is_normed(d):
             raise NotNormedError(f"{d.name} is not normed")
-    top = len(setups) - 1
     weight_base = Dyadic(1, 2)  # the i-th setup weighs 1/4**i
     weights = [weight_base**i for i in range(len(setups))]
     states = [d.start for d in setups]
@@ -492,20 +493,12 @@ def diagonalize(enum, domain: Dfa, words: int, descriptors=None) -> DiagonalCert
     word = None
     for t in range(1, words + 1):
         word = min_ll(domain) if t == 1 else succ_ll(domain, word)
-        cutoff = min(t - 1, top)
-        next_capital = {}
-        for bit in (0, 1):
-            total = ZERO
-            for i in range(cutoff + 1):
-                stepped = setups[i].step(states[i], Labeled(word, bit))
-                total = total + weights[i] * stepped.capital
-            next_capital[bit] = total
-        bit = 0 if next_capital[0] <= next_capital[1] else 1
-        states = [d.step(s, Labeled(word, bit)) for d, s in zip(setups, states)]
-        include = min(t, top)
-        capital = ZERO
-        for i in range(include + 1):
-            capital = capital + weights[i] * states[i].capital
+        outs = [checked_step(d, s, word) for d, s in zip(setups, states)]
+        lo, hi = (sum((w * out[b].capital for w, out in zip(weights[:t], outs)), ZERO)
+                  for b in (0, 1))
+        bit = 0 if lo <= hi else 1
+        states = [out[bit] for out in outs]
+        capital = sum((w * s.capital for w, s in zip(weights[:t + 1], states)), ZERO)
         if capital > TWO:
             raise DiagonalBoundError(f"capital {capital} exceeds 2 at {word!r}")
         entries.append(CertEntry(word, bit, capital))
@@ -599,7 +592,7 @@ class HypothesisSpace:
             return index
         if self.cycle:
             return 0
-        raise HypothesisExhaustedError("no hypotheses left")
+        raise HypothesisExhaustedError("no hypotheses left and cycle = false")
 
 
 def anchor_word(domain: Dfa, threshold: int) -> str:

@@ -4,24 +4,26 @@ A state couples a capital value (exact dyadic) with a tuple of memory
 words.  A step function consumes one data point, either a labeled domain
 word or a pause, and returns the next state.  A text is a plain function
 text(n, state) -> word | PAUSE (`ll_text`, `sequence_text`); `run` labels
-each word of it with the oracle, so there is no stream type.  The engine
-audits every labeled transition against the fairness identity
+each word of it with the oracle, so there is no stream type.  The step
+contract is written once, in `step_fault`: a word is stepped with both
+labels, which must be fair,
 
     2 * capital(s) == capital(step(s, x, 0)) + capital(step(s, x, 1))
 
-with exact equality, checks that pauses never move capital, that capital
-stays nonnegative, that each capital jump uses one of the step's declared
-constant factors when the setup declares them, and that the memory keeps
-its arity and grows each word by at most MEMORY_GROWTH_LIMIT letters plus
-2 per letter of the incoming word.  Every run makes all of these checks
-at every step.  `run` and `run_dynamic` share one loop, and
+with exact equality; a pause must keep the capital; every outcome must
+keep capital nonnegative, use one of the step's declared constant factors
+when the setup declares them, keep the memory's arity and grow each
+memory word by at most MEMORY_GROWTH_LIMIT letters plus 2 per letter of
+the incoming word.  The run loop (shared by `run` and `run_dynamic`) and
+`constructions.diagonalize` step through `checked_step`, which raises the
+first fault, and `audit_fairness` records it as a violation.
 `weighted_sum` is the one combinator of setups (flat memory).
 
 `audit_fairness` explores a setup that declares bet_factors by memory, not
 by full state: such a setup bets a fraction of its capital set by its
 memory alone.  Each memory is checked at the capital it was first reached
-with and again at the fixed HOMOGENEITY_LADDER of capitals, where the step
-must be fair, reach the same memory and scale the capital by one factor
+with and again at the fixed HOMOGENEITY_LADDER of capitals, where each
+outcome must reach the same memory and scale the capital by one factor
 (a 'homogeneity' violation otherwise).  Composite setups, whose memory
 holds their component capitals, are explored by full state.
 """
@@ -276,36 +278,66 @@ def succeeded(trace: CapitalTrace, threshold: Dyadic = DEFAULT_THRESHOLD) -> boo
 # ---------------------------------------------------------------------------
 
 
-def _checked_step(setup: Setup, state: MState, dp):
-    if dp is PAUSE:
-        nxt = setup.step(state, PAUSE)
-        if nxt.capital != state.capital:
-            raise PausePreservationError(
-                f"pause moved capital {state.capital} -> {nxt.capital}")
+# The error a run raises for each kind of step-contract fault.
+FAULT_ERRORS = {
+    "fairness": FairnessViolationError,
+    "pause": PausePreservationError,
+    "bet-factor": BetFactorError,
+    "negative-capital": NegativeCapitalError,
+    "memory": MemoryDisciplineError,
+}
+
+
+def step_fault(setup: Setup, state: MState, word, outs) -> tuple[str, str] | None:
+    """The first way one step breaks the step contract, as (kind, detail)
+    with kind a key of FAULT_ERRORS, or None.  outs is (lo, hi), state
+    stepped on word with labels 0 and 1, or (nxt,) when word is PAUSE."""
+    capital, factors = state.capital, setup.bet_factors
+    if outs[0] is state and outs[-1] is state and capital.num >= 0 \
+            and (word is PAUSE or factors is None or ONE in factors):
+        return None  # the identity step
+    if word is PAUSE:
+        if outs[0].capital != capital:
+            return "pause", f"pause moved capital {capital} -> {outs[0].capital}"
+        factors, allowed = None, MEMORY_GROWTH_LIMIT
     else:
-        lo = setup.step(state, Labeled(dp.word, 0))
-        hi = setup.step(state, Labeled(dp.word, 1))
-        if lo.capital + hi.capital != state.capital * 2:
-            raise FairnessViolationError(
-                f"2*{state.capital} != {lo.capital} + {hi.capital} "
-                f"at word {dp.word!r}")
-        nxt = hi if dp.bit else lo
-        if setup.bet_factors is not None:
-            if not any(state.capital * f == nxt.capital for f in setup.bet_factors):
-                raise BetFactorError(
-                    f"capital {state.capital} -> {nxt.capital} uses no declared "
-                    f"factor at word {dp.word!r}")
-    if nxt.capital < ZERO:
-        raise NegativeCapitalError(f"capital went negative: {nxt.capital}")
-    if len(nxt.memory) != setup.arity:
-        raise MemoryDisciplineError(
-            f"memory arity changed {setup.arity} -> {len(nxt.memory)}")
-    allowed = MEMORY_GROWTH_LIMIT + (0 if dp is PAUSE else 2 * len(dp.word))
-    for before, after in zip(state.memory, nxt.memory):
-        if len(after) - len(before) > allowed:
-            raise MemoryDisciplineError(
-                f"memory word grew by {len(after) - len(before)} in one step")
-    return nxt
+        lo, hi = outs
+        if lo.capital + hi.capital != capital * 2:
+            return "fairness", f"2*{capital} != {lo.capital} + {hi.capital}"
+        allowed = MEMORY_GROWTH_LIMIT + 2 * len(word)
+    arity = setup.arity
+    for nxt in outs:
+        if factors is not None:
+            for f in factors:
+                if capital * f == nxt.capital:
+                    break
+            else:
+                return "bet-factor", f"capital {capital} -> {nxt.capital} uses no declared factor"
+        if nxt.capital.num < 0:
+            return "negative-capital", f"capital went negative: {nxt.capital}"
+        if len(nxt.memory) != arity:
+            return "memory", f"memory arity changed {arity} -> {len(nxt.memory)}"
+        for before, after in zip(state.memory, nxt.memory):
+            if len(after) - len(before) > allowed:
+                return "memory", f"memory word grew by {len(after) - len(before)} in one step"
+    return None
+
+
+def checked_step(setup: Setup, state: MState, word) -> tuple:
+    """Step state on word with both labels, or on a pause, and return the
+    outcomes: (lo, hi), or (nxt,) for a pause.  Raises the error of the
+    first step-contract fault (see step_fault)."""
+    step = setup.step
+    if word is PAUSE:
+        outs = (step(state, PAUSE),)
+    else:
+        outs = (step(state, Labeled(word, 0)), step(state, Labeled(word, 1)))
+    fault = step_fault(setup, state, word, outs)
+    if fault is not None:
+        kind, detail = fault
+        where = "a pause" if word is PAUSE else f"word {word!r}"
+        raise FAULT_ERRORS[kind](f"{detail} at {where}")
+    return outs
 
 
 def _run(setup: Setup, text, oracle, steps: int, stop_threshold: Dyadic | None,
@@ -321,12 +353,11 @@ def _run(setup: Setup, text, oracle, steps: int, stop_threshold: Dyadic | None,
             if pause_streak >= budget:
                 raise ValidityBudgetError(
                     f"{pause_streak} consecutive pauses exceed budget {budget}")
-            dp, word, label = PAUSE, None, None
+            word, label = None, None
         else:
             pause_streak = 0
             word, label = item, 1 if member(item) else 0
-            dp = Labeled(word, label)
-        state = _checked_step(setup, state, dp)
+        state = checked_step(setup, state, item)[label or 0]  # a pause has one outcome
         entries.append(TraceEntry(n + 1, word, label, state.capital))
         if stop_threshold is not None and state.capital >= stop_threshold:
             break
@@ -388,61 +419,53 @@ _LADDER_EXP = 64
 HOMOGENEITY_LADDER = tuple(Dyadic(3 ** (9 * i), _LADDER_EXP) for i in range(15))
 
 
-def _ladder_fault(rungs, los, his, state: MState, lo: MState, hi: MState) -> str | None:
-    """How the steps of state's memory at the ladder capitals (to los and
-    his) fail to be its step (to lo and hi) at state.capital, scaled; None
-    when they do not.
+def _ladder_fault(setup: Setup, word, rungs, ladder, state: MState,
+                  outs) -> tuple[str, str] | None:
+    """How the steps of state's memory at the ladder capitals (ladder[j][i]
+    is outcome j at rungs[i]) fail to be its outcomes outs at
+    state.capital, scaled, as ('homogeneity', detail); None when they do
+    not.
 
-    Each label must reach the memory it reached at state.capital and scale
-    every rung by one factor, read at the lowest rung, 2**-64; that factor
-    must also be the one at state.capital when that is nonzero.  Given one
-    factor per label, fairness and nonnegative capital at every rung are
-    f0 + f1 == 2 and f0, f1 >= 0.
+    The lowest rung, 2**-64, must keep the step contract.  Each outcome
+    must reach the memory it reached at state.capital and scale every rung
+    by the factor it applies at the lowest rung, which must also be the
+    one at state.capital when that is nonzero; so every rung keeps the
+    contract too.
     """
-    outs = (lo, hi)
-    bottom = (los[0], his[0])
+    names = ("label 0", "label 1") if len(outs) == 2 else ("pause",)
+    bottom = tuple(col[0] for col in ladder)
+    fault = step_fault(setup, rungs[0], word, bottom)
+    if fault:
+        return "homogeneity", f"at capital {rungs[0].capital}: {fault[1]}"
     factors = [nxt.capital.scale_pow2(_LADDER_EXP) for nxt in bottom]
-    if factors[0] + factors[1] != 2 or factors[0].num < 0 or factors[1].num < 0:
-        return (f"at capital {rungs[0].capital}: labels pay {bottom[0].capital} "
-                f"and {bottom[1].capital}")
-    for bit, (out, f) in enumerate(zip(outs, factors)):
+    for name, out, low, f in zip(names, outs, bottom, factors):
         if state.capital and out.capital != state.capital * f:
-            return (f"label {bit}: {state.capital} -> {out.capital} is not "
-                    f"{rungs[0].capital} -> {bottom[bit].capital} scaled")
-    for rung, x, y in zip(rungs, los, his):
-        for bit, (nxt, out, f) in enumerate(zip((x, y), outs, factors)):
+            return "homogeneity", (f"{name}: {state.capital} -> {out.capital} is not "
+                                   f"{rungs[0].capital} -> {low.capital} scaled")
+    for rung, *row in zip(rungs, *ladder):
+        for name, nxt, out, f in zip(names, row, outs, factors):
             if nxt.memory != out.memory:
                 fault = f"memory {nxt.memory!r} != {out.memory!r}"
             elif nxt.capital != rung.capital * f:
                 fault = f"{nxt.capital} is not {rung.capital} * {f}"
             else:
                 continue
-            return f"at capital {rung.capital}, label {bit}: {fault}"
-    return None
-
-
-def _pause_ladder_fault(rungs, pauses, state: MState, out: MState) -> str | None:
-    """How pauses at the ladder capitals (to pauses) move the capital or
-    reach another memory than out, the pause's result at state.capital."""
-    if out is state and all(map(is_, pauses, rungs)):
-        return None
-    for rung, nxt in zip(rungs, pauses):
-        if nxt.capital != rung.capital or nxt.memory != out.memory:
-            return f"at capital {rung.capital}: pause -> ({nxt.capital}, {nxt.memory!r})"
+            return "homogeneity", f"at capital {rung.capital}, {name}: {fault}"
     return None
 
 
 def audit_fairness(setup: Setup, probe_words, *, max_states: int = 256) -> AuditReport:
-    """Exact fairness and pause checks on states reached from the start.
+    """The step contract (step_fault) on states reached from the start.
 
     Exploration closes the start state under stepping with every probe
-    word and both labels (plus pauses), breadth first.  A setup that
-    declares bet_factors bets a fraction of its capital set by its memory
-    alone, so it is explored by memory: each distinct memory (at most
-    max_states of them) is expanded from the state it was first reached
-    with, and is also stepped at every HOMOGENEITY_LADDER capital, where
-    each label must be fair, nonnegative, reach the same memory and scale
-    the capital by one factor; pauses must keep the capital there too.  A
+    word (both labels) and a pause, breadth first; each state and probe
+    gets at most one contract violation.  A setup that declares
+    bet_factors bets a fraction of its capital set by its memory alone, so
+    it is explored by memory: each distinct memory (at most max_states of
+    them) is expanded from the state it was first reached with, and is
+    also stepped at every HOMOGENEITY_LADDER capital, where the lowest
+    rung must keep the contract and each outcome must reach the same
+    memory and scale the capital by one factor (see _ladder_fault).  A
     failure there is a 'homogeneity' violation.  Composite setups
     (bet_factors None) keep their capitals in memory, so they are explored
     by full state, up to max_states states, without the ladder.
@@ -452,64 +475,38 @@ def audit_fairness(setup: Setup, probe_words, *, max_states: int = 256) -> Audit
     returned as data, never raised.
     """
     step = setup.step
-    points = [(w, Labeled(w, 0), Labeled(w, 1)) for w in probe_words]
+    probes = [(w, (Labeled(w, 0), Labeled(w, 1))) for w in probe_words]
+    probes.append((PAUSE, (PAUSE,)))
     by_memory = setup.bet_factors is not None
     report = AuditReport()
     seen = {setup.start.memory if by_memory else setup.start}
     frontier = deque([setup.start])
-
-    def reach(nxt: MState):
-        key = nxt.memory if by_memory else nxt
-        if key in seen:
-            return
-        if len(seen) < max_states:
-            seen.add(key)
-            frontier.append(nxt)
-        else:
-            report.closed = False
-
     while frontier:
         state = frontier.popleft()
         report.states_visited += 1
-        capital = state.capital
-        twice = capital * 2
         rungs = [MState(a, state.memory) for a in HOMOGENEITY_LADDER] if by_memory else []
-        state_repr = lambda: f"({capital}, {state.memory!r})"
-        for w, dp0, dp1 in points:
-            lo = step(state, dp0)
-            hi = step(state, dp1)
-            report.transitions_checked += 2 + 2 * len(rungs)
-            if lo is not state or hi is not state:
-                if lo.capital + hi.capital != twice:
-                    report.violations.append(Violation(
-                        "fairness", state_repr(), w,
-                        f"2*{capital} != {lo.capital} + {hi.capital}"))
-                for nxt in (lo, hi):
-                    if nxt.capital < ZERO:
-                        report.violations.append(Violation(
-                            "negative-capital", state_repr(), w, str(nxt.capital)))
-                    reach(nxt)
-            if not rungs:
-                continue
-            los = [step(rung, dp0) for rung in rungs]
-            his = [step(rung, dp1) for rung in rungs]
-            if lo is state and hi is state and all(map(is_, los, rungs)) \
-                    and all(map(is_, his, rungs)):
-                continue  # the identity step is fair and homogeneous
-            fault = _ladder_fault(rungs, los, his, state, lo, hi)
-            if fault:
-                report.violations.append(Violation("homogeneity", state_repr(), w, fault))
-        nxt = step(state, PAUSE)
-        report.transitions_checked += 1 + len(rungs)
-        if nxt.capital != capital:
-            report.violations.append(Violation(
-                "pause", state_repr(), None, f"{capital} -> {nxt.capital}"))
-        else:
-            reach(nxt)
-        pauses = [step(rung, PAUSE) for rung in rungs]
-        fault = _pause_ladder_fault(rungs, pauses, state, nxt)
-        if fault:
-            report.violations.append(Violation("homogeneity", state_repr(), None, fault))
+        for word, dps in probes:
+            outs = tuple([step(state, dp) for dp in dps])
+            report.transitions_checked += len(dps) * (1 + len(rungs))
+            faults = [step_fault(setup, state, word, outs)]
+            for nxt in outs:
+                key = nxt.memory if by_memory else nxt
+                if nxt is state or key in seen:
+                    continue
+                if len(seen) < max_states:
+                    seen.add(key)
+                    frontier.append(nxt)
+                else:
+                    report.closed = False
+            ladder = [[step(rung, dp) for rung in rungs] for dp in dps]
+            if rungs and not (outs[0] is state and outs[-1] is state
+                              and all(map(is_, ladder[0], rungs))
+                              and all(map(is_, ladder[-1], rungs))):  # identity is homogeneous
+                faults.append(_ladder_fault(setup, word, rungs, ladder, state, outs))
+            for kind, detail in filter(None, faults):
+                report.violations.append(Violation(
+                    kind, f"({state.capital}, {state.memory!r})",
+                    None if word is PAUSE else word, detail))
     return report
 
 

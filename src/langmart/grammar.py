@@ -74,6 +74,8 @@ class Cfg:
             if not arrow:
                 raise GrammarError(f"missing '->' in {line!r}")
             head = head.strip()
+            if head.split() != [head]:
+                raise GrammarError(f"rule head {head!r} is not one token in {line!r}")
             if start is None:
                 start = head
             rules = productions.setdefault(head, [])

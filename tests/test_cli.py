@@ -523,6 +523,10 @@ def slow_exponential_domain() -> dict:
     (["run", "looping-tm.ini"], "text error:", "10000 consecutive pauses"),
     (["run", "cfl.ini", "--threshold", "1/2^-5"], "config error:", "bad threshold value"),
     (["verify", "negative-exponent.json"], "bad certificate:", "negative exponent"),
+    (["run", "learner-finite.ini"], "config error:", "index_language is finite"),
+    (["run", "variant-finite.ini"], "config error:", "index_language is finite"),
+    (["run", "pclass-no-cycle.ini"], "config error:", "no hypotheses left"),
+    (["run", "cfl-two-word-head.ini"], "config error:", "bad grammar"),
 ], ids=["pclass-bounded-domain", "pclass-slow-domain", "learner-one-track-membership",
         "regular-two-track-domain", "growth-report-two-track", "growth-two-track",
         "audit-two-track", "diagonalize-past-finite-domain", "verify-words-int",
@@ -532,11 +536,15 @@ def slow_exponential_domain() -> dict:
         "regular-language-misses-letter", "regular-oracle-misses-letter",
         "subset-misses-letter", "diagonalize-setup-misses-letter",
         "verify-setup-misses-letter", "oracle-tm-never-halts", "tm-dynamic-never-halts",
-        "threshold-negative-exponent", "verify-capital-negative-exponent"])
+        "threshold-negative-exponent", "verify-capital-negative-exponent",
+        "learner-finite-index", "variant-learner-finite-index", "pclass-no-cycle",
+        "cfl-two-word-head"])
 def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needle):
     (workdir / "slow.json").write_text(json.dumps(slow_exponential_domain()))
     (workdir / "zero-only.json").write_text(json.dumps(ZERO_ONLY))
     (workdir / "loop.tm.json").write_text(json.dumps(LOOPING_TM))
+    (workdir / "just-0.json").write_text(json.dumps(from_word("0").to_json()))
+    (workdir / "two-word-head.grammar").write_text("S A -> 0 1\n")
     (workdir / "three.json").write_text(json.dumps({
         "arity": 1, "alphabet": "01", "states": [0, 1, 2], "start": 0,
         "accepting": [0, 1, 2],
@@ -571,6 +579,17 @@ def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needl
                           "domain = sigma.json\ntm = loop.tm.json",
         "cfl.ini": "kind = cfl-pipeline\n[inputs]\ndomain = sigma.json\n"
                    "grammar = eq.grammar",
+        # the index "0" is right, but a step also tries the losing label
+        "learner-finite.ini": "kind = family-learner\n[inputs]\ndomain = sigma.json\n"
+                              "index_language = just-0.json\nmembership = prefix_member.json",
+        "variant-finite.ini": "kind = variant-learner\n[inputs]\ndomain = sigma.json\n"
+                              "index_language = just-0.json\nmembership = prefix_member.json",
+        # the one hypothesis is the oracle, but a step also tries the losing label
+        "pclass-no-cycle.ini": "kind = pclass\nhypotheses = dfa:zero_star.json\n"
+                               "cycle = false\n[inputs]\ndomain = sigma.json\n"
+                               "oracle_dfa = zero_star.json",
+        "cfl-two-word-head.ini": "kind = cfl-pipeline\n[inputs]\ndomain = sigma.json\n"
+                                 "grammar = two-word-head.grammar",
     }
     for name, body in configs.items():
         write_config(workdir, name, f"[experiment]\n{body}\n")

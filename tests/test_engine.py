@@ -7,6 +7,7 @@ from langmart.dyadic import Dyadic, HALF, ONE, THREE_HALVES
 from langmart.engine import (
     BetFactorError,
     CapitalTrace,
+    FAULT_ERRORS,
     FairnessViolationError,
     Labeled,
     MemoryDisciplineError,
@@ -32,6 +33,7 @@ from langmart.engine import (
     weighted_sum,
 )
 from langmart.constructions import family_learner, prefix_family, regular_bettor, subset_bettor
+from langmart.constructions import diagonalize
 from langmart.rng import Lcg
 
 
@@ -154,6 +156,18 @@ class TestRun:
         else:
             with pytest.raises(error):
                 run(setup, text, lambda w: True, 1)
+
+    @pytest.mark.parametrize("case", [c for c, v in CHECKED_STEP_CASES.items() if v[3]])
+    def test_audit_reports_what_a_run_rejects(self, case):
+        step, factors, item, error = CHECKED_STEP_CASES[case]
+        setup = Setup(case, step, MState(ONE, ("",)), factors)
+        report = audit_fairness(setup, [] if item is PAUSE else [item])
+        kind = next(k for k, e in FAULT_ERRORS.items() if e is error)
+        assert kind in {v.kind for v in report.violations}
+
+    def test_diagonalize_checks_every_step(self, sigma):
+        with pytest.raises(FairnessViolationError):
+            diagonalize([broken_setup()], sigma, 3)
 
     def test_validity_budget(self, sigma):
         items = [PAUSE] * 10 + ["0"]
@@ -473,27 +487,31 @@ def negative_from_0(state, dp):
     return MState(state.capital * (Dyadic(5, 1) if dp.bit else Dyadic(-1, 1)), state.memory)
 
 
-# Each is fair at its start capital, and unfair or inhomogeneous elsewhere.
+# Each is fair at its start capital, and unfair or inhomogeneous elsewhere;
+# with the violation kinds its audit reports.
 LADDER_MUTANTS = {
-    "pays-both-from-4": (threshold_mutant(Dyadic(4)), ONE),
-    "pays-both-below-2^-40": (threshold_mutant(Dyadic(1, 40), above=False), ONE),
-    "still-at-1": (still_at_1, ONE),  # the identity shortcut must not skip the ladder
-    "remembers-size": (remembers_size, ONE),
-    "bets-only-at-1": (bets_only_at_1, ONE),
-    "bets-less-from-4": (bets_less_from_4, ONE),
-    "pause-moves-from-4": (pause_moves_from_4, ONE),
-    "unfair-from-0": (unfair_from_0, Dyadic(0)),
-    "negative-from-0": (negative_from_0, Dyadic(0)),
+    "pays-both-from-4": (threshold_mutant(Dyadic(4)), ONE, {"homogeneity"}),
+    "pays-both-below-2^-40": (threshold_mutant(Dyadic(1, 40), above=False), ONE,
+                              {"homogeneity"}),
+    # the identity shortcut must not skip the ladder; at capital 1 the
+    # identity applies factor 1, which the step does not declare
+    "still-at-1": (still_at_1, ONE, {"homogeneity", "bet-factor"}),
+    "remembers-size": (remembers_size, ONE, {"homogeneity"}),
+    "bets-only-at-1": (bets_only_at_1, ONE, {"homogeneity"}),
+    "bets-less-from-4": (bets_less_from_4, ONE, {"homogeneity"}),
+    "pause-moves-from-4": (pause_moves_from_4, ONE, {"homogeneity"}),
+    "unfair-from-0": (unfair_from_0, Dyadic(0), {"homogeneity"}),
+    "negative-from-0": (negative_from_0, Dyadic(0), {"homogeneity"}),
 }
 
 
 @pytest.mark.parametrize("name", LADDER_MUTANTS)
 def test_ladder_mutant_is_homogeneity(name):
-    step, start = LADDER_MUTANTS[name]
+    step, start, kinds = LADDER_MUTANTS[name]
     report = audit_fairness(Setup(name, step, MState(start, ("",)), BASE.bet_factors),
                             PROBES)
     assert report.violations
-    assert {v.kind for v in report.violations} == {"homogeneity"}
+    assert {v.kind for v in report.violations} == kinds
 
 
 @settings(max_examples=40, deadline=None)

@@ -42,6 +42,10 @@ class TestParsingFormat:
             Cfg.from_text("S -> ab")  # multi-letter terminal
         with pytest.raises(GrammarError):
             Cfg.from_text("")
+        with pytest.raises(GrammarError):
+            Cfg.from_text("-> 0")  # empty head
+        with pytest.raises(GrammarError):
+            Cfg.from_text("S A -> 0 | S A")  # a head of two tokens
 
     @given(st.text(max_size=40) | st.text("SA01 -|>#eps\n", max_size=40))
     def test_any_text(self, text):
@@ -51,6 +55,7 @@ class TestParsingFormat:
             g = Cfg.from_text(text)
         except GrammarError:
             return
+        assert all(head.split() == [head] for head in g.nonterminals)
         assert Cfg.from_text(g.to_text()) == g
 
 
