@@ -326,9 +326,19 @@ def _run_adversarial(exp: Experiment, out_dir: Path) -> int:
 
 def _run_family_learner(exp: Experiment, out_dir: Path, variant: bool) -> int:
     domain = exp.dfa("domain")
-    fam = AutomaticFamily(exp.dfa("index_language"),
-                          exp.dfa("membership", tracks=2, domain=domain))
-    target = exp.exp.get("target_index", fam.min_index())
+    index = exp.dfa("index_language")
+    fam = AutomaticFamily(index, exp.dfa("membership", tracks=2, domain=domain))
+    missing = "".join(ch for ch in index.alphabets[0] if ch not in fam.membership.alphabets[1])
+    if missing:
+        raise ConfigError(f"membership does not read the index letter(s) {missing!r}")
+    target = exp.exp.get("target_index")
+    if target is None:
+        try:
+            target = fam.min_index()
+        except EmptyLanguageError:
+            raise ConfigError("index_language is empty") from None
+    elif not set(target) <= set(index.alphabets[0]) or not index.accepts(target):
+        raise ConfigError(f"target_index {target!r} is not a member of index_language")
     difference = {w for w in exp.exp.get("difference", "").split(",") if w}
 
     def oracle(w: str) -> bool:

@@ -30,11 +30,10 @@ holds their component capitals, are explored by full state.
 
 from __future__ import annotations
 
-import csv
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii as _json_str
 from operator import is_
 from typing import Callable
 
@@ -217,6 +216,11 @@ class TraceEntry:
 
 
 class CapitalTrace:
+    """The entries of one run, the start (stage 0) first.  `write_csv` and
+    `write_json` stream one line or record per entry: the bytes of
+    `csv.writer` and of `json.dump(..., indent=1, sort_keys=True)` plus a
+    newline, without holding the file's text in memory."""
+
     def __init__(self, entries):
         self.entries = list(entries)
 
@@ -241,29 +245,47 @@ class CapitalTrace:
         return top
 
     def to_rows(self):
-        rows = []
+        """Yield (stage, word, label, numerator text, exp) per entry, word
+        '#' for a pause.  Decimal conversion is quadratic in the numerator's
+        size, so a numerator is converted only when the previous entry's
+        differs (a pause keeps its capital)."""
+        num = text = None
         for e in self.entries:
-            word = "#" if e.word is None and e.stage > 0 else (e.word or "")
-            label = "" if e.label is None else str(e.label)
-            rows.append([e.stage, word, label, e.capital.num, e.capital.exp])
-        return rows
+            if e.capital.num != num:
+                num = e.capital.num
+                text = str(num)
+            yield (*_cells(e), text, e.capital.exp)
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["stage", "word", "label", "capital_num", "capital_exp"])
-            writer.writerows(self.to_rows())
+            fh.write("stage,word,label,capital_num,capital_exp\r\n")
+            for stage, word, label, num, exp in self.to_rows():
+                if "," in word or '"' in word or "\r" in word or "\n" in word:
+                    word = '"' + word.replace('"', '""') + '"'
+                fh.write(f"{stage},{word},{label},{num},{exp}\r\n")
 
     def to_json_obj(self):
         return [
-            {"stage": s, "word": w, "label": l, "capital_num": n, "capital_exp": e}
-            for s, w, l, n, e in self.to_rows()
+            dict(zip(("stage", "word", "label"), _cells(e)),
+                 capital_num=e.capital.num, capital_exp=e.capital.exp)
+            for e in self.entries
         ]
 
     def write_json(self, path):
         with open(path, "w") as fh:
-            json.dump(self.to_json_obj(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            sep = "[\n"
+            for stage, word, label, num, exp in self.to_rows():
+                fh.write(f'{sep} {{\n  "capital_exp": {exp},\n  "capital_num": {num},'
+                         f'\n  "label": {_json_str(label)},\n  "stage": {stage},'
+                         f'\n  "word": {_json_str(word)}\n }}')
+                sep = ",\n"
+            fh.write("[]\n" if sep == "[\n" else "\n]\n")
+
+
+def _cells(e: TraceEntry) -> tuple:
+    """An entry's stage, word ('#' for a pause) and label as trace cells."""
+    word = "#" if e.word is None and e.stage > 0 else (e.word or "")
+    return e.stage, word, "" if e.label is None else str(e.label)
 
 
 def succeeded(trace: CapitalTrace, threshold: Dyadic = DEFAULT_THRESHOLD) -> bool:

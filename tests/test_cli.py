@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import equal_counts_tm
-from langmart.automata import from_word, universe, word_star, concat, combine
+from langmart.automata import Dfa, combine, concat, empty, from_word, universe, word_star
 from langmart.cli import main
-from langmart.constructions import diagonalize, prefix_family, regular_bettor, subset_bettor
+from langmart.constructions import (
+    TmProgram,
+    diagonalize,
+    prefix_family,
+    regular_bettor,
+    subset_bettor,
+)
 from langmart.dyadic import Dyadic
 
 
@@ -527,6 +533,12 @@ def slow_exponential_domain() -> dict:
     (["run", "variant-finite.ini"], "config error:", "index_language is finite"),
     (["run", "pclass-no-cycle.ini"], "config error:", "no hypotheses left"),
     (["run", "cfl-two-word-head.ini"], "config error:", "bad grammar"),
+    (["run", "learner-empty.ini"], "config error:", "index_language is empty"),
+    (["run", "variant-empty.ini"], "config error:", "index_language is empty"),
+    (["run", "learner-target-2.ini"], "config error:",
+     "target_index '2' is not a member of index_language"),
+    (["run", "learner-index-012.ini"], "config error:",
+     "membership does not read the index letter(s) '2'"),
 ], ids=["pclass-bounded-domain", "pclass-slow-domain", "learner-one-track-membership",
         "regular-two-track-domain", "growth-report-two-track", "growth-two-track",
         "audit-two-track", "diagonalize-past-finite-domain", "verify-words-int",
@@ -538,13 +550,16 @@ def slow_exponential_domain() -> dict:
         "verify-setup-misses-letter", "oracle-tm-never-halts", "tm-dynamic-never-halts",
         "threshold-negative-exponent", "verify-capital-negative-exponent",
         "learner-finite-index", "variant-learner-finite-index", "pclass-no-cycle",
-        "cfl-two-word-head"])
+        "cfl-two-word-head", "learner-empty-index", "variant-learner-empty-index",
+        "learner-target-outside-index", "learner-index-letter-unread"])
 def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needle):
     (workdir / "slow.json").write_text(json.dumps(slow_exponential_domain()))
     (workdir / "zero-only.json").write_text(json.dumps(ZERO_ONLY))
     (workdir / "loop.tm.json").write_text(json.dumps(LOOPING_TM))
     (workdir / "just-0.json").write_text(json.dumps(from_word("0").to_json()))
     (workdir / "two-word-head.grammar").write_text("S A -> 0 1\n")
+    (workdir / "empty.json").write_text(json.dumps(empty("01").to_json()))
+    (workdir / "universe-012.json").write_text(json.dumps(universe("012").to_json()))
     (workdir / "three.json").write_text(json.dumps({
         "arity": 1, "alphabet": "01", "states": [0, 1, 2], "start": 0,
         "accepting": [0, 1, 2],
@@ -590,6 +605,16 @@ def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needl
                                "oracle_dfa = zero_star.json",
         "cfl-two-word-head.ini": "kind = cfl-pipeline\n[inputs]\ndomain = sigma.json\n"
                                  "grammar = two-word-head.grammar",
+        "learner-empty.ini": "kind = family-learner\n[inputs]\ndomain = sigma.json\n"
+                             "index_language = empty.json\nmembership = prefix_member.json",
+        "variant-empty.ini": "kind = variant-learner\n[inputs]\ndomain = sigma.json\n"
+                             "index_language = empty.json\nmembership = prefix_member.json",
+        "learner-target-2.ini": "kind = family-learner\ntarget_index = 2\n[inputs]\n"
+                                "domain = sigma.json\nindex_language = prefix_index.json\n"
+                                "membership = prefix_member.json",
+        "learner-index-012.ini": "kind = family-learner\n[inputs]\ndomain = sigma.json\n"
+                                 "index_language = universe-012.json\n"
+                                 "membership = prefix_member.json",
     }
     for name, body in configs.items():
         write_config(workdir, name, f"[experiment]\n{body}\n")
@@ -680,3 +705,26 @@ def test_growth_and_verify_exit_0_1_or_2_on_any_json(data):
         path.write_text(json.dumps(value))
         assert main(["growth", str(path)]) in (0, 1, 2)
         assert main(["verify", str(path)]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("from_json, seed", [
+    (Dfa.from_json, ZEROS_THEN_ONES.to_json()),
+    (TmProgram.from_json, equal_counts_tm().to_json()),
+], ids=["dfa", "tm"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parser_returns_or_raises_a_load_error(from_json, seed, data):
+    """On any JSON value, or a valid automaton or machine with a node
+    replaced or an entry deleted, a parser returns a value or raises one of
+    the errors `_load_object` reports with exit status 2."""
+    if data.draw(st.booleans()):
+        value = data.draw(JSON_VALUES)
+    else:
+        value = seed
+        for _ in range(data.draw(st.integers(1, 3))):
+            value = mutated(data, value)
+    try:
+        parsed = from_json(value)
+    except (KeyError, ValueError, TypeError):
+        return
+    assert isinstance(parsed, (Dfa, TmProgram))

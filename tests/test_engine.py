@@ -1,3 +1,9 @@
+import csv
+import json
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +24,7 @@ from langmart.engine import (
     PausePreservationError,
     Setup,
     TextExhaustedError,
+    TraceEntry,
     ValidityBudgetError,
     add_setups,
     audit_fairness,
@@ -336,6 +343,30 @@ class TestRunDynamic:
         assert len(trace) == 8
 
 
+# Trace words the writers must quote or escape, and plain ones.
+trace_words = st.text(st.sampled_from('01,"\r\n #a\u00e9\u20ac'), max_size=6) | st.text(max_size=4)
+
+
+@st.composite
+def traces(draw):
+    """A CapitalTrace with the start entry, pauses, words that need quoting,
+    capitals up to 2**3000, one Dyadic repeated and equal but distinct
+    copies; the empty trace when it has no entries."""
+    entries, capital = [], ONE
+    for stage in range(draw(st.integers(0, 12))):
+        how = draw(st.sampled_from(["same", "equal", "new"]))
+        if how == "equal":
+            capital = Dyadic(capital.num, capital.exp)
+        elif how == "new":
+            capital = Dyadic(draw(st.integers(0, 2**3000)), draw(st.integers(0, 80)))
+        if stage == 0 or draw(st.booleans()):
+            word, label = None, None  # the start entry or a pause
+        else:
+            word, label = draw(trace_words), draw(st.sampled_from([0, 1]))
+        entries.append(TraceEntry(stage, word, label, capital))
+    return CapitalTrace(entries)
+
+
 class TestTraceSerialization:
     def test_csv_and_json(self, tmp_path, sigma, zeros_then_ones):
         setup = regular_bettor(zeros_then_ones)
@@ -349,6 +380,46 @@ class TestTraceSerialization:
         assert lines[3] == "2,01,1,3,1"
         obj = trace.to_json_obj()
         assert obj[3]["word"] == "10" and obj[3]["label"] == "0"
+
+    @settings(max_examples=150, deadline=None)
+    @given(traces())
+    def test_writers_match_csv_and_json_modules(self, trace):
+        """The streaming writers' bytes are those of csv.writer and of
+        json.dump(..., indent=1, sort_keys=True) plus a newline."""
+        keys = ["stage", "word", "label", "capital_num", "capital_exp"]
+        rows = [[e.stage, "#" if e.word is None and e.stage > 0 else (e.word or ""),
+                 "" if e.label is None else str(e.label), e.capital.num, e.capital.exp]
+                for e in trace.entries]
+        objs = [dict(zip(keys, row)) for row in rows]
+        assert trace.to_json_obj() == objs
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            with open(tmp / "ref.csv", "w", newline="") as fh:
+                csv.writer(fh).writerows([keys] + rows)
+            with open(tmp / "ref.json", "w") as fh:
+                json.dump(objs, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+            trace.write_csv(tmp / "out.csv")
+            trace.write_json(tmp / "out.json")
+            for ext in ("csv", "json"):
+                assert (tmp / f"out.{ext}").read_bytes() == (tmp / f"ref.{ext}").read_bytes()
+
+    def test_writers_stream(self, tmp_path):
+        """Each writer's peak allocation is a small fraction of the file it
+        writes: neither holds the file's text nor every numerator's digits."""
+        sigma = universe("01")
+        trace = run(regular_bettor(sigma), ll_text(sigma), sigma, 3000)
+        tracemalloc.start()
+        try:
+            for write, path in ((trace.write_csv, tmp_path / "t.csv"),
+                                (trace.write_json, tmp_path / "t.json")):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                write(path)
+                peak = tracemalloc.get_traced_memory()[1] - before
+                assert peak < 0.05 * path.stat().st_size, (path.name, peak)
+        finally:
+            tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

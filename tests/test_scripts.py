@@ -1,5 +1,5 @@
-"""The demos under scripts/ and the benchmark's smoke test run against the
-package's current API."""
+"""The scripts under scripts/ and the benchmark's smoke test run against
+the package's current API."""
 
 import subprocess
 import sys
@@ -27,3 +27,33 @@ def test_benchmark_smoke_passes():
     done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "smoke.py")],
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+
+
+# The files each workload's run leaves; a `langmart verify` re-check of a
+# certificate writes none.
+ARTIFACTS = {
+    "regular-stream": ["audit.json", "trace.csv", "trace.json"],
+    "cfl-pipeline": ["audit.json", "extracted.json", "trace.csv", "trace.json"],
+    "certificate": ["audit.json", "certificate.json"],
+    "tm-selfscheduled": ["audit.json", "trace.csv", "trace.json"],
+}
+
+
+def test_artifact_digests_lists_every_output():
+    done = subprocess.run([sys.executable, str(SCRIPTS / "artifact_digests.py"), "7"],
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    expected = []
+    for workload, files in ARTIFACTS.items():
+        recheck = [] if workload == "certificate" else files
+        for step, names in (("run", files), ("recheck", recheck)):
+            expected += [f"{workload} 7 {step}/{name}"
+                         for name in ["exit", "stdout", "stderr"] + names]
+    lines = done.stdout.splitlines()
+    assert sorted(line.rsplit(" ", 1)[0] for line in lines) == sorted(expected)
+    for line in lines:
+        name, value = line.rsplit(" ", 1)
+        if name.endswith("/exit"):
+            assert value == "0", line
+        else:
+            assert len(value) == 64, line
