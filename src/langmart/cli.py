@@ -84,6 +84,8 @@ def _load_json(path: Path):
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:  # a json.JSONDecodeError, or NaN or Infinity
         raise ConfigError(f"bad JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"bad JSON in {path}: nested too deeply") from None
 
 
 def _load_object(path: Path, from_json, what: str):
@@ -562,7 +564,10 @@ def cmd_verify(args) -> int:
         cert = DiagonalCertificate.from_json_obj(_load_json(Path(args.certificate)))
         if not cert.setup_descriptors or not cert.domain_json:
             raise ConfigError("certificate carries no rebuildable setups")
-        descriptors = [json.loads(d) for d in cert.setup_descriptors]
+        try:
+            descriptors = [json.loads(d) for d in cert.setup_descriptors]
+        except RecursionError:
+            raise ConfigError("a setup descriptor is nested too deeply") from None
         setups = [build_setup(d) for d in descriptors]
         domain = Dfa.from_json(cert.domain_json)
         if domain.arity != 1:

@@ -493,7 +493,7 @@ def diagonalize(enum, domain: Dfa, words: int, descriptors=None) -> DiagonalCert
     word = None
     for t in range(1, words + 1):
         word = min_ll(domain) if t == 1 else succ_ll(domain, word)
-        outs = [checked_step(d, s, word) for d, s in zip(setups, states)]
+        outs = [checked_step(d, s, word, t) for d, s in zip(setups, states)]
         lo, hi = (sum((w * out[b].capital for w, out in zip(weights[:t], outs)), ZERO)
                   for b in (0, 1))
         bit = 0 if lo <= hi else 1

@@ -16,7 +16,8 @@ when the setup declares them, keep the memory's arity and grow each
 memory word by at most MEMORY_GROWTH_LIMIT letters plus 2 per letter of
 the incoming word.  The run loop (shared by `run` and `run_dynamic`) and
 `constructions.diagonalize` step through `checked_step`, which raises the
-first fault, and `audit_fairness` records it as a violation.
+first fault with the word (or pause) and the stage, and `audit_fairness`
+records it as a violation.
 `weighted_sum` is the one combinator of setups (flat memory).
 
 `audit_fairness` explores a setup that declares bet_factors by memory, not
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import is_
@@ -219,7 +221,10 @@ class CapitalTrace:
     """The entries of one run, the start (stage 0) first.  `write_csv` and
     `write_json` stream one line or record per entry: the bytes of
     `csv.writer` and of `json.dump(..., indent=1, sort_keys=True)` plus a
-    newline, without holding the file's text in memory."""
+    newline, without holding the file's text in memory.  They carry each
+    numerator's decimal numeral forward from the previous one (see
+    `to_rows`), so a run whose capital is multiplied by small factors
+    writes its exact capitals in time linear in their digits."""
 
     def __init__(self, entries):
         self.entries = list(entries)
@@ -246,14 +251,18 @@ class CapitalTrace:
 
     def to_rows(self):
         """Yield (stage, word, label, numerator text, exp) per entry, word
-        '#' for a pause.  Decimal conversion is quadratic in the numerator's
-        size, so a numerator is converted only when the previous entry's
-        differs (a pause keeps its capital)."""
-        num = text = None
+        '#' for a pause.  str() of an int is quadratic in its size, so the
+        previous numerator is kept as a Decimal too: a numerator that is
+        the previous one times an integer of at most 64 bits gets its
+        numeral by one exact, linear Decimal multiply (see `_carry`), any
+        other is converted afresh, and an equal one (a pause keeps its
+        capital) is not converted again."""
+        num, numeral, text = 0, None, "0"
         for e in self.entries:
             if e.capital.num != num:
+                numeral = _carry(num, numeral, e.capital.num)
                 num = e.capital.num
-                text = str(num)
+                text = str(numeral)
             yield (*_cells(e), text, e.capital.exp)
 
     def write_csv(self, path):
@@ -280,6 +289,22 @@ class CapitalTrace:
                          f'\n  "word": {_json_str(word)}\n }}')
                 sep = ",\n"
             fh.write("[]\n" if sep == "[\n" else "\n]\n")
+
+
+# Exact decimal arithmetic: a product that would round raises instead.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+
+
+def _carry(old: int, numeral: Decimal | None, new: int) -> Decimal:
+    """new as a Decimal, given old and its numeral: numeral * (new // old)
+    when old > 0 divides new with a quotient of at most 64 bits, else
+    Decimal(new).  The bit-length guard keeps divmod linear: a large
+    quotient would make it quadratic."""
+    if old > 0 and 0 <= new.bit_length() - old.bit_length() <= 64:
+        q, r = divmod(new, old)
+        if not r:
+            return _EXACT.multiply(numeral, q)
+    return Decimal(new)
 
 
 def _cells(e: TraceEntry) -> tuple:
@@ -345,10 +370,11 @@ def step_fault(setup: Setup, state: MState, word, outs) -> tuple[str, str] | Non
     return None
 
 
-def checked_step(setup: Setup, state: MState, word) -> tuple:
+def checked_step(setup: Setup, state: MState, word, stage: int) -> tuple:
     """Step state on word with both labels, or on a pause, and return the
     outcomes: (lo, hi), or (nxt,) for a pause.  Raises the error of the
-    first step-contract fault (see step_fault)."""
+    first step-contract fault (see step_fault), naming the item and the
+    stage it leads to."""
     step = setup.step
     if word is PAUSE:
         outs = (step(state, PAUSE),)
@@ -358,7 +384,7 @@ def checked_step(setup: Setup, state: MState, word) -> tuple:
     if fault is not None:
         kind, detail = fault
         where = "a pause" if word is PAUSE else f"word {word!r}"
-        raise FAULT_ERRORS[kind](f"{detail} at {where}")
+        raise FAULT_ERRORS[kind](f"{detail} at {where} (stage {stage})")
     return outs
 
 
@@ -379,7 +405,7 @@ def _run(setup: Setup, text, oracle, steps: int, stop_threshold: Dyadic | None,
         else:
             pause_streak = 0
             word, label = item, 1 if member(item) else 0
-        state = checked_step(setup, state, item)[label or 0]  # a pause has one outcome
+        state = checked_step(setup, state, item, n + 1)[label or 0]  # a pause has one outcome
         entries.append(TraceEntry(n + 1, word, label, state.capital))
         if stop_threshold is not None and state.capital >= stop_threshold:
             break

@@ -493,6 +493,9 @@ ZERO_ONLY = {"arity": 1, "alphabet": "0", "states": [0], "start": 0, "accepting"
 LOOPING_TM = {"start": "q", "accept": "acc", "reject": "rej", "blank": "_",
               "rules": [["q", a, a, "S", "q"] for a in "01_"]}
 
+# JSON nested deeper than json.loads can decode: it raises RecursionError.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
 
 def slow_exponential_domain() -> dict:
     """(0^9 | 1^9)*: exponential, but grows too slowly for a witness k <= 8."""
@@ -539,6 +542,11 @@ def slow_exponential_domain() -> dict:
      "target_index '2' is not a member of index_language"),
     (["run", "learner-index-012.ini"], "config error:",
      "membership does not read the index letter(s) '2'"),
+    (["run", "deep-language.ini"], "config error:", "deep.json: nested too deeply"),
+    (["growth", "deep.json"], "cannot load automaton:", "deep.json: nested too deeply"),
+    (["verify", "deep.json"], "bad certificate:", "deep.json: nested too deeply"),
+    (["verify", "deep-setup.json"], "bad certificate:",
+     "a setup descriptor is nested too deeply"),
 ], ids=["pclass-bounded-domain", "pclass-slow-domain", "learner-one-track-membership",
         "regular-two-track-domain", "growth-report-two-track", "growth-two-track",
         "audit-two-track", "diagonalize-past-finite-domain", "verify-words-int",
@@ -551,7 +559,8 @@ def slow_exponential_domain() -> dict:
         "threshold-negative-exponent", "verify-capital-negative-exponent",
         "learner-finite-index", "variant-learner-finite-index", "pclass-no-cycle",
         "cfl-two-word-head", "learner-empty-index", "variant-learner-empty-index",
-        "learner-target-outside-index", "learner-index-letter-unread"])
+        "learner-target-outside-index", "learner-index-letter-unread",
+        "run-deep-json", "growth-deep-json", "verify-deep-json", "verify-deep-setup"])
 def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needle):
     (workdir / "slow.json").write_text(json.dumps(slow_exponential_domain()))
     (workdir / "zero-only.json").write_text(json.dumps(ZERO_ONLY))
@@ -560,6 +569,7 @@ def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needl
     (workdir / "two-word-head.grammar").write_text("S A -> 0 1\n")
     (workdir / "empty.json").write_text(json.dumps(empty("01").to_json()))
     (workdir / "universe-012.json").write_text(json.dumps(universe("012").to_json()))
+    (workdir / "deep.json").write_text(DEEP_JSON)
     (workdir / "three.json").write_text(json.dumps({
         "arity": 1, "alphabet": "01", "states": [0, 1, 2], "start": 0,
         "accepting": [0, 1, 2],
@@ -615,6 +625,8 @@ def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needl
         "learner-index-012.ini": "kind = family-learner\n[inputs]\ndomain = sigma.json\n"
                                  "index_language = universe-012.json\n"
                                  "membership = prefix_member.json",
+        "deep-language.ini": "kind = regular-bettor\n[inputs]\ndomain = sigma.json\n"
+                             "language = deep.json",
     }
     for name, body in configs.items():
         write_config(workdir, name, f"[experiment]\n{body}\n")
@@ -631,6 +643,7 @@ def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needl
          [json.dumps({"kind": "regular_bettor", "dfa": ZERO_ONLY})]),
         ("negative-exponent.json", "words",
          [{**SEED_OBJECTS[1]["words"][0], "capital": "1/2^-5"}, *SEED_OBJECTS[1]["words"][1:]]),
+        ("deep-setup.json", "setups", [DEEP_JSON]),
     ]:
         (workdir / name).write_text(json.dumps({**SEED_OBJECTS[1], key: value}))
     for name, alphabet in [("repeated-letter.json", "001"), ("padding-letter.json", "0#1")]:

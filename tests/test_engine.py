@@ -2,14 +2,16 @@ import csv
 import json
 import tempfile
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import equal_counts
+from langmart import engine
 from langmart.automata import concat, enumerate_ll, from_word, universe, word_star
-from langmart.dyadic import Dyadic, HALF, ONE, THREE_HALVES
+from langmart.dyadic import Dyadic, HALF, ONE, THREE_HALVES, ZERO
 from langmart.engine import (
     BetFactorError,
     CapitalTrace,
@@ -175,6 +177,29 @@ class TestRun:
     def test_diagonalize_checks_every_step(self, sigma):
         with pytest.raises(FairnessViolationError):
             diagonalize([broken_setup()], sigma, 3)
+
+    def test_run_errors_name_the_item_and_stage(self, sigma):
+        items = [PAUSE] * 6 + ["01"]
+        with pytest.raises(FairnessViolationError, match=r"at word '01' \(stage 7\)$"):
+            run(broken_setup(), sequence_text(items), sigma, 7)
+
+        def pause_doubles(state, dp):
+            return MState(state.capital * 2, state.memory) if dp is PAUSE else state
+
+        bad = Setup("pause-doubles", pause_doubles, MState(ONE, ("",)), None)
+        with pytest.raises(PausePreservationError, match=r"at a pause \(stage 7\)$"):
+            run(bad, sequence_text(["0"] * 6 + [PAUSE]), sigma, 7)
+
+    def test_diagonalize_errors_name_the_word_position(self, sigma):
+        def unfair_on_1(state, dp):
+            if dp is PAUSE or dp.word != "1":
+                return state
+            return MState(state.capital * 2, state.memory)  # on both labels
+
+        # the ll order of sigma is '', '0', '1', ...: '1' is the third word
+        bad = Setup("unfair-on-1", unfair_on_1, MState(ONE, ("",)), None)
+        with pytest.raises(FairnessViolationError, match=r"at word '1' \(stage 3\)$"):
+            diagonalize([bad], sigma, 5)
 
     def test_validity_budget(self, sigma):
         items = [PAUSE] * 10 + ["0"]
@@ -347,18 +372,42 @@ class TestRunDynamic:
 trace_words = st.text(st.sampled_from('01,"\r\n #a\u00e9\u20ac'), max_size=6) | st.text(max_size=4)
 
 
+# Moves from one trace capital to the next.  Besides unrelated values they
+# multiply the numerator by integers of up to 64 bits, which the writers
+# carry forward in decimal, and by integers of 65 to 70 bits, past that
+# quotient guard.
+CAPITAL_MOVES = ["same", "equal", "new", "3/2", "1/2", "num*2", "num*64bit",
+                 "num*65-70bit", "zero"]
+
+
 @st.composite
 def traces(draw):
     """A CapitalTrace with the start entry, pauses, words that need quoting,
     capitals up to 2**3000, one Dyadic repeated and equal but distinct
-    copies; the empty trace when it has no entries."""
+    copies, numerators multiplied by 3, 2 or a random integer of up to 70
+    bits or halved, and zero followed by a nonzero capital; the empty trace
+    when it has no entries."""
     entries, capital = [], ONE
     for stage in range(draw(st.integers(0, 12))):
-        how = draw(st.sampled_from(["same", "equal", "new"]))
+        how = draw(st.sampled_from(CAPITAL_MOVES))
         if how == "equal":
             capital = Dyadic(capital.num, capital.exp)
         elif how == "new":
             capital = Dyadic(draw(st.integers(0, 2**3000)), draw(st.integers(0, 80)))
+        elif how == "zero":
+            capital = ZERO
+        elif how != "same" and capital.num == 0:  # zero, then a nonzero capital
+            capital = Dyadic(draw(st.integers(1, 2**3000)), draw(st.integers(0, 80)))
+        elif how == "3/2":
+            capital = capital * THREE_HALVES
+        elif how == "1/2":
+            capital = capital * HALF
+        elif how == "num*2":
+            capital = Dyadic(capital.num * 2)
+        elif how == "num*64bit":
+            capital = Dyadic(capital.num * draw(st.integers(1, 2**64 - 1)), capital.exp)
+        elif how == "num*65-70bit":
+            capital = Dyadic(capital.num * draw(st.integers(2**64, 2**70 - 1)), capital.exp)
         if stage == 0 or draw(st.booleans()):
             word, label = None, None  # the start entry or a pause
         else:
@@ -403,6 +452,28 @@ class TestTraceSerialization:
             trace.write_json(tmp / "out.json")
             for ext in ("csv", "json"):
                 assert (tmp / f"out.{ext}").read_bytes() == (tmp / f"ref.{ext}").read_bytes()
+
+    def test_writers_convert_afresh_once(self, tmp_path, monkeypatch):
+        """On a run whose numerator is only ever multiplied by 3 or kept,
+        each writer converts one numerator to decimal afresh and carries
+        every other forward by a multiply, so its cost stays linear."""
+        sigma = universe("01")
+        trace = run(regular_bettor(sigma), ll_text(sigma), sigma, 3000)
+        fresh = []
+
+        def counting(value):
+            fresh.append(value)
+            return Decimal(value)
+
+        monkeypatch.setattr(engine, "Decimal", counting)
+        for write, path in ((trace.write_csv, tmp_path / "t.csv"),
+                            (trace.write_json, tmp_path / "t.json")):
+            fresh.clear()
+            write(path)
+            assert fresh == [1], path.name
+        monkeypatch.undo()
+        assert (tmp_path / "t.csv").read_text().splitlines()[-1].split(",")[3] \
+            == str(trace.final.num)
 
     def test_writers_stream(self, tmp_path):
         """Each writer's peak allocation is a small fraction of the file it
