@@ -27,6 +27,7 @@ from .engine import (
     Setup,
     add_setups,
     audit_fairness,
+    bettor,
     classify_text_prefix,
     ll_text,
     run,

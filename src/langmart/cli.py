@@ -26,6 +26,7 @@ from .automata import (
     Dfa,
     EmptyLanguageError,
     NoSuccessorError,
+    complement,
     enumerate_ll,
     growth_class,
     slice_count,
@@ -484,17 +485,36 @@ def _run_growth_report(exp: Experiment, out_dir: Path) -> int:
     return 0 if report["consistent"] else 1
 
 
+# A slice is listed word by word, to check its count, up to this many words.
+GROWTH_LISTING_LIMIT = 4096
+
+
 def _growth_obj(domain: Dfa) -> dict:
+    """The growth class and the slice counts up to length 12.  Over k
+    letters the slices of length n of the domain and of its complement
+    must count k**n together, and the smaller one is listed when it has at
+    most GROWTH_LISTING_LIMIT words; "listed" names those lengths."""
     cls = growth_class(domain)
+    other = complement(domain)  # the Dfa constructor completes every table
+    k = len(domain.alphabets[0])
     counts = [slice_count(domain, n) for n in range(13)]
-    brute = [len(words_of_length(domain, n)) for n in range(13)]
-    consistent = counts == brute
+    listed = {"members": [], "complement": []}
+    consistent = True
+    for n, count in enumerate(counts):
+        rest = slice_count(other, n)
+        consistent = consistent and count + rest == k**n
+        side, lang, size = (("members", domain, count) if count <= rest
+                             else ("complement", other, rest))
+        if size <= GROWTH_LISTING_LIMIT:
+            consistent = consistent and len(words_of_length(lang, n)) == size
+            listed[side].append(n)
     if cls.kind == "bounded":
         consistent = consistent and all(c <= cls.bound for c in counts)
     return {
         "class": cls.kind,
         "bound": cls.bound,
         "slice_counts": counts,
+        "listed": listed,
         "consistent": consistent,
     }
 

@@ -1,12 +1,14 @@
 """Executable betting constructions over regular domains.
 
-Each function returns a Setup whose step function realizes one concrete
-strategy: betting along a fixed automaton, along an extracted regular
-subset, by enumerative learning over an indexed family, by simulating a
-machine on a self-scheduled text, by diagonalizing against a weighted
-enumeration of setups, or by precomputing answers inside the gaps of the
-ordered text.  All capital moves use fixed dyadic factors, and every
-construction is meant to pass the engine's exact fairness audit.
+Each function returns a Setup that realizes one concrete strategy:
+betting along a fixed automaton, along an extracted regular subset, by
+enumerative learning over an indexed family, by simulating a machine on a
+self-scheduled text, by diagonalizing against a weighted enumeration of
+setups, or by precomputing answers inside the gaps of the ordered text.
+Every bettor is a memory automaton bet(memory, item) -> (factor, memory)
+built with engine.bettor, so its capital moves by fixed dyadic factors
+its memory chooses, and every construction is meant to pass the engine's
+exact fairness audit.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .engine import (
     NotNormedError,
     PAUSE,
     Setup,
+    bettor,
     checked_step,
     is_normed,
     run,
@@ -115,15 +118,12 @@ def prefix_family(alphabet: str = "01") -> AutomaticFamily:
 def regular_bettor(lang: Dfa) -> Setup:
     """Bets 3/2 of the capital on the automaton's verdict, 1/2 against."""
 
-    def step(state: MState, dp) -> MState:
+    def bet(memory: tuple, dp):
         if dp is PAUSE:
-            return state
-        if lang.accepts(dp.word) == bool(dp.bit):
-            return MState(state.capital * THREE_HALVES, state.memory)
-        return MState(state.capital * HALF, state.memory)
+            return ONE, memory
+        return THREE_HALVES if lang.accepts(dp.word) == bool(dp.bit) else HALF, memory
 
-    return Setup("regular_bettor", step, MState(ONE, ("",)),
-                 frozenset({THREE_HALVES, HALF}))
+    return bettor("regular_bettor", bet, ("",), {THREE_HALVES, HALF})
 
 
 def subset_bettor(r: Dfa, side: str) -> Setup:
@@ -133,15 +133,12 @@ def subset_bettor(r: Dfa, side: str) -> Setup:
         raise ValueError(f"side must be inside/outside, not {side!r}")
     bet_bit = 1 if side == "inside" else 0
 
-    def step(state: MState, dp) -> MState:
+    def bet(memory: tuple, dp):
         if dp is PAUSE or not r.accepts(dp.word):
-            return state
-        if dp.bit == bet_bit:
-            return MState(state.capital * THREE_HALVES, state.memory)
-        return MState(state.capital * HALF, state.memory)
+            return ONE, memory
+        return THREE_HALVES if dp.bit == bet_bit else HALF, memory
 
-    return Setup(f"subset_bettor[{side}]", step, MState(ONE, ("",)),
-                 frozenset({ONE, THREE_HALVES, HALF}))
+    return bettor(f"subset_bettor[{side}]", bet, ("",), {ONE, THREE_HALVES, HALF})
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +207,9 @@ def extract_language(setup: Setup, state: MState) -> Callable[[str], bool]:
 
 
 def _last_answers(fam: AutomaticFamily):
-    """fam.member and fam.succ_index, each remembering its last answer: the
-    audited step asks both labels of one word, and the fairness audit asks
-    them again at every ladder capital."""
+    """fam.member and fam.succ_index, each remembering its last answer: a
+    checked step and the fairness audit ask both labels of one word in
+    turn."""
     return lru_cache(maxsize=1)(fam.member), lru_cache(maxsize=1)(fam.succ_index)
 
 
@@ -222,19 +219,18 @@ def family_learner(fam: AutomaticFamily) -> Setup:
     start_index = fam.min_index()
     member, succ_index = _last_answers(fam)
 
-    def step(state: MState, dp) -> MState:
+    def bet(memory: tuple, dp):
         if dp is PAUSE:
-            return state
-        e = state.memory[0]
+            return ONE, memory
+        e = memory[0]
         if member(dp.word, e) == bool(dp.bit):
-            return MState(state.capital * THREE_HALVES, (e,))
+            return THREE_HALVES, memory
         try:
-            return MState(state.capital * HALF, (succ_index(e),))
+            return HALF, (succ_index(e),)
         except NoSuccessorError:
             raise LearnerStallError(f"index set exhausted after {e!r}") from None
 
-    return Setup("family_learner", step, MState(ONE, (start_index,)),
-                 frozenset({THREE_HALVES, HALF}))
+    return bettor("family_learner", bet, (start_index,), {THREE_HALVES, HALF})
 
 
 def _ll_key(word: str, letters):
@@ -250,18 +246,17 @@ def variant_family_learner(fam: AutomaticFamily) -> Setup:
     letters = fam.index_language.alphabets[0]
     member, succ_index = _last_answers(fam)
 
-    def step(state: MState, dp) -> MState:
+    def bet(memory: tuple, dp):
         if dp is PAUSE:
-            return state
-        e, d = state.memory
+            return ONE, memory
+        e, d = memory
         if member(dp.word, e) == bool(dp.bit):
-            return MState(state.capital * THREE_HALVES, (e, d))
+            return THREE_HALVES, memory
         if _ll_key(e, letters) < _ll_key(d, letters):
-            return MState(state.capital * HALF, (succ_index(e), d))
-        return MState(state.capital * HALF, (e0, succ_index(d)))
+            return HALF, (succ_index(e), d)
+        return HALF, (e0, succ_index(d))
 
-    return Setup("variant_family_learner", step, MState(ONE, (e0, e0)),
-                 frozenset({THREE_HALVES, HALF}))
+    return bettor("variant_family_learner", bet, (e0, e0), {THREE_HALVES, HALF})
 
 
 def dovetail_pairs(fam: AutomaticFamily, count: int) -> list[tuple[str, str]]:
@@ -390,24 +385,18 @@ def tm_dynamic_bettor(prog: TmProgram, domain: Dfa) -> tuple[Setup, Callable]:
         m_in, _, m_out = state.memory
         return m_in if m_out else PAUSE
 
-    def step(state: MState, dp) -> MState:
-        m_in, m_work, m_out = state.memory
+    def bet(memory: tuple, dp):
+        m_in, m_work, m_out = memory
         if dp is PAUSE:
             if m_out:
-                return state  # waiting for the scheduled word
+                return ONE, memory  # waiting for the scheduled word
             work = prog.init_config(m_in) if m_work == "" else prog.step_config(m_work)
-            out = prog.config_output(work) or ""
-            return MState(state.capital, (m_in, work, out))
+            return ONE, (m_in, work, prog.config_output(work) or "")
         if m_out and dp.word == m_in:
-            memory = (succ_ll(domain, m_in), "", "")
-            if dp.bit == int(m_out):
-                return MState(state.capital * TWO, memory)
-            return MState(ZERO, memory)
-        return state  # off-schedule words are not bet on
+            return TWO if dp.bit == int(m_out) else ZERO, (succ_ll(domain, m_in), "", "")
+        return ONE, memory  # off-schedule words are not bet on
 
-    setup = Setup("tm_dynamic_bettor", step, MState(ONE, (d0, "", "")),
-                  frozenset({TWO, ZERO, ONE}))
-    return setup, generator
+    return bettor("tm_dynamic_bettor", bet, (d0, "", ""), {TWO, ZERO, ONE}), generator
 
 
 # ---------------------------------------------------------------------------
@@ -652,30 +641,23 @@ def pclass_bettor(hyp: HypothesisSpace, domain: Dfa) -> Setup:
                 phase = "done"
         return (counter, anchor, m_in, idx, phase, work, out)
 
-    def step(state: MState, dp) -> MState:
-        if dp is PAUSE:
-            return MState(state.capital, ticked(state.memory))
-        counter, anchor, m_in, idx, phase, work, out = state.memory
-        if dp.word != anchor:
-            return MState(state.capital, ticked(state.memory))
+    def bet(memory: tuple, dp):
+        counter, anchor, m_in, idx, phase, work, out = memory
+        if dp is PAUSE or dp.word != anchor:
+            return ONE, ticked(memory)
         # activation: settle the bet, then schedule the next anchor
-        if out != "":
-            if dp.bit == int(out):
-                capital = state.capital * THREE_HALVES
-                new_idx = idx
-            else:
-                capital = state.capital * HALF
-                new_idx = str(hyp.advance(int(idx)))
+        if out == "":
+            factor = ONE
+        elif dp.bit == int(out):
+            factor = THREE_HALVES
         else:
-            capital = state.capital
-            new_idx = idx
+            factor, idx = HALF, str(hyp.advance(int(idx)))
         counter = counter + "0"
-        threshold = max(len(counter), len(anchor) + 1)
-        nxt = anchor_word(domain, threshold)
-        return MState(capital, (counter, nxt, nxt, new_idx, "run", "", ""))
+        nxt = anchor_word(domain, max(len(counter), len(anchor) + 1))
+        return factor, (counter, nxt, nxt, idx, "run", "", "")
 
-    start = MState(ONE, ("", first, first, "0", "run", "", ""))
-    return Setup("pclass_bettor", step, start, frozenset({THREE_HALVES, HALF, ONE}))
+    return bettor("pclass_bettor", bet, ("", first, first, "0", "run", "", ""),
+                  {THREE_HALVES, HALF, ONE})
 
 
 # ---------------------------------------------------------------------------

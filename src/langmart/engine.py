@@ -4,29 +4,25 @@ A state couples a capital value (exact dyadic) with a tuple of memory
 words.  A step function consumes one data point, either a labeled domain
 word or a pause, and returns the next state.  A text is a plain function
 text(n, state) -> word | PAUSE (`ll_text`, `sequence_text`); `run` labels
-each word of it with the oracle, so there is no stream type.  The step
-contract is written once, in `step_fault`: a word is stepped with both
-labels, which must be fair,
+each word of it with the oracle, so there is no stream type.  A bettor is
+a memory automaton bet(memory, item) -> (factor, memory), built by
+`bettor`: its step multiplies the capital by the factor, so it cannot
+read the capital.  `weighted_sum`, the one combinator (flat memory),
+steps the whole state instead.  The step contract is written once, in
+`step_fault`: a word is stepped with both labels, which must be fair,
 
     2 * capital(s) == capital(step(s, x, 0)) + capital(step(s, x, 1))
 
 with exact equality; a pause must keep the capital; every outcome must
-keep capital nonnegative, use one of the step's declared constant factors
-when the setup declares them, keep the memory's arity and grow each
-memory word by at most MEMORY_GROWTH_LIMIT letters plus 2 per letter of
-the incoming word.  The run loop (shared by `run` and `run_dynamic`) and
+keep capital nonnegative, keep the memory's arity and grow each memory
+word by at most MEMORY_GROWTH_LIMIT letters plus 2 per letter of the
+incoming word.  A bettor's factors must sum to 2 (1 for a pause), be
+nonnegative and be declared, which holds the contract at every capital.
+The run loop (shared by `run` and `run_dynamic`) and
 `constructions.diagonalize` step through `checked_step`, which raises the
-first fault with the word (or pause) and the stage, and `audit_fairness`
-records it as a violation.
-`weighted_sum` is the one combinator of setups (flat memory).
-
-`audit_fairness` explores a setup that declares bet_factors by memory, not
-by full state: such a setup bets a fraction of its capital set by its
-memory alone.  Each memory is checked at the capital it was first reached
-with and again at the fixed HOMOGENEITY_LADDER of capitals, where each
-outcome must reach the same memory and scale the capital by one factor
-(a 'homogeneity' violation otherwise).  Composite setups, whose memory
-holds their component capitals, are explored by full state.
+first fault with the memory, the word (or pause) and the stage, and
+`audit_fairness`, which explores a bettor by memory and any other setup
+by full state, records it as a violation.
 """
 
 from __future__ import annotations
@@ -36,11 +32,10 @@ from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import is_
 from typing import Callable
 
 from .automata import Dfa, enumerate_ll, iter_ll
-from .dyadic import Dyadic, ONE, ZERO
+from .dyadic import Dyadic, ONE, TWO, ZERO
 
 DEFAULT_THRESHOLD = Dyadic(2**20)
 DEFAULT_STEP_BUDGET = 10**5
@@ -122,20 +117,50 @@ class MState:
 class Setup:
     """A step function with its start state.
 
-    bet_factors lists the constant dyadic multipliers the step may apply
-    to capital; None opts out of the ratio check (composite setups whose
-    capital moves are sums of component moves).
+    A bettor (see `bettor`) also has bet(memory, item) -> (factor, memory),
+    from which its step is derived, and bet_factors, the factors a word
+    may apply; the run loop and the audit call bet, not step.  A setup
+    without them (a weighted sum) steps its whole state, and its capital
+    moves are checked as capitals.
     """
 
     name: str
     step: Callable[[MState, object], MState]
     start: MState
     bet_factors: frozenset | None = None
+    bet: Callable[[tuple, object], tuple] | None = None
+
+    def __post_init__(self):
+        if (self.bet is None) != (self.bet_factors is None):
+            raise ValueError(f"{self.name}: bet and bet_factors come together")
+        if self.bet is not None and self.start.capital.num < 0:
+            raise ValueError(f"{self.name}: a bettor starts at a nonnegative capital")
 
     @property
     def arity(self) -> int:
         """Number of memory words, fixed by the start state."""
         return len(self.start.memory)
+
+
+def _moved(state: MState, factor, memory: tuple) -> MState:
+    """state with its capital multiplied by factor and the given memory.  A
+    factor of 1 keeps the capital object, and state itself when the memory
+    is kept too, so a trace shares one capital across a run of pauses."""
+    if factor is ONE or factor == ONE:
+        return state if memory is state.memory else MState(state.capital, memory)
+    return MState(state.capital * factor, memory)
+
+
+def bettor(name: str, bet, memory: tuple, bet_factors) -> Setup:
+    """The memory automaton bet(memory, item) -> (factor, memory) as a
+    setup that starts at capital 1 with the given memory; item is a
+    Labeled word or PAUSE, and each step multiplies the capital by factor.
+    bet_factors are the factors a word may apply; a pause applies 1."""
+
+    def step(state: MState, dp) -> MState:
+        return _moved(state, *bet(state.memory, dp))
+
+    return Setup(name, step, MState(ONE, memory), frozenset(bet_factors), bet)
 
 
 def is_normed(setup: Setup) -> bool:
@@ -335,36 +360,47 @@ FAULT_ERRORS = {
 }
 
 
-def step_fault(setup: Setup, state: MState, word, outs) -> tuple[str, str] | None:
+def step_fault(setup: Setup, state, word, outs) -> tuple[str, str] | None:
     """The first way one step breaks the step contract, as (kind, detail)
-    with kind a key of FAULT_ERRORS, or None.  outs is (lo, hi), state
-    stepped on word with labels 0 and 1, or (nxt,) when word is PAUSE."""
-    capital, factors = state.capital, setup.bet_factors
-    if outs[0] is state and outs[-1] is state and capital.num >= 0 \
-            and (word is PAUSE or factors is None or ONE in factors):
-        return None  # the identity step
-    if word is PAUSE:
-        if outs[0].capital != capital:
-            return "pause", f"pause moved capital {capital} -> {outs[0].capital}"
-        factors, allowed = None, MEMORY_GROWTH_LIMIT
+    with kind a key of FAULT_ERRORS, or None.  outs are state's outcomes on
+    word with labels 0 and 1, or the one outcome of a pause.  For a
+    bettor, state is a memory and outs are the (factor, memory) pairs bet
+    returned: the factors must sum to 2 (a pause must apply 1), and each
+    must be nonnegative and declared.  For any other setup they are
+    states, which must be fair (a pause must keep the capital) with
+    nonnegative capitals."""
+    bets = setup.bet is not None
+    if not bets:
+        capital, memory = state.capital, state.memory
+        if word is PAUSE:
+            if outs[0].capital != capital:
+                return "pause", f"pause moved capital {capital} -> {outs[0].capital}"
+        elif outs[0].capital + outs[1].capital != capital * 2:
+            return "fairness", f"2*{capital} != {outs[0].capital} + {outs[1].capital}"
+        for nxt in outs:
+            if nxt.capital.num < 0:
+                return "negative-capital", f"capital went negative: {nxt.capital}"
     else:
-        lo, hi = outs
-        if lo.capital + hi.capital != capital * 2:
-            return "fairness", f"2*{capital} != {lo.capital} + {hi.capital}"
-        allowed = MEMORY_GROWTH_LIMIT + 2 * len(word)
+        memory = state
+        if word is PAUSE:
+            if outs[0][0] is not ONE and outs[0][0] != ONE:
+                return "pause", f"pause applies factor {outs[0][0]}"
+        elif outs[0][0] + outs[1][0] != TWO:
+            return "fairness", f"bet factors {outs[0][0]} + {outs[1][0]} != 2"
+        for factor, _ in outs:
+            if factor.num < 0:
+                return "negative-capital", f"bet factor {factor} is negative"
+            if word is not PAUSE and factor not in setup.bet_factors:
+                return "bet-factor", f"bet factor {factor} is not declared"
+    allowed = MEMORY_GROWTH_LIMIT + (0 if word is PAUSE else 2 * len(word))
     arity = setup.arity
-    for nxt in outs:
-        if factors is not None:
-            for f in factors:
-                if capital * f == nxt.capital:
-                    break
-            else:
-                return "bet-factor", f"capital {capital} -> {nxt.capital} uses no declared factor"
-        if nxt.capital.num < 0:
-            return "negative-capital", f"capital went negative: {nxt.capital}"
-        if len(nxt.memory) != arity:
-            return "memory", f"memory arity changed {arity} -> {len(nxt.memory)}"
-        for before, after in zip(state.memory, nxt.memory):
+    for out in outs:
+        nxt = out[1] if bets else out.memory
+        if nxt is memory:
+            continue
+        if len(nxt) != arity:
+            return "memory", f"memory arity changed {arity} -> {len(nxt)}"
+        for before, after in zip(memory, nxt):
             if len(after) - len(before) > allowed:
                 return "memory", f"memory word grew by {len(after) - len(before)} in one step"
     return None
@@ -372,20 +408,27 @@ def step_fault(setup: Setup, state: MState, word, outs) -> tuple[str, str] | Non
 
 def checked_step(setup: Setup, state: MState, word, stage: int) -> tuple:
     """Step state on word with both labels, or on a pause, and return the
-    outcomes: (lo, hi), or (nxt,) for a pause.  Raises the error of the
-    first step-contract fault (see step_fault), naming the item and the
-    stage it leads to."""
-    step = setup.step
+    outcomes: (lo, hi), or (nxt,) for a pause.  A bettor's bet is called
+    directly.  Raises the error of the first step-contract fault (see
+    step_fault), naming the memory, the item and the stage it leads to."""
+    bet = setup.bet
+    step, before = (setup.step, state) if bet is None else (bet, state.memory)
     if word is PAUSE:
-        outs = (step(state, PAUSE),)
+        outs = (step(before, PAUSE),)
     else:
-        outs = (step(state, Labeled(word, 0)), step(state, Labeled(word, 1)))
-    fault = step_fault(setup, state, word, outs)
+        outs = (step(before, Labeled(word, 0)), step(before, Labeled(word, 1)))
+    fault = step_fault(setup, before, word, outs)
     if fault is not None:
         kind, detail = fault
         where = "a pause" if word is PAUSE else f"word {word!r}"
-        raise FAULT_ERRORS[kind](f"{detail} at {where} (stage {stage})")
-    return outs
+        raise FAULT_ERRORS[kind](
+            f"{detail} in memory {state.memory!r} at {where} (stage {stage})")
+    if bet is None:
+        return outs
+    if word is PAUSE:  # factor 1, checked
+        memory = outs[0][1]
+        return (state if memory is state.memory else MState(state.capital, memory),)
+    return _moved(state, *outs[0]), _moved(state, *outs[1])
 
 
 def _run(setup: Setup, text, oracle, steps: int, stop_threshold: Dyadic | None,
@@ -460,101 +503,49 @@ class AuditReport:
         return [v.to_json_obj() for v in self.violations]
 
 
-# Capitals at which every explored memory is stepped again: odd numerators
-# 3**(9*i) over 2**64, from 2**-64 to about 2**136, a ratio of 3**9 apart.
-# The lowest is 2**-64, so the factor a step applies there is a dyadic.
-_LADDER_EXP = 64
-HOMOGENEITY_LADDER = tuple(Dyadic(3 ** (9 * i), _LADDER_EXP) for i in range(15))
-
-
-def _ladder_fault(setup: Setup, word, rungs, ladder, state: MState,
-                  outs) -> tuple[str, str] | None:
-    """How the steps of state's memory at the ladder capitals (ladder[j][i]
-    is outcome j at rungs[i]) fail to be its outcomes outs at
-    state.capital, scaled, as ('homogeneity', detail); None when they do
-    not.
-
-    The lowest rung, 2**-64, must keep the step contract.  Each outcome
-    must reach the memory it reached at state.capital and scale every rung
-    by the factor it applies at the lowest rung, which must also be the
-    one at state.capital when that is nonzero; so every rung keeps the
-    contract too.
-    """
-    names = ("label 0", "label 1") if len(outs) == 2 else ("pause",)
-    bottom = tuple(col[0] for col in ladder)
-    fault = step_fault(setup, rungs[0], word, bottom)
-    if fault:
-        return "homogeneity", f"at capital {rungs[0].capital}: {fault[1]}"
-    factors = [nxt.capital.scale_pow2(_LADDER_EXP) for nxt in bottom]
-    for name, out, low, f in zip(names, outs, bottom, factors):
-        if state.capital and out.capital != state.capital * f:
-            return "homogeneity", (f"{name}: {state.capital} -> {out.capital} is not "
-                                   f"{rungs[0].capital} -> {low.capital} scaled")
-    for rung, *row in zip(rungs, *ladder):
-        for name, nxt, out, f in zip(names, row, outs, factors):
-            if nxt.memory != out.memory:
-                fault = f"memory {nxt.memory!r} != {out.memory!r}"
-            elif nxt.capital != rung.capital * f:
-                fault = f"{nxt.capital} is not {rung.capital} * {f}"
-            else:
-                continue
-            return "homogeneity", f"at capital {rung.capital}, {name}: {fault}"
-    return None
-
-
 def audit_fairness(setup: Setup, probe_words, *, max_states: int = 256) -> AuditReport:
     """The step contract (step_fault) on states reached from the start.
 
-    Exploration closes the start state under stepping with every probe
-    word (both labels) and a pause, breadth first; each state and probe
-    gets at most one contract violation.  A setup that declares
-    bet_factors bets a fraction of its capital set by its memory alone, so
-    it is explored by memory: each distinct memory (at most max_states of
-    them) is expanded from the state it was first reached with, and is
-    also stepped at every HOMOGENEITY_LADDER capital, where the lowest
-    rung must keep the contract and each outcome must reach the same
-    memory and scale the capital by one factor (see _ladder_fault).  A
-    failure there is a 'homogeneity' violation.  Composite setups
-    (bet_factors None) keep their capitals in memory, so they are explored
-    by full state, up to max_states states, without the ladder.
+    Exploration closes the start under stepping with every probe word
+    (both labels) and a pause, breadth first, up to max_states states;
+    each state and probe gets at most one contract violation.  A bettor's
+    state is its memory: bet is called once per memory, probe and label,
+    and its factors are checked, which holds the contract at every
+    capital.  Any other setup (a weighted sum, whose memory holds its
+    component capitals) is explored by full state.
 
-    transitions_checked counts every step call; closed is False when the
-    cap turned a reachable memory (or state) away.  Violations are
-    returned as data, never raised.
+    transitions_checked counts every bet or step call; closed is False
+    when the cap turned a reachable state away.  Violations are returned
+    as data, never raised.
     """
-    step = setup.step
+    bet = setup.bet
+    step, start = (setup.step, setup.start) if bet is None else (bet, setup.start.memory)
     probes = [(w, (Labeled(w, 0), Labeled(w, 1))) for w in probe_words]
     probes.append((PAUSE, (PAUSE,)))
-    by_memory = setup.bet_factors is not None
     report = AuditReport()
-    seen = {setup.start.memory if by_memory else setup.start}
-    frontier = deque([setup.start])
+    seen = {start}
+    frontier = deque([start])
     while frontier:
         state = frontier.popleft()
         report.states_visited += 1
-        rungs = [MState(a, state.memory) for a in HOMOGENEITY_LADDER] if by_memory else []
         for word, dps in probes:
             outs = tuple([step(state, dp) for dp in dps])
-            report.transitions_checked += len(dps) * (1 + len(rungs))
-            faults = [step_fault(setup, state, word, outs)]
+            report.transitions_checked += len(dps)
             for nxt in outs:
-                key = nxt.memory if by_memory else nxt
-                if nxt is state or key in seen:
+                if bet is not None:
+                    nxt = nxt[1]
+                if nxt is state or nxt in seen:
                     continue
                 if len(seen) < max_states:
-                    seen.add(key)
+                    seen.add(nxt)
                     frontier.append(nxt)
                 else:
                     report.closed = False
-            ladder = [[step(rung, dp) for rung in rungs] for dp in dps]
-            if rungs and not (outs[0] is state and outs[-1] is state
-                              and all(map(is_, ladder[0], rungs))
-                              and all(map(is_, ladder[-1], rungs))):  # identity is homogeneous
-                faults.append(_ladder_fault(setup, word, rungs, ladder, state, outs))
-            for kind, detail in filter(None, faults):
+            fault = step_fault(setup, state, word, outs)
+            if fault is not None:
+                where = repr(state) if bet is not None else f"({state.capital}, {state.memory!r})"
                 report.violations.append(Violation(
-                    kind, f"({state.capital}, {state.memory!r})",
-                    None if word is PAUSE else word, detail))
+                    fault[0], where, None if word is PAUSE else word, fault[1]))
     return report
 
 

@@ -289,6 +289,18 @@ def test_growth_subcommand(workdir, capsys):
     assert '"exponential"' in capsys.readouterr().out
     assert main(["growth", str(workdir / "missing.json")]) == 2
 
+    # 3 letters, an even number of 2s: from length 9 on both the slice and
+    # the complement's slice pass the listing limit, so only their sum
+    # (3**n) is checked there; below it the complement's, the smaller, is listed
+    even_twos = Dfa(1, ["012"], 2, 0, [0], {(q, (ch,)): q ^ (ch == "2")
+                                               for q in (0, 1) for ch in "012"})
+    (workdir / "even_twos.json").write_text(json.dumps(even_twos.to_json()))
+    assert main(["growth", str(workdir / "even_twos.json")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["slice_counts"] == [(3**n + 1) // 2 for n in range(13)]
+    assert report["listed"] == {"members": [], "complement": list(range(9))}
+    assert report["consistent"]
+
 
 def test_dyadic_audit_kind(workdir):
     cfg = write_config(workdir, "cfg.ini", """\

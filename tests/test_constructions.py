@@ -515,4 +515,4 @@ def test_shipped_constructions_clean_on_24_word_probes(sigma):
     for setup in shipped_constructions():
         report = audit_fairness(setup, enumerate_ll(sigma, 24))
         assert report.ok, f"{setup.name}: {report.violations[:2]}"
-        assert setup.bet_factors is not None  # each one gets the ladder
+        assert setup.bet is not None  # each one is a bettor, audited by memory

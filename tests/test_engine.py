@@ -2,6 +2,7 @@ import csv
 import json
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import equal_counts
 from langmart import engine
 from langmart.automata import concat, enumerate_ll, from_word, universe, word_star
-from langmart.dyadic import Dyadic, HALF, ONE, THREE_HALVES, ZERO
+from langmart.dyadic import Dyadic, HALF, ONE, THREE_HALVES, TWO, ZERO
 from langmart.engine import (
     BetFactorError,
     CapitalTrace,
@@ -30,6 +31,7 @@ from langmart.engine import (
     ValidityBudgetError,
     add_setups,
     audit_fairness,
+    bettor,
     classify_text_prefix,
     is_normed,
     ll_text,
@@ -60,11 +62,7 @@ def broken_setup():
 
 def lazy_setup():
     """Fair but forgetful: never moves capital."""
-
-    def step(state, dp):
-        return state
-
-    return Setup("lazy", step, MState(ONE, ("",)), frozenset({ONE}))
+    return bettor("lazy", lambda memory, dp: (ONE, memory), ("",), {ONE})
 
 
 def random_text(seed: int, domain, length: int):
@@ -79,11 +77,15 @@ def random_text(seed: int, domain, length: int):
     return sequence_text(items)
 
 
-def pays_5_4(state, dp):
-    """Fair, but 5/4 and 3/4 are not the factors it declares."""
+def pays_5_4(memory, dp):
+    """A fair bet, but 5/4 and 3/4 are not the factors it declares."""
     if dp is PAUSE:
-        return state
-    return MState(state.capital * (Dyadic(5, 2) if dp.bit else Dyadic(3, 2)), state.memory)
+        return ONE, memory
+    return Dyadic(5, 2) if dp.bit else Dyadic(3, 2), memory
+
+
+def doubles_on_pause(memory, dp):
+    return TWO if dp is PAUSE else ONE, memory
 
 
 def goes_negative(state, dp):
@@ -106,17 +108,24 @@ def grows_by(letters):
     return step
 
 
-# (step, bet_factors, the one item of the text, expected error or None).
-# Words are labeled 1; a memory word may grow by 64 letters plus 2 per
-# letter of the incoming word.
+def opaque(name, step):
+    return Setup(name, step, MState(ONE, ("",)))
+
+
+# (setup, the one item of the text, expected error or None).  Words are
+# labeled 1; a memory word may grow by 64 letters plus 2 per letter of the
+# incoming word.
 CHECKED_STEP_CASES = {
-    "undeclared-factor": (pays_5_4, frozenset({THREE_HALVES, HALF}), "0", BetFactorError),
-    "negative-capital": (goes_negative, None, "0", NegativeCapitalError),
-    "arity-change": (adds_a_word, None, "0", MemoryDisciplineError),
-    "pause-grows-64": (grows_by(64), None, PAUSE, None),
-    "pause-grows-65": (grows_by(65), None, PAUSE, MemoryDisciplineError),
-    "word-01-grows-68": (grows_by(68), None, "01", None),
-    "word-01-grows-69": (grows_by(69), None, "01", MemoryDisciplineError),
+    "undeclared-factor": (bettor("undeclared-factor", pays_5_4, ("",), {THREE_HALVES, HALF}),
+                          "0", BetFactorError),
+    "pause-factor": (bettor("pause-factor", doubles_on_pause, ("",), {ONE}), PAUSE,
+                     PausePreservationError),
+    "negative-capital": (opaque("negative-capital", goes_negative), "0", NegativeCapitalError),
+    "arity-change": (opaque("arity-change", adds_a_word), "0", MemoryDisciplineError),
+    "pause-grows-64": (opaque("pause-grows-64", grows_by(64)), PAUSE, None),
+    "pause-grows-65": (opaque("pause-grows-65", grows_by(65)), PAUSE, MemoryDisciplineError),
+    "word-01-grows-68": (opaque("word-01-grows-68", grows_by(68)), "01", None),
+    "word-01-grows-69": (opaque("word-01-grows-69", grows_by(69)), "01", MemoryDisciplineError),
 }
 
 
@@ -157,8 +166,7 @@ class TestRun:
 
     @pytest.mark.parametrize("case", CHECKED_STEP_CASES, ids=list(CHECKED_STEP_CASES))
     def test_every_step_is_checked(self, case):
-        step, factors, item, error = CHECKED_STEP_CASES[case]
-        setup = Setup(case, step, MState(ONE, ("",)), factors)
+        setup, item, error = CHECKED_STEP_CASES[case]
         text = sequence_text([item])
         if error is None:
             assert len(run(setup, text, lambda w: True, 1)) == 2
@@ -166,10 +174,9 @@ class TestRun:
             with pytest.raises(error):
                 run(setup, text, lambda w: True, 1)
 
-    @pytest.mark.parametrize("case", [c for c, v in CHECKED_STEP_CASES.items() if v[3]])
+    @pytest.mark.parametrize("case", [c for c, v in CHECKED_STEP_CASES.items() if v[2]])
     def test_audit_reports_what_a_run_rejects(self, case):
-        step, factors, item, error = CHECKED_STEP_CASES[case]
-        setup = Setup(case, step, MState(ONE, ("",)), factors)
+        setup, item, error = CHECKED_STEP_CASES[case]
         report = audit_fairness(setup, [] if item is PAUSE else [item])
         kind = next(k for k, e in FAULT_ERRORS.items() if e is error)
         assert kind in {v.kind for v in report.violations}
@@ -180,14 +187,26 @@ class TestRun:
 
     def test_run_errors_name_the_item_and_stage(self, sigma):
         items = [PAUSE] * 6 + ["01"]
-        with pytest.raises(FairnessViolationError, match=r"at word '01' \(stage 7\)$"):
+        with pytest.raises(FairnessViolationError,
+                           match=r"in memory \(''\,\) at word '01' \(stage 7\)$"):
             run(broken_setup(), sequence_text(items), sigma, 7)
+
+        def remembers_last_word(memory, dp):
+            if dp is PAUSE:
+                return ONE, memory
+            return THREE_HALVES if dp.word == "01" else ONE, (dp.word,)  # 3/2 on both labels
+
+        bad = bettor("unfair-on-01", remembers_last_word, ("",), {ONE, THREE_HALVES})
+        with pytest.raises(FairnessViolationError,
+                           match=r"in memory \('1',\) at word '01' \(stage 7\)$"):
+            run(bad, sequence_text(["0"] * 5 + ["1", "01"]), sigma, 7)
 
         def pause_doubles(state, dp):
             return MState(state.capital * 2, state.memory) if dp is PAUSE else state
 
         bad = Setup("pause-doubles", pause_doubles, MState(ONE, ("",)), None)
-        with pytest.raises(PausePreservationError, match=r"at a pause \(stage 7\)$"):
+        with pytest.raises(PausePreservationError,
+                           match=r"in memory \(''\,\) at a pause \(stage 7\)$"):
             run(bad, sequence_text(["0"] * 6 + [PAUSE]), sigma, 7)
 
     def test_diagonalize_errors_name_the_word_position(self, sigma):
@@ -198,7 +217,8 @@ class TestRun:
 
         # the ll order of sigma is '', '0', '1', ...: '1' is the third word
         bad = Setup("unfair-on-1", unfair_on_1, MState(ONE, ("",)), None)
-        with pytest.raises(FairnessViolationError, match=r"at word '1' \(stage 3\)$"):
+        with pytest.raises(FairnessViolationError,
+                           match=r"in memory \(''\,\) at word '1' \(stage 3\)$"):
             diagonalize([bad], sigma, 5)
 
     def test_validity_budget(self, sigma):
@@ -256,7 +276,7 @@ class TestAudit:
         report = audit_fairness(regular_bettor(zeros_then_ones),
                                 enumerate_ll(sigma, 32))
         assert report.ok
-        assert report.transitions_checked > 1000
+        assert report.transitions_checked == 2 * 32 + 1  # both labels of 32 probes, a pause
 
     def test_monotone_capital_impossibility(self, sigma, zeros_then_ones):
         # fairness forces min <= current <= max across the two labels
@@ -571,7 +591,7 @@ def test_weighted_sum_rejects_mismatched_weights():
 
 
 # ---------------------------------------------------------------------------
-# The audit by memory class and its homogeneity ladder
+# Bettors: memory automata audited by their factors
 # ---------------------------------------------------------------------------
 
 PROBES = enumerate_ll(universe("01"), 32)
@@ -629,45 +649,96 @@ def negative_from_0(state, dp):
     return MState(state.capital * (Dyadic(5, 1) if dp.bit else Dyadic(-1, 1)), state.memory)
 
 
-# Each is fair at its start capital, and unfair or inhomogeneous elsewhere;
-# with the violation kinds its audit reports.
+def unfair_bet(memory, dp):
+    return ONE if dp is PAUSE else THREE_HALVES, memory
+
+
+def negative_bet(memory, dp):
+    return ONE if dp is PAUSE else Dyadic(5, 1) if dp.bit else Dyadic(-1, 1), memory
+
+
+# Opaque steps that read the capital while they declare BASE's factors,
+# each fair at its start capital and unfair or inhomogeneous elsewhere;
+# with the same strategy as a bet where one exists, and the violation kinds
+# the audit of that bet reports.
 LADDER_MUTANTS = {
-    "pays-both-from-4": (threshold_mutant(Dyadic(4)), ONE, {"homogeneity"}),
-    "pays-both-below-2^-40": (threshold_mutant(Dyadic(1, 40), above=False), ONE,
-                              {"homogeneity"}),
-    # the identity shortcut must not skip the ladder; at capital 1 the
-    # identity applies factor 1, which the step does not declare
-    "still-at-1": (still_at_1, ONE, {"homogeneity", "bet-factor"}),
-    "remembers-size": (remembers_size, ONE, {"homogeneity"}),
-    "bets-only-at-1": (bets_only_at_1, ONE, {"homogeneity"}),
-    "bets-less-from-4": (bets_less_from_4, ONE, {"homogeneity"}),
-    "pause-moves-from-4": (pause_moves_from_4, ONE, {"homogeneity"}),
-    "unfair-from-0": (unfair_from_0, Dyadic(0), {"homogeneity"}),
-    "negative-from-0": (negative_from_0, Dyadic(0), {"homogeneity"}),
+    "pays-both-from-4": (threshold_mutant(Dyadic(4)), ONE, None, None),
+    "pays-both-below-2^-40": (threshold_mutant(Dyadic(1, 40), above=False), ONE, None, None),
+    "still-at-1": (still_at_1, ONE, None, None),
+    "remembers-size": (remembers_size, ONE, None, None),
+    "bets-only-at-1": (bets_only_at_1, ONE, None, None),
+    "bets-less-from-4": (bets_less_from_4, ONE, None, None),
+    "pause-moves-from-4": (pause_moves_from_4, ONE, None, None),
+    "unfair-from-0": (unfair_from_0, ZERO, unfair_bet, {"fairness"}),
+    "negative-from-0": (negative_from_0, ZERO, negative_bet, {"negative-capital"}),
 }
 
 
 @pytest.mark.parametrize("name", LADDER_MUTANTS)
 def test_ladder_mutant_is_homogeneity(name):
-    step, start, kinds = LADDER_MUTANTS[name]
-    report = audit_fairness(Setup(name, step, MState(start, ("",)), BASE.bet_factors),
-                            PROBES)
-    assert report.violations
-    assert {v.kind for v in report.violations} == kinds
+    """A step that declares factors is derived from a bet, so it cannot read
+    the capital: each opaque step with declared factors is rejected when it
+    is built.  A bet started at capital 0 is still checked on its factors."""
+    step, start, bet, kinds = LADDER_MUTANTS[name]
+    with pytest.raises(ValueError, match="bet and bet_factors"):
+        Setup(name, step, MState(start, ("",)), BASE.bet_factors)
+    if bet is not None:
+        setup = replace(bettor(name, bet, ("",), BASE.bet_factors), start=MState(start, ("",)))
+        assert {v.kind for v in audit_fairness(setup, PROBES).violations} == kinds
+        with pytest.raises(FAULT_ERRORS[next(iter(kinds))]):
+            run(setup, ll_text(universe("01")), equal_counts, 5)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2**0, 2**180), st.booleans())
-def test_threshold_mutant_is_reported_anywhere(num, above):
-    # threshold num / 2**60 lies between 2**-60 and 2**120
-    step = threshold_mutant(Dyadic(num, 60), above)
-    setup = Setup("mutant", step, BASE.start, BASE.bet_factors)
-    assert not audit_fairness(setup, PROBES[:8]).ok
+def test_bet_and_bet_factors_come_together():
+    with pytest.raises(ValueError, match="bet and bet_factors"):
+        Setup("bet-only", BASE.step, BASE.start, None, BASE.bet)
+    with pytest.raises(ValueError, match="nonnegative"):
+        replace(BASE, start=MState(Dyadic(-1), BASE.start.memory))
+
+
+# Bet factors: declared (3/2 and 1/2, which pair fairly), undeclared (1,
+# 5/4, 3/4, 2, 0), negative (-1/2, paired fairly with 5/2).
+FACTOR_POOL = [THREE_HALVES, HALF, ONE, Dyadic(5, 2), Dyadic(3, 2), TWO, ZERO,
+               Dyadic(-1, 1), Dyadic(5, 1)]
+factor_pairs = st.one_of(st.sampled_from([(THREE_HALVES, HALF), (HALF, THREE_HALVES)]),
+                         st.tuples(st.sampled_from(FACTOR_POOL), st.sampled_from(FACTOR_POOL)))
+start_capitals = st.one_of(st.just(ZERO), st.builds(Dyadic, st.integers(1, 2**250),
+                                                    st.integers(0, 64)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(factor_pairs, min_size=1, max_size=4),
+       st.one_of(st.just(ONE), st.sampled_from(FACTOR_POOL)), start_capitals)
+def test_threshold_mutant_is_reported_anywhere(table, pause_factor, capital):
+    """A bet whose factors (by word length and label, from a pool with
+    unfair, negative and undeclared values) break the contract is reported
+    the same at every start capital, 0 and capitals past 2**120 included,
+    and a run from that capital raises the error of the first violation;
+    a clean one multiplies the capital by its factors."""
+
+    def bet(memory, dp):
+        if dp is PAUSE:
+            return pause_factor, memory
+        return table[len(dp.word) % len(table)][dp.bit], (str(len(dp.word) % 3),)
+
+    base = bettor("mutant", bet, ("",), BASE.bet_factors)
+    setup = replace(base, start=MState(capital, base.start.memory))
+    report = audit_fairness(setup, PROBES[:8])
+    assert report.violations == audit_fairness(base, PROBES[:8]).violations
+    text = sequence_text(PROBES[:8] + [PAUSE])
+    if report.violations:
+        with pytest.raises(FAULT_ERRORS[report.violations[0].kind]):
+            run(setup, text, equal_counts, 9)
+    else:
+        expected = capital * pause_factor
+        for w in PROBES[:8]:
+            expected = expected * table[len(w) % len(table)][int(equal_counts(w))]
+        assert run(setup, text, equal_counts, 9).final == expected
 
 
 def test_composite_is_audited_by_full_state():
     composite = add_setups(broken_setup(), lazy_setup())
-    assert composite.bet_factors is None
+    assert composite.bet_factors is None and composite.bet is None
     report = audit_fairness(composite, ["0", "1"], max_states=16)
     assert report.violations and report.violations[0].kind == "fairness"
     assert report.states_visited == 16 and not report.closed
@@ -679,8 +750,8 @@ def test_memory_constant_audits_close(setup):
     report = audit_fairness(setup, PROBES)
     assert report.ok and report.closed
     assert report.states_visited == 1
-    # both labels and a pause at the first capital and at 15 ladder capitals
-    assert report.transitions_checked == (2 * len(PROBES) + 1) * 16
+    # one bet call per label of each probe, and one for a pause
+    assert report.transitions_checked == 2 * len(PROBES) + 1
 
 
 def test_learner_audit_stays_open_at_the_cap():

@@ -37,6 +37,14 @@ ARTIFACTS = {
     "certificate": ["audit.json", "certificate.json"],
     "tm-selfscheduled": ["audit.json", "trace.csv", "trace.json"],
 }
+# The files each of the tests' configs leaves; these run once, without a
+# re-check.
+CONFIG_ARTIFACTS = {
+    "family-learner": ["audit.json", "trace.csv", "trace.json"],
+    "variant-learner": ["audit.json", "trace.csv", "trace.json"],
+    "pclass": ["anchors.json", "audit.json", "trace.csv", "trace.json"],
+    "tm-dynamic": ["audit.json", "trace.csv", "trace.json"],
+}
 
 
 def test_artifact_digests_lists_every_output():
@@ -49,6 +57,8 @@ def test_artifact_digests_lists_every_output():
         for step, names in (("run", files), ("recheck", recheck)):
             expected += [f"{workload} 7 {step}/{name}"
                          for name in ["exit", "stdout", "stderr"] + names]
+    for kind, files in CONFIG_ARTIFACTS.items():
+        expected += [f"{kind} 7 run/{name}" for name in ["exit", "stdout", "stderr"] + files]
     lines = done.stdout.splitlines()
     assert sorted(line.rsplit(" ", 1)[0] for line in lines) == sorted(expected)
     for line in lines:
