@@ -5,11 +5,13 @@
 For each benchmark workload and seed, this writes the workload's inputs
 with perfbench/workloads.py at its FULL size, then runs `langmart` on them
 and the workload's re-check (a reproduction run, or `langmart verify`),
-each as a child process of this checkout's package.  It then runs the
-family-learner, variant-learner, pclass and tm-dynamic configs of
-tests/test_cli.py with the seed, once each, on automata built with
-`langmart` itself and perfbench's equal-counts machine: no workload runs
-those constructions.  It prints one line
+each as a child process of this checkout's package.  It then runs, once
+each, the configs of tests/test_cli.py that no workload covers (the
+stalled and the flat adversarial runs, subset-bettor, family-learner,
+variant-learner, tm-dynamic, pclass and growth-report) with the seed, and
+the `langmart growth` and `langmart audit` subcommands, on automata built
+with `langmart` itself, perfbench's equal-counts machine and its 0^n1^n
+grammar.  It prints one line
 
     workload seed name sha256
 
@@ -35,21 +37,62 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 sys.path.insert(0, str(ROOT / "src"))
 
-from workloads import EQUAL_COUNTS_TM, FULL, WORKLOADS, Workload
-from langmart.automata import universe, word_star
+from workloads import (EQUAL_COUNTS_GRAMMAR, EQUAL_COUNTS_TM, FULL, WORKLOADS, Invocation,
+                       Workload)
+from langmart.automata import Dfa, combine, concat, universe, word_star
 from langmart.constructions import prefix_family
 
-# The tests' configs as kind: ([experiment] keys, [inputs] files).
+# The tests' configs as name: (kind, [experiment] keys, [inputs] files).
 PREFIX_INPUTS = {"domain": "sigma.json", "index_language": "prefix_index.json",
                  "membership": "prefix_member.json"}
 CONFIGS = {
-    "family-learner": ({"steps": 30, "target_index": 1}, PREFIX_INPUTS),
-    "variant-learner": ({"steps": 60, "target_index": 1, "difference": "1,00"},
+    "adversarial-stall": ("adversarial", {"horizon": 40, "search_bound": 200},
+                          {"domain": "sigma.json", "language": "zo.json",
+                           "oracle_dfa": "zo.json"}),
+    "adversarial-flat": ("adversarial", {"horizon": 50},
+                         {"domain": "sigma.json", "language": "zo.json",
+                          "oracle_grammar": "eq.grammar"}),
+    "subset-bettor": ("subset-bettor", {"steps": 60, "side": "outside"},
+                      {"domain": "sigma.json", "subset": "zero_star.json",
+                       "oracle_grammar": "eq.grammar"}),
+    "family-learner": ("family-learner", {"steps": 30, "target_index": 1}, PREFIX_INPUTS),
+    "variant-learner": ("variant-learner",
+                        {"steps": 60, "target_index": 1, "difference": "1,00"},
                         PREFIX_INPUTS),
-    "pclass": ({"steps": 1100, "hypotheses": "const0, dfa:ones.json, dfa:zero_star.json",
-                "anchors": 10}, {"domain": "sigma.json", "oracle_dfa": "zero_star.json"}),
-    "tm-dynamic": ({"steps": 260}, {"domain": "sigma.json", "tm": "tm.json"}),
+    "pclass": ("pclass", {"steps": 1100, "hypotheses": "const0, dfa:ones.json, dfa:zero_star.json",
+                          "anchors": 10},
+               {"domain": "sigma.json", "oracle_dfa": "zero_star.json"}),
+    "tm-dynamic": ("tm-dynamic", {"steps": 260}, {"domain": "sigma.json", "tm": "tm.json"}),
+    "growth-report": ("growth-report", {}, {"domain": "zoro.json"}),
 }
+# Subcommands as name: the arguments after `langmart`, where OUT is the
+# artifacts directory, SEED the seed and a .json name an input file.
+SUBCOMMANDS = {
+    "growth": ["growth", "even_twos.json"],
+    "audit": ["audit", "subset-bettor", "--dfa", "zo.json", "--side", "outside",
+              "--seed", "SEED", "--out-dir", "OUT"],
+}
+
+
+def even_twos() -> Dfa:
+    """Words over 012 with an even number of 2s."""
+    return Dfa(1, ["012"], 2, 0, [0],
+               {(q, (ch,)): q ^ (ch == "2") for q in (0, 1) for ch in "012"})
+
+
+def write_inputs(config: Workload) -> None:
+    """The automata, machine and grammar the tests' configs read."""
+    fam = prefix_family("01")
+    zero_star, one_star = word_star("0"), word_star("1")
+    for name, dfa in (("sigma.json", universe("01")), ("ones.json", one_star),
+                      ("zero_star.json", zero_star), ("zo.json", concat(zero_star, one_star)),
+                      ("zoro.json", combine(zero_star, one_star, "or")),
+                      ("even_twos.json", even_twos()),
+                      ("prefix_index.json", fam.index_language),
+                      ("prefix_member.json", fam.membership)):
+        config.write(name, dfa.to_json())
+    config.write("tm.json", EQUAL_COUNTS_TM)
+    config.write("eq.grammar", EQUAL_COUNTS_GRAMMAR)
 
 
 def sha256(data: bytes) -> str:
@@ -83,19 +126,25 @@ def digests(name: str, seed: int) -> list[str]:
     return [f"{name} {seed} {line}" for line in lines]
 
 
-def config_digests(kind: str, seed: int) -> list[str]:
+def config_digests(name: str, seed: int) -> list[str]:
     """The digest lines of one of the tests' configs, run once."""
-    config = Workload(Path(f"{kind}-{seed}"), seed, {})
-    fam = prefix_family("01")
-    for name, dfa in (("sigma.json", universe("01")), ("ones.json", word_star("1")),
-                      ("zero_star.json", word_star("0")),
-                      ("prefix_index.json", fam.index_language),
-                      ("prefix_member.json", fam.membership)):
-        config.write(name, dfa.to_json())
-    config.write("tm.json", EQUAL_COUNTS_TM)
-    config.config = config.write_config(kind, *CONFIGS[kind])
+    config = Workload(Path(f"{name}-{seed}"), seed, {})
+    write_inputs(config)
+    config.config = config.write_config(*CONFIGS[name])
     lines = outputs("run", config.run_invocation(config.work / "run"))
-    return [f"{kind} {seed} {line}" for line in lines]
+    return [f"{name} {seed} {line}" for line in lines]
+
+
+def subcommand_digests(name: str, seed: int) -> list[str]:
+    """The digest lines of one subcommand, run once."""
+    config = Workload(Path(f"{name}-{seed}"), seed, {})
+    write_inputs(config)
+    out = config.work / "run"
+    values = {"OUT": str(out), "SEED": str(seed)}
+    argv = [str(config.inputs / a) if a.endswith(".json") else values.get(a, a)
+            for a in SUBCOMMANDS[name]]
+    lines = outputs("run", Invocation(argv, out))
+    return [f"{name} {seed} {line}" for line in lines]
 
 
 def main(argv: list[str]) -> int:
@@ -112,9 +161,12 @@ def main(argv: list[str]) -> int:
         for name in WORKLOADS:
             for seed in seeds:
                 print("\n".join(digests(name, seed)), flush=True)
-        for kind in CONFIGS:
+        for name in CONFIGS:
             for seed in seeds:
-                print("\n".join(config_digests(kind, seed)), flush=True)
+                print("\n".join(config_digests(name, seed)), flush=True)
+        for name in SUBCOMMANDS:
+            for seed in seeds:
+                print("\n".join(subcommand_digests(name, seed)), flush=True)
         os.chdir(ROOT)
     return 0
 

@@ -4,7 +4,12 @@ Tuples of words are processed column-wise: the i-th column holds the i-th
 letter of every word, with '#' filling rows whose word has already ended.
 A k-track automaton reads such columns; k = 1 gives ordinary word automata.
 All automata are total (a rejecting sink is added on construction) and
-immutable once built.
+immutable once built.  The `transitions` dict, keyed by (state, column),
+is the form every automaton has: the JSON form and the one the multi-track
+constructions read.  A 1-track automaton is also compiled once, on
+construction, into `table`, one dict per state from letter to next state
+in the declared letter order, and membership and the length-lexicographic
+toolbox step through that table one letter at a time.
 
 Besides the boolean operations the module provides the length-lexicographic
 toolbox used everywhere else: minimum, successor, rank counting (dynamic
@@ -106,11 +111,15 @@ class Dfa:
 
     alphabets holds one letter tuple per track, in declared order; the
     declared order is also the lexicographic order used by every
-    length-lexicographic operation.
+    length-lexicographic operation.  transitions maps (state, column) to
+    the next state, a column being a tuple of one letter (or PAD) per
+    track.  A 1-track automaton also has table: table[q] maps each letter
+    to the next state from q, in letter order, compiled from transitions;
+    it is None for more tracks.
     """
 
     __slots__ = ("arity", "alphabets", "n_states", "start", "accepting",
-                 "transitions", "_layers")
+                 "transitions", "table", "_layers")
 
     def __init__(self, arity, alphabets, n_states, start, accepting, transitions):
         self.arity = arity
@@ -134,6 +143,8 @@ class Dfa:
         self.start = start
         self.accepting = frozenset(accepting)
         self.transitions = trans
+        self.table = None if arity != 1 else tuple(
+            {ch: trans[(q, (ch,))] for ch in self.alphabets[0]} for q in range(n_states))
         self._layers = None  # lazy per-length acceptance counts
 
     def _as_columns(self, w):
@@ -159,7 +170,16 @@ class Dfa:
         return state
 
     def accepts(self, w) -> bool:
-        return self.run(w) in self.accepting
+        table = self.table
+        if table is None or not isinstance(w, str):
+            return self.run(w) in self.accepting
+        state = self.start
+        try:
+            for ch in w:
+                state = table[state][ch]
+        except KeyError:
+            raise ArityMismatchError(f"column {(ch,)!r} outside alphabet") from None
+        return state in self.accepting
 
     # -- structural helpers ----------------------------------------------------
 
@@ -470,13 +490,9 @@ def _layers(d: Dfa, upto: int):
     if d._layers is None:
         d._layers = [[1 if q in d.accepting else 0 for q in range(d.n_states)]]
     layers = d._layers
-    letters = d.alphabets[0]
     while len(layers) <= upto:
         prev = layers[-1]
-        layers.append([
-            sum(prev[d.transitions[(q, (ch,))]] for ch in letters)
-            for q in range(d.n_states)
-        ])
+        layers.append([sum(prev[r] for r in row.values()) for row in d.table])
     return layers
 
 
@@ -497,10 +513,9 @@ def _min_word_from(d: Dfa, state: int, length: int) -> str:
     layers = _layers(d, length)
     out = []
     q = state
-    for rem in range(length, 0, -1):
-        for ch in d.alphabets[0]:
-            r = d.transitions[(q, (ch,))]
-            if layers[rem - 1][r] > 0:
+    for rem in range(length - 1, -1, -1):
+        for ch, r in d.table[q].items():
+            if layers[rem][r]:
                 out.append(ch)
                 q = r
                 break
@@ -524,19 +539,18 @@ def min_word_of_length_at_least(d: Dfa, bound: int) -> str:
 
 
 def _next_same_length(d: Dfa, w: str) -> str | None:
-    letters = d.alphabets[0]
+    table = d.table
     layers = _layers(d, len(w))
     prefix_states = [d.start]
     for ch in w:
-        prefix_states.append(d.transitions[(prefix_states[-1], (ch,))])
+        prefix_states.append(table[prefix_states[-1]][ch])
     for i in range(len(w) - 1, -1, -1):
-        q = prefix_states[i]
         rem = len(w) - i - 1
-        pos = letters.index(w[i])
-        for ch in letters[pos + 1:]:
-            r = d.transitions[(q, (ch,))]
-            if layers[rem][r] > 0:
+        later = False
+        for ch, r in table[prefix_states[i]].items():
+            if later and layers[rem][r]:
                 return w[:i] + ch + _min_word_from(d, r, rem)
+            later = later or ch == w[i]
     return None
 
 
@@ -556,25 +570,54 @@ def count_leq_ll(d: Dfa, w: str) -> int:
     """|{v in the language : v <=_ll w}| without enumeration."""
     _require_words(d)
     layers = _layers(d, len(w))
-    letters = d.alphabets[0]
     total = sum(layers[j][d.start] for j in range(len(w)))
     q = d.start
     for i, ch in enumerate(w):
         rem = len(w) - i - 1
-        for smaller in letters[:letters.index(ch)]:
-            total += layers[rem][d.transitions[(q, (smaller,))]]
-        q = d.transitions[(q, (ch,))]
+        row = d.table[q]
+        for smaller, r in row.items():
+            if smaller == ch:
+                break
+            total += layers[rem][r]
+        q = row[ch]
     if q in d.accepting:
         total += 1
     return total
 
 
 def _slice_members(d: Dfa, n: int):
-    """Yield the members of length exactly n in lexicographic order."""
-    w = _min_word_from(d, d.start, n) if slice_count(d, n) else None
-    while w is not None:
-        yield w
-        w = _next_same_length(d, w)
+    """Yield the members of length exactly n in lexicographic order.
+
+    An odometer over a stack of prefix states: moves[i] walks the letters
+    out of the state after the first i letters, and a letter is taken only
+    when some completion of the remaining length is accepted from where it
+    leads, so every prefix entered yields at least one member."""
+    layers = _layers(d, n)
+    if not layers[n][d.start]:
+        return
+    if n == 0:
+        yield ""
+        return
+    table = d.table
+    last = n - 1
+    moves = [iter(table[d.start].items())] + [None] * last
+    prefixes = [""] * n
+    i = 0
+    while i >= 0:
+        live = layers[last - i]  # completions of the letters after this one
+        for ch, r in moves[i]:
+            if live[r]:
+                break
+        else:
+            i -= 1
+            continue
+        word = prefixes[i] + ch
+        if i == last:
+            yield word
+        else:
+            i += 1
+            prefixes[i] = word
+            moves[i] = iter(table[r].items())
 
 
 def iter_ll(d: Dfa):
@@ -624,7 +667,7 @@ def pump_decompose(d: Dfa, x: str) -> tuple[str, str, str]:
         raise PumpingError(f"{x!r} is shorter than the pumping constant")
     states = [d.start]
     for ch in x:
-        states.append(d.transitions[(states[-1], (ch,))])
+        states.append(d.table[states[-1]][ch])
     first_seen: dict[int, int] = {}
     for j, q in enumerate(states):
         if q in first_seen:
@@ -711,12 +754,7 @@ def growth_class(d: Dfa) -> GrowthClass:
     useful = d.useful_states()
     if not useful:
         return GrowthClass.bounded(0)
-    letters = d.alphabets[0]
-    edge_list = [
-        (q, d.transitions[(q, (ch,))])
-        for q in useful for ch in letters
-        if d.transitions[(q, (ch,))] in useful
-    ]
+    edge_list = [(q, r) for q in useful for r in d.table[q].values() if r in useful]
     adj: dict[int, list[int]] = {}
     for q, r in edge_list:
         adj.setdefault(q, []).append(r)
@@ -819,8 +857,8 @@ def embed_alphabet(d: Dfa) -> tuple[Dfa, AlphabetCodec]:
         k += 1
     codec = AlphabetCodec(letters, k)
     trans = {}
-    for q in range(d.n_states):
-        for ch in letters:
-            trans[(q, codec.encode_letter(ch))] = d.transitions[(q, (ch,))]
+    for q, row in enumerate(d.table):
+        for ch, r in row.items():
+            trans[(q, codec.encode_letter(ch))] = r
     image = Dfa(k, [("0", "1")] * k, d.n_states, d.start, d.accepting, trans)
     return image, codec

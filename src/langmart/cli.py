@@ -65,8 +65,11 @@ from .engine import (
     run_dynamic,
     succeeded,
 )
-from .grammar import Cfg, GrammarError, cfl_nonrandom_pipeline, cyk_member, to_cnf
 from .rng import Lcg
+
+# langmart.grammar is imported only on the paths that read a grammar
+# (_load_grammar, an oracle_grammar input and the cfl-pipeline kind), so
+# the other commands do not pay for loading it.
 
 
 class ConfigError(Exception):
@@ -130,7 +133,9 @@ def _tm_oracle(prog: TmProgram):
     return oracle
 
 
-def _load_grammar(path: Path) -> Cfg:
+def _load_grammar(path: Path) -> "Cfg":
+    from .grammar import Cfg, GrammarError
+
     try:
         return Cfg.from_text(path.read_text())
     except OSError as exc:
@@ -179,8 +184,11 @@ class Experiment:
     """Parsed config plus resolved input files."""
 
     def __init__(self, config_path: Path, overrides: argparse.Namespace):
-        parser = configparser.ConfigParser()
-        read = parser.read(config_path)
+        parser = configparser.ConfigParser(interpolation=None)  # '%' is a plain letter
+        try:
+            read = parser.read(str(config_path))
+        except configparser.Error as exc:  # its message names the file and line
+            raise ConfigError(f"bad config: {' '.join(str(exc).split())}") from None
         if not read:
             raise ConfigError(f"cannot read config {config_path}")
         if "experiment" not in parser:
@@ -244,6 +252,8 @@ class Experiment:
         if self.inputs.get("oracle_dfa"):
             return self.dfa("oracle_dfa", domain=domain).accepts
         if self.inputs.get("oracle_grammar"):
+            from .grammar import cyk_member, to_cnf
+
             cnf = to_cnf(_load_grammar(self.path("oracle_grammar")))
             return lambda w: cyk_member(cnf, w)
         if self.inputs.get("oracle_tm"):
@@ -393,7 +403,7 @@ def _diagonalize_parts(exp: Experiment):
 
 def _run_diagonalize(exp: Experiment, out_dir: Path) -> int:
     domain, setups, descriptors = _diagonalize_parts(exp)
-    words = exp.value("words", 30)
+    words = exp._num("words", 30)
     try:
         cert = diagonalize(setups, domain, words,
                            descriptors=[json.dumps(d, sort_keys=True) for d in descriptors])
@@ -438,7 +448,7 @@ def _run_pclass(exp: Experiment, out_dir: Path) -> int:
                             cycle=exp.value("cycle", True, _boolean))
     try:
         setup = pclass_bettor(space, domain)
-        anchors = anchor_gap_report(domain, exp.value("anchors", 10))
+        anchors = anchor_gap_report(domain, exp._num("anchors", 10))
         # each step also tries the losing label, which may need a next hypothesis
         trace = run(setup, ll_text(domain), exp.oracle(domain), exp.steps)
         audit = _audited(setup, domain, exp.seed)
@@ -452,6 +462,8 @@ def _run_pclass(exp: Experiment, out_dir: Path) -> int:
 
 
 def _run_cfl_pipeline(exp: Experiment, out_dir: Path) -> int:
+    from .grammar import cfl_nonrandom_pipeline, cyk_member, to_cnf
+
     domain = exp.dfa("domain")
     grammar = _load_grammar(exp.path("grammar"))
     cnf = to_cnf(grammar)
@@ -521,7 +533,7 @@ def _growth_obj(domain: Dfa) -> dict:
 
 def _run_dyadic_audit(exp: Experiment, out_dir: Path) -> int:
     rng = Lcg(exp.seed)
-    count = exp.value("count", 10000)
+    count = exp._num("count", 10000)
     failures = []
     max_carry = 0
     for _ in range(count):

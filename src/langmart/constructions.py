@@ -13,7 +13,6 @@ exact fairness audit.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -452,6 +451,8 @@ class DiagonalCertificate:
 
 
 def _enum_hash(descriptors, domain_json, weight_base: Dyadic) -> str:
+    import hashlib  # only certificates hash; other runs need not load OpenSSL
+
     payload = json.dumps(
         {"setups": descriptors, "domain": domain_json, "weight_base": str(weight_base)},
         sort_keys=True,

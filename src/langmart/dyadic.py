@@ -30,8 +30,8 @@ class Dyadic:
             exp = 0
         if num == 0:
             exp = 0
-        elif exp > 0:
-            # strip shared factors of two
+        elif exp > 0 and not num & 1:
+            # strip shared factors of two (an odd numerator has none)
             tz = (num & -num).bit_length() - 1
             shift = tz if tz < exp else exp
             num >>= shift

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .automata import Dfa, enumerate_ll, iter_ll
 from .dyadic import Dyadic, ONE, TWO, ZERO
@@ -101,14 +101,14 @@ class _PauseType:
 PAUSE = _PauseType()
 
 
-@dataclass(frozen=True)
-class Labeled:
+# Labeled, MState and TraceEntry are made once per stage or more, so they
+# are plain immutable tuples with named fields.
+class Labeled(NamedTuple):
     word: str
     bit: int
 
 
-@dataclass(frozen=True)
-class MState:
+class MState(NamedTuple):
     capital: Dyadic
     memory: tuple[str, ...]
 
@@ -146,7 +146,7 @@ def _moved(state: MState, factor, memory: tuple) -> MState:
     """state with its capital multiplied by factor and the given memory.  A
     factor of 1 keeps the capital object, and state itself when the memory
     is kept too, so a trace shares one capital across a run of pauses."""
-    if factor is ONE or factor == ONE:
+    if factor is ONE or (factor.num == 1 and not factor.exp):
         return state if memory is state.memory else MState(state.capital, memory)
     return MState(state.capital * factor, memory)
 
@@ -234,8 +234,7 @@ def classify_text_prefix(prefix, domain: Dfa | None = None) -> TextFlags:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     stage: int
     word: str | None  # None for the start entry and for pauses
     label: int | None

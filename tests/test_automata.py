@@ -1,3 +1,4 @@
+import bisect
 import itertools
 
 import pytest
@@ -367,3 +368,82 @@ class TestJson:
         data["transitions"] = []
         with pytest.raises(ValueError):
             Dfa.from_json(data)
+
+
+# ---------------------------------------------------------------------------
+# The compiled letter table and the ll toolbox against brute force
+# ---------------------------------------------------------------------------
+
+BRUTE_LENGTH = 7
+
+
+@st.composite
+def word_automata(draw):
+    """(automaton, its partial transition dict, letters): 1 to 3 letters in
+    any declared order, up to 5 states, missing transitions (the
+    constructor sends them to a trap state), maybe a letter with no
+    transition at all, and maybe no accepting state."""
+    letters = draw(st.sampled_from(["0", "a", "01", "10", "ab", "012", "201", "cab"]))
+    n = draw(st.integers(1, 5))
+    dead = draw(st.sampled_from([None, *letters]))
+    trans = {}
+    for q in range(n):
+        for ch in letters:
+            target = draw(st.none() | st.integers(0, n - 1))
+            if ch != dead and target is not None:
+                trans[(q, (ch,))] = target
+    accepting = draw(st.sets(st.integers(0, n - 1)))
+    return Dfa(1, [letters], n, 0, accepting, trans), trans, accepting, letters
+
+
+def _brute_accepts(trans, accepting, w) -> bool:
+    """Membership read off the partial dict: a missing move rejects."""
+    q = 0
+    for ch in w:
+        if (q, (ch,)) not in trans:
+            return False
+        q = trans[(q, (ch,))]
+    return q in accepting
+
+
+@settings(max_examples=60, deadline=None)
+@given(word_automata())
+def test_compiled_toolbox_matches_brute_force(case):
+    d, trans, accepting, letters = case
+    words = list(brute_words(letters, BRUTE_LENGTH))  # ll order of the declared letters
+    members = [w for w in words if _brute_accepts(trans, accepting, w)]
+    rank = {w: i for i, w in enumerate(words)}
+    member_ranks = [rank[m] for m in members]
+
+    def beyond(w):
+        """w is a member longer than the brute-force range."""
+        return len(w) > BRUTE_LENGTH and _brute_accepts(trans, accepting, w)
+
+    for w in words:
+        assert d.accepts(w) == _brute_accepts(trans, accepting, w)
+    with pytest.raises(ArityMismatchError):
+        d.accepts(words[-1] + "z")
+    for n in range(BRUTE_LENGTH + 1):
+        assert words_of_length(d, n) == [w for w in members if len(w) == n]
+    listed = enumerate_ll(d, len(members) + 1)
+    assert listed[:len(members)] == members
+    assert all(beyond(w) for w in listed[len(members):])
+    for w in words:
+        at_most = bisect.bisect_right(member_ranks, rank[w])
+        assert count_leq_ll(d, w) == at_most
+        if len(w) == BRUTE_LENGTH:
+            continue
+        try:
+            nxt = succ_ll(d, w)
+        except NoSuccessorError:
+            assert at_most == len(members) == len(listed)
+        else:
+            assert nxt == members[at_most] if at_most < len(members) else beyond(nxt)
+    for bound in range(BRUTE_LENGTH + 1):
+        long_enough = [m for m in members if len(m) >= bound]
+        try:
+            least = min_word_of_length_at_least(d, bound)
+        except EmptyLanguageError:
+            assert not long_enough and len(listed) == len(members)
+        else:
+            assert least == long_enough[0] if long_enough else beyond(least)

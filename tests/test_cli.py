@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
+import os
+import signal
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import equal_counts_tm
 from langmart.automata import Dfa, combine, concat, empty, from_word, universe, word_star
-from langmart.cli import main
+from langmart.cli import _HANDLERS, main
 from langmart.constructions import (
     TmProgram,
     diagonalize,
@@ -62,6 +67,42 @@ language = zo.json
     assert Dyadic(int(num), int(exp)) == Dyadic(3, 1) ** 40
     assert json.loads((out / "audit.json").read_text()) == []
     assert json.loads((out / "trace.json").read_text())[0]["stage"] == 0
+
+
+# Run in a fresh interpreter: prints which of the lazily imported modules
+# `import langmart.cli` loaded, then the exit code of a run of the config
+# in argv[1] and which of them were loaded by then.
+LAZY_MODULES_SCRIPT = """
+import sys
+lazy = {"langmart.grammar", "hashlib"}
+before = set(sys.modules)
+import langmart.cli
+print(sorted(lazy & (set(sys.modules) - before)))
+code = langmart.cli.main(["run", sys.argv[1], "--out-dir", sys.argv[2]])
+print(code, sorted(lazy & (set(sys.modules) - before)))
+"""
+
+
+def test_regular_run_loads_no_grammar_or_hashlib(workdir):
+    """Only the grammar paths import langmart.grammar and only certificates
+    import hashlib (which maps OpenSSL); cfl-pipeline, oracle_grammar and
+    diagonalize runs in the other tests show that those paths still load
+    them."""
+    cfg = write_config(workdir, "cfg.ini", """\
+[experiment]
+kind = regular-bettor
+steps = 40
+[inputs]
+domain = sigma.json
+language = zo.json
+""")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", LAZY_MODULES_SCRIPT, cfg, str(workdir / "out")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "0 []"]
+    assert json.loads((workdir / "out" / "audit.json").read_text()) == []
 
 
 def test_determinism(workdir):
@@ -559,6 +600,14 @@ def slow_exponential_domain() -> dict:
     (["verify", "deep.json"], "bad certificate:", "deep.json: nested too deeply"),
     (["verify", "deep-setup.json"], "bad certificate:",
      "a setup descriptor is nested too deeply"),
+    (["run", "diag-words-0.ini"], "config error:", "words must be positive, got 0"),
+    (["run", "diag-words-negative.ini"], "config error:", "words must be positive, got -3"),
+    (["run", "pclass-anchors-0.ini"], "config error:", "anchors must be positive, got 0"),
+    (["run", "dyadic-count-0.ini"], "config error:", "count must be positive, got 0"),
+    (["run", "percent.ini"], "config error:", "bad steps value '5%'"),
+    (["run", "no-equals.ini"], "config error:",
+     "bad config: Source contains parsing errors: 'no-equals.ini' [line 3]: 'count 40\\n'"),
+    (["run", "twice.ini"], "config error:", "option 'steps' in section 'experiment' already"),
 ], ids=["pclass-bounded-domain", "pclass-slow-domain", "learner-one-track-membership",
         "regular-two-track-domain", "growth-report-two-track", "growth-two-track",
         "audit-two-track", "diagonalize-past-finite-domain", "verify-words-int",
@@ -572,7 +621,10 @@ def slow_exponential_domain() -> dict:
         "learner-finite-index", "variant-learner-finite-index", "pclass-no-cycle",
         "cfl-two-word-head", "learner-empty-index", "variant-learner-empty-index",
         "learner-target-outside-index", "learner-index-letter-unread",
-        "run-deep-json", "growth-deep-json", "verify-deep-json", "verify-deep-setup"])
+        "run-deep-json", "growth-deep-json", "verify-deep-json", "verify-deep-setup",
+        "diagonalize-zero-words", "diagonalize-negative-words", "pclass-zero-anchors",
+        "dyadic-audit-zero-count", "config-percent-value", "config-line-without-equals",
+        "config-key-twice"])
 def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needle):
     (workdir / "slow.json").write_text(json.dumps(slow_exponential_domain()))
     (workdir / "zero-only.json").write_text(json.dumps(ZERO_ONLY))
@@ -639,6 +691,18 @@ def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needl
                                  "membership = prefix_member.json",
         "deep-language.ini": "kind = regular-bettor\n[inputs]\ndomain = sigma.json\n"
                              "language = deep.json",
+        "diag-words-0.ini": "kind = diagonalize\nwords = 0\n[inputs]\ndomain = sigma.json\n"
+                            "setup1 = regular_bettor:zo.json",
+        "diag-words-negative.ini": "kind = diagonalize\nwords = -3\n[inputs]\n"
+                                   "domain = sigma.json\nsetup1 = regular_bettor:zo.json",
+        "pclass-anchors-0.ini": "kind = pclass\nsteps = 50\nanchors = 0\n"
+                                "hypotheses = const0, dfa:zero_star.json\n[inputs]\n"
+                                "domain = sigma.json\noracle_dfa = zero_star.json",
+        "dyadic-count-0.ini": "kind = dyadic-audit\ncount = 0",
+        "percent.ini": "kind = regular-bettor\nsteps = 5%\n[inputs]\ndomain = sigma.json\n"
+                       "language = zo.json",
+        "no-equals.ini": "kind = dyadic-audit\ncount 40",
+        "twice.ini": "kind = dyadic-audit\nsteps = 4\nsteps = 5",
     }
     for name, body in configs.items():
         write_config(workdir, name, f"[experiment]\n{body}\n")
@@ -753,3 +817,107 @@ def test_parser_returns_or_raises_a_load_error(from_json, seed, data):
     except (KeyError, ValueError, TypeError):
         return
     assert isinstance(parsed, (Dfa, TmProgram))
+
+
+# ---------------------------------------------------------------------------
+# Run-config fuzzing: every config ends in exit status 0, 1 or 2
+# ---------------------------------------------------------------------------
+
+PREFIX_INPUTS = {"domain": "sigma.json", "index_language": "prefix_index.json",
+                 "membership": "prefix_member.json"}
+# The run configs of the tests above as ([experiment] keys, [inputs] keys);
+# cfl-pipeline's 300,000 steps are capped at 3,000.
+RUN_CONFIGS = [
+    ({"kind": "regular-bettor", "steps": "40", "seed": "3"},
+     {"domain": "sigma.json", "language": "zo.json"}),
+    ({"kind": "adversarial", "horizon": "40", "search_bound": "200"},
+     {"domain": "sigma.json", "language": "zo.json", "oracle_dfa": "zo.json"}),
+    ({"kind": "adversarial", "horizon": "50"},
+     {"domain": "sigma.json", "language": "zo.json", "oracle_grammar": "eq.grammar"}),
+    ({"kind": "subset-bettor", "steps": "60", "side": "outside"},
+     {"domain": "sigma.json", "subset": "zero_star.json", "oracle_grammar": "eq.grammar"}),
+    ({"kind": "family-learner", "steps": "30", "target_index": "1"}, PREFIX_INPUTS),
+    ({"kind": "variant-learner", "steps": "60", "target_index": "1", "difference": "1,00"},
+     PREFIX_INPUTS),
+    ({"kind": "tm-dynamic", "steps": "260"}, {"domain": "sigma.json", "tm": "tm.json"}),
+    ({"kind": "diagonalize", "words": "14"},
+     {"domain": "sigma.json", "setup1": "regular_bettor:zo.json",
+      "setup2": "regular_bettor:ones.json", "setup3": "subset_bettor:inside:one_zeros.json"}),
+    ({"kind": "pclass", "steps": "1100", "anchors": "10",
+      "hypotheses": "const0, dfa:ones.json, dfa:zero_star.json"},
+     {"domain": "sigma.json", "oracle_dfa": "zero_star.json"}),
+    ({"kind": "cfl-pipeline", "steps": "3000", "threshold": "64/2^0"},
+     {"domain": "sigma.json", "grammar": "eq.grammar"}),
+    ({"kind": "growth-report"}, {"domain": "zoro.json"}),
+    ({"kind": "dyadic-audit", "count": "2000", "seed": "5"}, {}),
+]
+EXPERIMENT_KEYS = ["kind", "steps", "seed", "horizon", "search_bound", "threshold", "words",
+                   "anchors", "count", "side", "mode", "cycle", "hypotheses",
+                   "target_index", "difference"]
+INPUT_KEYS = ["domain", "language", "subset", "oracle_dfa", "oracle_grammar", "oracle_tm",
+              "index_language", "membership", "tm", "grammar", "setup1", "setup4"]
+INPUT_FILES = ["sigma.json", "zo.json", "one_zeros.json", "zoro.json", "zero_star.json",
+               "ones.json", "prefix_index.json", "prefix_member.json", "tm.json",
+               "eq.grammar", "missing.json", "", "regular_bettor:zo.json",
+               "subset_bettor:outside:ones.json", "subset_bettor:zo.json"]
+# Values: small numbers (sizes stay capped), words the parsers know, and
+# short text over the letters configs are written in.
+CONFIG_VALUES = (
+    st.integers(-3, 60).map(str)
+    | st.sampled_from(["inside", "outside", "any", "repetition-free", "true", "maybe",
+                       "const0", "const1", "dfa:ones.json", "dfa:missing.json", "64/2^0",
+                       "1/2^-5", "2^3", "1,00", "0x10", "1e3", "%(steps)s"])
+    | st.text("01,:/^-%#abcdefklnorstu. ", max_size=8)
+)
+RUN_ALARM_S = 60
+
+
+class Overrun(Exception):
+    """An example ran past its alarm."""
+
+
+def _overrun(_signum, _frame):
+    raise Overrun(f"a run took more than {RUN_ALARM_S} s")
+
+
+@st.composite
+def run_configs(draw):
+    """The text of one of RUN_CONFIGS after 1 to 4 mutations: a new kind, a
+    key set to a drawn value, a key deleted, or an input pointed at
+    another file, a missing one or a setup spec."""
+    experiment, inputs = (dict(part) for part in draw(st.sampled_from(RUN_CONFIGS)))
+    for _ in range(draw(st.integers(1, 4))):
+        move = draw(st.integers(0, 4))
+        if move == 0:
+            experiment["kind"] = draw(st.sampled_from(sorted(_HANDLERS)) | CONFIG_VALUES)
+        elif move == 1:
+            experiment[draw(st.sampled_from(EXPERIMENT_KEYS))] = draw(CONFIG_VALUES)
+        elif move == 2 and experiment:
+            del experiment[draw(st.sampled_from(sorted(experiment)))]
+        elif move == 3 and inputs:
+            del inputs[draw(st.sampled_from(sorted(inputs)))]
+        else:
+            inputs[draw(st.sampled_from(INPUT_KEYS))] = draw(st.sampled_from(INPUT_FILES))
+    lines = ["[experiment]", *(f"{k} = {v}" for k, v in experiment.items()),
+             "[inputs]", *(f"{k} = {v}" for k, v in inputs.items())]
+    return "\n".join(lines) + "\n"
+
+
+# The inputs in workdir are only read, so one directory serves every example.
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=run_configs())
+def test_run_exits_0_1_or_2_on_mutated_configs(workdir, text):
+    cfg = write_config(workdir, "fuzz.ini", text)
+    err = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _overrun)
+    signal.alarm(RUN_ALARM_S)
+    try:
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", cfg, "--out-dir", out])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -37,13 +37,19 @@ ARTIFACTS = {
     "certificate": ["audit.json", "certificate.json"],
     "tm-selfscheduled": ["audit.json", "trace.csv", "trace.json"],
 }
-# The files each of the tests' configs leaves; these run once, without a
-# re-check.
+# The files each of the tests' configs, and each subcommand, leaves; these
+# run once, without a re-check.
 CONFIG_ARTIFACTS = {
+    "adversarial-stall": ["audit.json", "stall.json"],
+    "adversarial-flat": ["audit.json", "trace.csv", "trace.json"],
+    "subset-bettor": ["audit.json", "trace.csv", "trace.json"],
     "family-learner": ["audit.json", "trace.csv", "trace.json"],
     "variant-learner": ["audit.json", "trace.csv", "trace.json"],
     "pclass": ["anchors.json", "audit.json", "trace.csv", "trace.json"],
     "tm-dynamic": ["audit.json", "trace.csv", "trace.json"],
+    "growth-report": ["growth.json"],
+    "growth": [],
+    "audit": ["audit.json"],
 }
 
 
