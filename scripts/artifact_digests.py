@@ -39,8 +39,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from workloads import (EQUAL_COUNTS_GRAMMAR, EQUAL_COUNTS_TM, FULL, WORKLOADS, Invocation,
                        Workload)
-from langmart.automata import Dfa, combine, concat, universe, word_star
-from langmart.constructions import prefix_family
+from langmart.automata import Dfa
+from langmart.learning import prefix_family
+from langmart.regular import combine, concat, universe, word_star
 
 # The tests' configs as name: (kind, [experiment] keys, [inputs] files).
 PREFIX_INPUTS = {"domain": "sigma.json", "index_language": "prefix_index.json",

@@ -10,7 +10,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from langmart.automata import concat, from_word, universe, word_star
+from langmart.regular import concat, from_word, universe, word_star
 from langmart.constructions import (
     diagonalize,
     regular_bettor,

@@ -6,16 +6,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from langmart.automata import (
-    combine,
-    concat,
-    from_word,
-    growth_class,
-    universe,
-    slice_count,
-    word_star,
-    words_of_length,
-)
+from langmart.automata import slice_count, words_of_length
+from langmart.regular import combine, concat, from_word, growth_class, universe, word_star
 
 
 def main():

@@ -10,9 +10,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from langmart.automata import concat, enumerate_ll, universe, word_star
+from langmart.automata import enumerate_ll
 from langmart.constructions import regular_bettor
 from langmart.engine import audit_fairness, ll_text, run
+from langmart.regular import concat, universe, word_star
 
 
 def main():

@@ -1,22 +1,15 @@
 """Workbench for betting-strategy randomness experiments on formal languages."""
 
-from .dyadic import Dyadic, TwoRowCode, compare, decode_tworow, encode_tworow, tworow_add
+from importlib import import_module
+
+from .dyadic import Dyadic, compare
 from .automata import (
     ConvolvedWord,
     Dfa,
-    GrowthClass,
-    Nfa,
-    combine,
-    complement,
     convolve,
     count_leq_ll,
-    determinize,
-    embed_alphabet,
     enumerate_ll,
-    growth_class,
     min_ll,
-    project,
-    pump_decompose,
     succ_ll,
 )
 from .engine import (
@@ -40,3 +33,19 @@ from .engine import (
 )
 
 __version__ = "0.1.0"
+
+# Names of modules that a run of the common kinds does not load (PEP 562:
+# each loads its module on first use).
+_MOVED = {
+    **dict.fromkeys((
+        "GrowthClass", "Nfa", "combine", "complement", "determinize", "embed_alphabet",
+        "growth_class", "project", "pump_decompose"), ".regular"),
+    **dict.fromkeys(("TwoRowCode", "decode_tworow", "encode_tworow", "tworow_add"),
+                    ".tworow"),
+}
+
+
+def __getattr__(name):
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_MOVED[name], __package__), name)

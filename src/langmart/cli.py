@@ -26,35 +26,23 @@ from .automata import (
     Dfa,
     EmptyLanguageError,
     NoSuccessorError,
-    complement,
     enumerate_ll,
-    growth_class,
     slice_count,
     words_of_length,
 )
 from .constructions import (
-    AutomaticFamily,
     ConstructionError,
     DiagonalCertificate,
-    Hypothesis,
-    HypothesisSpace,
-    LearnerStallError,
-    StallWitness,
     TmProgram,
-    adversarial_text,
-    anchor_gap_report,
     build_setup,
     diagonalize,
-    extract_language,
-    family_learner,
-    pclass_bettor,
+    enumeration_hash,
     regular_bettor,
     replay_certificate,
     subset_bettor,
     tm_dynamic_bettor,
-    variant_family_learner,
 )
-from .dyadic import Dyadic, decode_tworow, encode_tworow, rel_l, rel_p, rel_z, tworow_add
+from .dyadic import Dyadic
 from .engine import (
     DEFAULT_THRESHOLD,
     TextExhaustedError,
@@ -67,9 +55,12 @@ from .engine import (
 )
 from .rng import Lcg
 
-# langmart.grammar is imported only on the paths that read a grammar
-# (_load_grammar, an oracle_grammar input and the cfl-pipeline kind), so
-# the other commands do not pay for loading it.
+# The modules that only rare paths use are imported inside them, so the
+# other commands do not pay for loading them: langmart.grammar where a
+# grammar is read (_load_grammar, an oracle_grammar input, cfl-pipeline),
+# langmart.learning in the adversarial, learner and pclass kinds,
+# langmart.regular in the growth report and langmart.tworow in the
+# dyadic audit.
 
 
 class ConfigError(Exception):
@@ -311,6 +302,8 @@ def _run_subset_bettor(exp: Experiment, out_dir: Path) -> int:
 
 
 def _run_adversarial(exp: Experiment, out_dir: Path) -> int:
+    from .learning import StallWitness, adversarial_text, extract_language
+
     domain = exp.dfa("domain")
     bettor = regular_bettor(exp.dfa("language", domain=domain))
     oracle = exp.oracle(domain)
@@ -338,6 +331,9 @@ def _run_adversarial(exp: Experiment, out_dir: Path) -> int:
 
 
 def _run_family_learner(exp: Experiment, out_dir: Path, variant: bool) -> int:
+    from .learning import (AutomaticFamily, LearnerStallError, family_learner,
+                           variant_family_learner)
+
     domain = exp.dfa("domain")
     index = exp.dfa("index_language")
     fam = AutomaticFamily(index, exp.dfa("membership", tracks=2, domain=domain))
@@ -426,6 +422,8 @@ def _run_diagonalize(exp: Experiment, out_dir: Path) -> int:
 
 
 def _run_pclass(exp: Experiment, out_dir: Path) -> int:
+    from .learning import Hypothesis, HypothesisSpace, anchor_gap_report, pclass_bettor
+
     domain = exp.dfa("domain")
     hyps = []
     for spec in exp.exp.get("hypotheses", "").split(","):
@@ -506,6 +504,8 @@ def _growth_obj(domain: Dfa) -> dict:
     letters the slices of length n of the domain and of its complement
     must count k**n together, and the smaller one is listed when it has at
     most GROWTH_LISTING_LIMIT words; "listed" names those lengths."""
+    from .regular import complement, growth_class
+
     cls = growth_class(domain)
     other = complement(domain)  # the Dfa constructor completes every table
     k = len(domain.alphabets[0])
@@ -532,6 +532,8 @@ def _growth_obj(domain: Dfa) -> dict:
 
 
 def _run_dyadic_audit(exp: Experiment, out_dir: Path) -> int:
+    from .tworow import decode_tworow, encode_tworow, rel_l, rel_p, rel_z, tworow_add
+
     rng = Lcg(exp.seed)
     count = exp._num("count", 10000)
     failures = []
@@ -609,7 +611,12 @@ def cmd_verify(args) -> int:
     except (ConfigError, KeyError, ValueError, TypeError) as exc:
         print(f"bad certificate: {exc}", file=sys.stderr)
         return 2
-    problems = replay_certificate(cert, setups, domain)
+    expected = enumeration_hash(list(cert.setup_descriptors), cert.domain_json,
+                                cert.weight_base)
+    problems = [] if cert.enum_hash == expected else [
+        f"enum_hash {cert.enum_hash!r} is not {expected!r}, the hash of the "
+        f"certificate's setups, domain and weight base"]
+    problems += replay_certificate(cert, setups, domain)
     for message in problems:
         print(message, file=sys.stderr)
     if not problems:
@@ -642,10 +649,12 @@ def cmd_audit(args) -> int:
             setup, domain = subset_bettor(dfa, args.side), dfa
         else:
             raise ConfigError(f"unknown setup kind {args.setup_kind!r}")
+        if args.seed <= 0:
+            raise ConfigError(f"seed must be positive, got {args.seed}")
     except (ConfigError, ValueError) as exc:
         print(f"audit setup error: {exc}", file=sys.stderr)
         return 2
-    report = audit_fairness(setup, _probe_words(domain, args.seed or 1))
+    report = audit_fairness(setup, _probe_words(domain, args.seed))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "audit.json", report.to_json_obj())
@@ -682,7 +691,7 @@ def main(argv=None) -> int:
     p_audit.add_argument("setup_kind")
     p_audit.add_argument("--dfa")
     p_audit.add_argument("--side", default="inside")
-    p_audit.add_argument("--seed", type=int)
+    p_audit.add_argument("--seed", type=int, default=1)
     p_audit.add_argument("--out-dir", default=".", dest="out_dir")
     p_audit.set_defaults(fn=cmd_audit)
 

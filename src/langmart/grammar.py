@@ -19,13 +19,12 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .automata import (
-    Dfa,
+from .automata import Dfa, min_word_of_length_at_least
+from .regular import (
     combine,
     concat,
     finite_language,
     from_word,
-    min_word_of_length_at_least,
     pump_decompose,
     pumping_constant,
     word_star,

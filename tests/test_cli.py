@@ -70,25 +70,31 @@ language = zo.json
 
 
 # Run in a fresh interpreter: prints which of the lazily imported modules
-# `import langmart.cli` loaded, then the exit code of a run of the config
-# in argv[1] and which of them were loaded by then.
+# `import langmart.cli` loaded, then the exit code of the command line in
+# argv[1:] and which of them were loaded by then, then which of the
+# langmart ones do not exist.  The command's own output goes to stderr.
 LAZY_MODULES_SCRIPT = """
-import sys
-lazy = {"langmart.grammar", "hashlib"}
+import contextlib, importlib.util, sys
+lazy = {"langmart.regular", "langmart.learning", "langmart.tworow", "langmart.grammar",
+        "hashlib"}
 before = set(sys.modules)
 import langmart.cli
 print(sorted(lazy & (set(sys.modules) - before)))
-code = langmart.cli.main(["run", sys.argv[1], "--out-dir", sys.argv[2]])
+with contextlib.redirect_stdout(sys.stderr):
+    code = langmart.cli.main(sys.argv[1:])
 print(code, sorted(lazy & (set(sys.modules) - before)))
+print(sorted(m for m in lazy if m.startswith("langmart") and not importlib.util.find_spec(m)))
 """
 
 
 def test_regular_run_loads_no_grammar_or_hashlib(workdir):
-    """Only the grammar paths import langmart.grammar and only certificates
-    import hashlib (which maps OpenSSL); cfl-pipeline, oracle_grammar and
-    diagonalize runs in the other tests show that those paths still load
-    them."""
-    cfg = write_config(workdir, "cfg.ini", """\
+    """A regular-bettor run, a diagonalize --replay run and a verify load
+    none of the modules that only rare paths use (langmart.regular,
+    langmart.learning, langmart.tworow, langmart.grammar), and only the
+    two certificate paths load hashlib (which maps OpenSSL); the
+    cfl-pipeline, oracle_grammar, learner, pclass, growth and dyadic-audit
+    tests show that their paths still load them."""
+    regular = write_config(workdir, "cfg.ini", """\
 [experiment]
 kind = regular-bettor
 steps = 40
@@ -96,12 +102,27 @@ steps = 40
 domain = sigma.json
 language = zo.json
 """)
+    diag = write_config(workdir, "diag.ini", """\
+[experiment]
+kind = diagonalize
+words = 14
+[inputs]
+domain = sigma.json
+setup1 = regular_bettor:zo.json
+setup2 = subset_bettor:inside:one_zeros.json
+""")
     src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-c", LAZY_MODULES_SCRIPT, cfg, str(workdir / "out")],
-                          capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "0 []"]
+    cert = workdir / "diag" / "certificate.json"
+    for argv, loaded in [
+        (["run", regular, "--out-dir", str(workdir / "out")], []),
+        (["run", diag, "--replay", "--out-dir", str(cert.parent)], ["hashlib"]),
+        (["verify", str(cert)], ["hashlib"]),
+    ]:
+        done = subprocess.run([sys.executable, "-c", LAZY_MODULES_SCRIPT, *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]", f"0 {loaded}", "[]"], argv
     assert json.loads((workdir / "out" / "audit.json").read_text()) == []
 
 
@@ -270,6 +291,19 @@ setup3 = subset_bettor:inside:one_zeros.json
     worse = out / "overbound.json"
     worse.write_text(json.dumps(cert))
     assert main(["verify", str(worse)]) == 1
+
+
+def test_verify_checks_the_enum_hash(workdir, capsys):
+    """A certificate whose enum_hash is not the hash of its setups, domain
+    and weight base fails verification, naming both hashes."""
+    good, bad = workdir / "good.json", workdir / "bad.json"
+    good.write_text(json.dumps(SEED_OBJECTS[1]))
+    bad.write_text(json.dumps({**SEED_OBJECTS[1], "enum_hash": "00"}))
+    assert main(["verify", str(good)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "'00'" in err and repr(SEED_OBJECTS[1]["enum_hash"]) in err
 
 
 def test_verify_malformed_is_status_2(workdir):
@@ -608,6 +642,13 @@ def slow_exponential_domain() -> dict:
     (["run", "no-equals.ini"], "config error:",
      "bad config: Source contains parsing errors: 'no-equals.ini' [line 3]: 'count 40\\n'"),
     (["run", "twice.ini"], "config error:", "option 'steps' in section 'experiment' already"),
+    (["verify", "bit-2.json"], "bad certificate:", "bit 2 is not 0 or 1"),
+    (["verify", "bit-true.json"], "bad certificate:", "bit True is not 0 or 1"),
+    (["verify", "no-words.json"], "bad certificate:", "the certificate lists no words"),
+    (["audit", "regular-bettor", "--dfa", "zo.json", "--seed", "0"], "audit setup error:",
+     "seed must be positive, got 0"),
+    (["audit", "regular-bettor", "--dfa", "zo.json", "--seed", "-3"], "audit setup error:",
+     "seed must be positive, got -3"),
 ], ids=["pclass-bounded-domain", "pclass-slow-domain", "learner-one-track-membership",
         "regular-two-track-domain", "growth-report-two-track", "growth-two-track",
         "audit-two-track", "diagonalize-past-finite-domain", "verify-words-int",
@@ -624,7 +665,8 @@ def slow_exponential_domain() -> dict:
         "run-deep-json", "growth-deep-json", "verify-deep-json", "verify-deep-setup",
         "diagonalize-zero-words", "diagonalize-negative-words", "pclass-zero-anchors",
         "dyadic-audit-zero-count", "config-percent-value", "config-line-without-equals",
-        "config-key-twice"])
+        "config-key-twice", "verify-bit-2", "verify-bit-true", "verify-no-words",
+        "audit-seed-0", "audit-seed-negative"])
 def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needle):
     (workdir / "slow.json").write_text(json.dumps(slow_exponential_domain()))
     (workdir / "zero-only.json").write_text(json.dumps(ZERO_ONLY))
@@ -720,6 +762,11 @@ def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needl
         ("negative-exponent.json", "words",
          [{**SEED_OBJECTS[1]["words"][0], "capital": "1/2^-5"}, *SEED_OBJECTS[1]["words"][1:]]),
         ("deep-setup.json", "setups", [DEEP_JSON]),
+        ("bit-2.json", "words",
+         [{**SEED_OBJECTS[1]["words"][0], "bit": 2}, *SEED_OBJECTS[1]["words"][1:]]),
+        ("bit-true.json", "words",
+         [{**SEED_OBJECTS[1]["words"][0], "bit": True}, *SEED_OBJECTS[1]["words"][1:]]),
+        ("no-words.json", "words", []),
     ]:
         (workdir / name).write_text(json.dumps({**SEED_OBJECTS[1], key: value}))
     for name, alphabet in [("repeated-letter.json", "001"), ("padding-letter.json", "0#1")]:
