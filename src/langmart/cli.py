@@ -144,8 +144,7 @@ def _write_json(path: Path, obj):
 def _write_outputs(out_dir: Path, trace=None, audit=None, extra=None):
     out_dir.mkdir(parents=True, exist_ok=True)
     if trace is not None:
-        trace.write_csv(out_dir / "trace.csv")
-        trace.write_json(out_dir / "trace.json")
+        trace.write(out_dir / "trace.csv", out_dir / "trace.json")
     if audit is not None:
         _write_json(out_dir / "audit.json", audit.to_json_obj())
     for name, obj in (extra or {}).items():
@@ -365,9 +364,17 @@ def _run_family_learner(exp: Experiment, out_dir: Path, variant: bool) -> int:
 def _run_tm_dynamic(exp: Experiment, out_dir: Path) -> int:
     domain = exp.dfa("domain")
     prog = _load_object(exp.path("tm"), TmProgram.from_json, "machine")
-    setup, generator = tm_dynamic_bettor(prog, domain)
-    trace = run_dynamic(setup, generator, _tm_oracle(prog), exp.steps)
-    audit = _audited(setup, domain, exp.seed)
+    try:
+        setup, generator = tm_dynamic_bettor(prog, domain)
+    except EmptyLanguageError:
+        raise TextExhaustedError("domain exhausted by the self-scheduled text at stage 1: "
+                                 "the domain has no members") from None
+    try:  # the bettor schedules the domain's words in ll order, one after another
+        trace = run_dynamic(setup, generator, _tm_oracle(prog), exp.steps)
+        audit = _audited(setup, domain, exp.seed)
+    except NoSuccessorError as exc:
+        raise TextExhaustedError(
+            f"domain exhausted by the self-scheduled text: the domain has {exc}") from None
     return _finish(out_dir, trace, audit, held=True)
 
 
@@ -465,7 +472,10 @@ def _run_cfl_pipeline(exp: Experiment, out_dir: Path) -> int:
     domain = exp.dfa("domain")
     grammar = _load_grammar(exp.path("grammar"))
     cnf = to_cnf(grammar)
-    setup, r, side = cfl_nonrandom_pipeline(cnf, domain)
+    try:
+        setup, r, side = cfl_nonrandom_pipeline(cnf, domain)
+    except EmptyLanguageError as exc:  # no domain word is long enough to pump
+        raise ConfigError(f"the cfl pipeline needs an infinite domain: {exc}") from None
     if exp.threshold <= setup.start.capital:
         raise ConfigError(f"threshold {exp.threshold} must exceed the starting "
                           f"capital {setup.start.capital}")

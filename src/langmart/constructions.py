@@ -4,8 +4,10 @@ Each function returns a Setup that realizes one concrete strategy:
 betting along a fixed automaton, along an extracted regular subset, by
 simulating a machine on a self-scheduled text, or by diagonalizing
 against a weighted enumeration of setups.  Every bettor is a memory
-automaton bet(memory, item) -> (factor, memory) built with engine.bettor,
-so its capital moves by fixed dyadic factors its memory chooses, and
+automaton built with engine.bettor: one call bet(memory, word) returns the
+(factor, memory) outcome of each label, and bet(memory, PAUSE) the one
+outcome of a pause, so its capital moves by fixed dyadic factors its
+memory chooses, and
 every construction is meant to pass the engine's exact fairness audit.
 The learners, adversarial texts, anchored betting and finite-set indexing
 live in `langmart.learning`; the names below `_MOVED` still import from
@@ -51,10 +53,11 @@ class DiagonalBoundError(ConstructionError):
 def regular_bettor(lang: Dfa) -> Setup:
     """Bets 3/2 of the capital on the automaton's verdict, 1/2 against."""
 
-    def bet(memory: tuple, dp):
-        if dp is PAUSE:
-            return ONE, memory
-        return THREE_HALVES if lang.accepts(dp.word) == bool(dp.bit) else HALF, memory
+    def bet(memory: tuple, word):
+        if word is PAUSE:
+            return ((ONE, memory),)
+        lost, won = (HALF, memory), (THREE_HALVES, memory)
+        return (lost, won) if lang.accepts(word) else (won, lost)
 
     return bettor("regular_bettor", bet, ("",), {THREE_HALVES, HALF})
 
@@ -66,10 +69,13 @@ def subset_bettor(r: Dfa, side: str) -> Setup:
         raise ValueError(f"side must be inside/outside, not {side!r}")
     bet_bit = 1 if side == "inside" else 0
 
-    def bet(memory: tuple, dp):
-        if dp is PAUSE or not r.accepts(dp.word):
-            return ONE, memory
-        return THREE_HALVES if dp.bit == bet_bit else HALF, memory
+    def bet(memory: tuple, word):
+        if word is PAUSE:
+            return ((ONE, memory),)
+        if not r.accepts(word):
+            return (ONE, memory), (ONE, memory)
+        lost, won = (HALF, memory), (THREE_HALVES, memory)
+        return (lost, won) if bet_bit else (won, lost)
 
     return bettor(f"subset_bettor[{side}]", bet, ("",), {ONE, THREE_HALVES, HALF})
 
@@ -85,7 +91,9 @@ class TmProgram:
 
     Configurations are strings "left|state|right" (head on the first
     letter of right); one step rewrites a bounded window, which is what
-    keeps the per-stage work of the simulating bettor bounded.
+    keeps the per-stage work of the simulating bettor bounded.  A
+    configuration comes with its verdict: "1" in the accepting state, "0"
+    in the rejecting one, "" while the machine runs.
     """
 
     start: str
@@ -109,24 +117,21 @@ class TmProgram:
             if move not in ("L", "R", "S"):
                 raise ValueError(f"bad move {move!r}")
 
-    def init_config(self, word: str) -> str:
-        return f"|{self.start}|{word}"
+    def _verdict(self, state: str) -> str:
+        return "1" if state == self.accept else "0" if state == self.reject else ""
 
-    def config_output(self, config: str) -> str | None:
-        state = config.split("|")[1]
-        if state == self.accept:
-            return "1"
-        if state == self.reject:
-            return "0"
-        return None
+    def init_config(self, word: str) -> tuple[str, str]:
+        """The start configuration on word and its verdict."""
+        return f"|{self.start}|{word}", self._verdict(self.start)
 
-    def step_config(self, config: str) -> str:
+    def step_config(self, config: str) -> tuple[str, str]:
+        """The configuration one step after config, and its verdict."""
         left, state, right = config.split("|")
         head = right[0] if right else self.blank
         rule = self.rules.get((state, head))
         if rule is None:
             # undefined pairs halt rejecting
-            return f"{left}|{self.reject}|{right}"
+            return f"{left}|{self.reject}|{right}", "0"
         write, move, nxt = rule
         rest = right[1:] if right else ""
         if move == "S":
@@ -143,15 +148,14 @@ class TmProgram:
             right2 = right2[0] + right2[1:].rstrip(self.blank)
             if right2 == self.blank:
                 right2 = ""
-        return f"{left2}|{nxt}|{right2}"
+        return f"{left2}|{nxt}|{right2}", self._verdict(nxt)
 
     def decide(self, word: str) -> int:
-        config = self.init_config(word)
+        config, out = self.init_config(word)
         for _ in range(10**6):
-            out = self.config_output(config)
-            if out is not None:
+            if out:
                 return int(out)
-            config = self.step_config(config)
+            config, out = self.step_config(config)
         raise ConstructionError(f"machine ran past 1000000 steps on {word!r}")
 
     def to_json(self) -> dict:
@@ -185,16 +189,18 @@ def tm_dynamic_bettor(prog: TmProgram, domain: Dfa) -> tuple[Setup, Callable]:
         m_in, _, m_out = state.memory
         return m_in if m_out else PAUSE
 
-    def bet(memory: tuple, dp):
+    def bet(memory: tuple, word):
         m_in, m_work, m_out = memory
-        if dp is PAUSE:
+        if word is PAUSE:
             if m_out:
-                return ONE, memory  # waiting for the scheduled word
-            work = prog.init_config(m_in) if m_work == "" else prog.step_config(m_work)
-            return ONE, (m_in, work, prog.config_output(work) or "")
-        if m_out and dp.word == m_in:
-            return TWO if dp.bit == int(m_out) else ZERO, (succ_ll(domain, m_in), "", "")
-        return ONE, memory  # off-schedule words are not bet on
+                return ((ONE, memory),)  # waiting for the scheduled word
+            work, out = prog.init_config(m_in) if m_work == "" else prog.step_config(m_work)
+            return ((ONE, (m_in, work, out)),)
+        if m_out and word == m_in:
+            nxt = (succ_ll(domain, m_in), "", "")
+            verdict = int(m_out)
+            return tuple((TWO if bit == verdict else ZERO, nxt) for bit in (0, 1))
+        return (ONE, memory), (ONE, memory)  # off-schedule words are not bet on
 
     return bettor("tm_dynamic_bettor", bet, (d0, "", ""), {TWO, ZERO, ONE}), generator
 
@@ -279,7 +285,9 @@ def diagonalize(enum, domain: Dfa, words: int, descriptors=None) -> DiagonalCert
     fairness gives one label under which that sum cannot increase (ties
     resolve to label 0), and the freshly included component can at most
     double, so the recorded capitals telescope below 2.  Every setup steps
-    each word through the engine's checked_step, so an unfair setup raises.
+    each word through the engine's checked_step, once, so an unfair setup
+    raises; both outcomes are applied, since the decision needs both
+    capitals.
     """
     setups = list(enum)
     if not setups:
@@ -294,7 +302,8 @@ def diagonalize(enum, domain: Dfa, words: int, descriptors=None) -> DiagonalCert
     word = None
     for t in range(1, words + 1):
         word = min_ll(domain) if t == 1 else succ_ll(domain, word)
-        outs = [checked_step(d, s, word, t) for d, s in zip(setups, states)]
+        outs = [[d.after(s, out) for out in checked_step(d, s, word, t)]
+                for d, s in zip(setups, states)]
         lo, hi = (sum((w * out[b].capital for w, out in zip(weights[:t], outs)), ZERO)
                   for b in (0, 1))
         bit = 0 if lo <= hi else 1

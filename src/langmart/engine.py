@@ -5,11 +5,13 @@ words.  A step function consumes one data point, either a labeled domain
 word or a pause, and returns the next state.  A text is a plain function
 text(n, state) -> word | PAUSE (`ll_text`, `sequence_text`); `run` labels
 each word of it with the oracle, so there is no stream type.  A bettor is
-a memory automaton bet(memory, item) -> (factor, memory), built by
-`bettor`: its step multiplies the capital by the factor, so it cannot
-read the capital.  `weighted_sum`, the one combinator (flat memory),
-steps the whole state instead.  The step contract is written once, in
-`step_fault`: a word is stepped with both labels, which must be fair,
+a memory automaton built by `bettor`: one call bet(memory, word) returns
+the outcome of each label, ((f0, m0), (f1, m1)), and bet(memory, PAUSE)
+returns ((f, m),); an outcome multiplies the capital by its factor f and
+sets the memory, so a bettor cannot read the capital.  `weighted_sum`,
+the one combinator (flat memory), steps the whole state instead.  The
+step contract is written once, in `step_fault`: a word is stepped with
+both labels, which must be fair,
 
     2 * capital(s) == capital(step(s, x, 0)) + capital(step(s, x, 1))
 
@@ -19,15 +21,17 @@ word by at most MEMORY_GROWTH_LIMIT letters plus 2 per letter of the
 incoming word.  A bettor's factors must sum to 2 (1 for a pause), be
 nonnegative and be declared, which holds the contract at every capital.
 The run loop (shared by `run` and `run_dynamic`) and
-`constructions.diagonalize` step through `checked_step`, which raises the
-first fault with the memory, the word (or pause) and the stage, and
-`audit_fairness`, which explores a bettor by memory and any other setup
-by full state, records it as a violation.
+`constructions.diagonalize` step through `checked_step`, which makes one
+bet (or both steps) per item and raises the first fault with the memory,
+the word (or pause) and the stage; the run loop then applies only the
+labelled outcome.  `audit_fairness`, which explores a bettor by memory
+and any other setup by full state, records a fault as a violation.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from itertools import accumulate
@@ -117,11 +121,12 @@ class MState(NamedTuple):
 class Setup:
     """A step function with its start state.
 
-    A bettor (see `bettor`) also has bet(memory, item) -> (factor, memory),
-    from which its step is derived, and bet_factors, the factors a word
-    may apply; the run loop and the audit call bet, not step.  A setup
-    without them (a weighted sum) steps its whole state, and its capital
-    moves are checked as capitals.
+    A bettor (see `bettor`) also has bet, which returns every outcome of
+    an item in one call (((f0, m0), (f1, m1)) for a word, ((f, m),) for a
+    pause) and from which its step is derived, and bet_factors, the
+    factors a word may apply; the run loop and the audit call bet, not
+    step.  A setup without them (a weighted sum) steps its whole state,
+    and its capital moves are checked as capitals.
     """
 
     name: str
@@ -141,6 +146,12 @@ class Setup:
         """Number of memory words, fixed by the start state."""
         return len(self.start.memory)
 
+    def after(self, state: MState, outcome) -> MState:
+        """The state one outcome of `checked_step` on state leads to: a
+        bettor's (factor, memory) applied to state, or the next state
+        itself for any other setup."""
+        return outcome if self.bet is None else _moved(state, *outcome)
+
 
 def _moved(state: MState, factor, memory: tuple) -> MState:
     """state with its capital multiplied by factor and the given memory.  A
@@ -152,13 +163,17 @@ def _moved(state: MState, factor, memory: tuple) -> MState:
 
 
 def bettor(name: str, bet, memory: tuple, bet_factors) -> Setup:
-    """The memory automaton bet(memory, item) -> (factor, memory) as a
-    setup that starts at capital 1 with the given memory; item is a
-    Labeled word or PAUSE, and each step multiplies the capital by factor.
-    bet_factors are the factors a word may apply; a pause applies 1."""
+    """The memory automaton bet as a setup that starts at capital 1 with
+    the given memory.  bet(memory, word) returns the outcome of each label,
+    ((f0, m0), (f1, m1)), and bet(memory, PAUSE) the one outcome ((f, m),);
+    a step applies the labelled outcome, multiplying the capital by its
+    factor.  bet_factors are the factors a word may apply; a pause
+    applies 1."""
 
     def step(state: MState, dp) -> MState:
-        return _moved(state, *bet(state.memory, dp))
+        if dp is PAUSE:
+            return _moved(state, *bet(state.memory, PAUSE)[0])
+        return _moved(state, *bet(state.memory, dp.word)[dp.bit])
 
     return Setup(name, step, MState(ONE, memory), frozenset(bet_factors), bet)
 
@@ -242,13 +257,15 @@ class TraceEntry(NamedTuple):
 
 
 class CapitalTrace:
-    """The entries of one run, the start (stage 0) first.  `write_csv` and
-    `write_json` stream one line or record per entry: the bytes of
-    `csv.writer` and of `json.dump(..., indent=1, sort_keys=True)` plus a
-    newline, without holding the file's text in memory.  They carry each
-    numerator's decimal numeral forward from the previous one (see
-    `to_rows`), so a run whose capital is multiplied by small factors
-    writes its exact capitals in time linear in their digits."""
+    """The entries of one run, the start (stage 0) first.  `write` streams
+    one line of trace.csv and one record of trace.json per entry: the bytes
+    of `csv.writer` and of `json.dump(..., indent=1, sort_keys=True)` plus
+    a newline, without holding either file's text in memory.  It makes
+    both files in one pass over `to_rows`, which carries each numerator's
+    decimal numeral forward from the previous one, so a run whose capital
+    is multiplied by small factors writes its exact capitals in time
+    linear in their digits, and each numeral is made once.  `write_csv`
+    and `write_json` write one of the files."""
 
     def __init__(self, entries):
         self.entries = list(entries)
@@ -289,13 +306,33 @@ class CapitalTrace:
                 text = str(numeral)
             yield (*_cells(e), text, e.capital.exp)
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("stage,word,label,capital_num,capital_exp\r\n")
+    def write(self, csv_path=None, json_path=None):
+        """Write trace.csv to csv_path and trace.json to json_path; either
+        may be None.  One pass over to_rows fills both."""
+        with ExitStack() as files:
+            csv_fh = json_fh = None
+            if csv_path is not None:
+                csv_fh = files.enter_context(open(csv_path, "w", newline=""))
+                csv_fh.write("stage,word,label,capital_num,capital_exp\r\n")
+            if json_path is not None:
+                json_fh = files.enter_context(open(json_path, "w"))
+            sep = "[\n"
             for stage, word, label, num, exp in self.to_rows():
-                if "," in word or '"' in word or "\r" in word or "\n" in word:
-                    word = '"' + word.replace('"', '""') + '"'
-                fh.write(f"{stage},{word},{label},{num},{exp}\r\n")
+                if csv_fh is not None:
+                    cell = word
+                    if "," in word or '"' in word or "\r" in word or "\n" in word:
+                        cell = '"' + word.replace('"', '""') + '"'
+                    csv_fh.write(f"{stage},{cell},{label},{num},{exp}\r\n")
+                if json_fh is not None:
+                    json_fh.write(f'{sep} {{\n  "capital_exp": {exp},\n  "capital_num": {num},'
+                                  f'\n  "label": {_json_str(label)},\n  "stage": {stage},'
+                                  f'\n  "word": {_json_str(word)}\n }}')
+                    sep = ",\n"
+            if json_fh is not None:
+                json_fh.write("[]\n" if sep == "[\n" else "\n]\n")
+
+    def write_csv(self, path):
+        self.write(csv_path=path)
 
     def to_json_obj(self):
         return [
@@ -305,14 +342,7 @@ class CapitalTrace:
         ]
 
     def write_json(self, path):
-        with open(path, "w") as fh:
-            sep = "[\n"
-            for stage, word, label, num, exp in self.to_rows():
-                fh.write(f'{sep} {{\n  "capital_exp": {exp},\n  "capital_num": {num},'
-                         f'\n  "label": {_json_str(label)},\n  "stage": {stage},'
-                         f'\n  "word": {_json_str(word)}\n }}')
-                sep = ",\n"
-            fh.write("[]\n" if sep == "[\n" else "\n]\n")
+        self.write(json_path=path)
 
 
 # Exact decimal arithmetic: a product that would round raises instead.
@@ -362,12 +392,12 @@ FAULT_ERRORS = {
 def step_fault(setup: Setup, state, word, outs) -> tuple[str, str] | None:
     """The first way one step breaks the step contract, as (kind, detail)
     with kind a key of FAULT_ERRORS, or None.  outs are state's outcomes on
-    word with labels 0 and 1, or the one outcome of a pause.  For a
-    bettor, state is a memory and outs are the (factor, memory) pairs bet
-    returned: the factors must sum to 2 (a pause must apply 1), and each
-    must be nonnegative and declared.  For any other setup they are
-    states, which must be fair (a pause must keep the capital) with
-    nonnegative capitals."""
+    word with labels 0 and 1, or the one outcome of a pause (see
+    `_outcomes`).  For a bettor, state is a memory and outs are the
+    (factor, memory) pairs one bet call returned: the factors must sum to
+    2 (a pause must apply 1), and each must be nonnegative and declared.
+    For any other setup they are states, which must be fair (a pause must
+    keep the capital) with nonnegative capitals."""
     bets = setup.bet is not None
     if not bets:
         capital, memory = state.capital, state.memory
@@ -405,34 +435,41 @@ def step_fault(setup: Setup, state, word, outs) -> tuple[str, str] | None:
     return None
 
 
-def checked_step(setup: Setup, state: MState, word, stage: int) -> tuple:
-    """Step state on word with both labels, or on a pause, and return the
-    outcomes: (lo, hi), or (nxt,) for a pause.  A bettor's bet is called
-    directly.  Raises the error of the first step-contract fault (see
-    step_fault), naming the memory, the item and the stage it leads to."""
-    bet = setup.bet
-    step, before = (setup.step, state) if bet is None else (bet, state.memory)
+def _outcomes(setup: Setup, state, word) -> tuple:
+    """The outcomes step_fault checks: for a bettor, state is a memory and
+    they are what one bet call returns; any other setup's state is stepped
+    on word with labels 0 and 1, or on a pause."""
+    if setup.bet is not None:
+        return setup.bet(state, word)
+    step = setup.step
     if word is PAUSE:
-        outs = (step(before, PAUSE),)
-    else:
-        outs = (step(before, Labeled(word, 0)), step(before, Labeled(word, 1)))
+        return (step(state, PAUSE),)
+    return step(state, Labeled(word, 0)), step(state, Labeled(word, 1))
+
+
+def checked_step(setup: Setup, state: MState, word, stage: int) -> tuple:
+    """The outcomes of state on word with labels 0 and 1, or the one
+    outcome of a pause, checked: a bettor's (factor, memory) pairs from one
+    bet call, or any other setup's next states.  setup.after(state, out)
+    is the state an outcome leads to, so a caller applies only the
+    outcomes it needs.  Raises the error of the first step-contract fault
+    (see step_fault), naming the memory, the item and the stage it leads
+    to."""
+    before = state if setup.bet is None else state.memory
+    outs = _outcomes(setup, before, word)
     fault = step_fault(setup, before, word, outs)
     if fault is not None:
         kind, detail = fault
         where = "a pause" if word is PAUSE else f"word {word!r}"
         raise FAULT_ERRORS[kind](
             f"{detail} in memory {state.memory!r} at {where} (stage {stage})")
-    if bet is None:
-        return outs
-    if word is PAUSE:  # factor 1, checked
-        memory = outs[0][1]
-        return (state if memory is state.memory else MState(state.capital, memory),)
-    return _moved(state, *outs[0]), _moved(state, *outs[1])
+    return outs
 
 
 def _run(setup: Setup, text, oracle, steps: int, stop_threshold: Dyadic | None,
          budget: int) -> CapitalTrace:
     member = oracle.accepts if isinstance(oracle, Dfa) else oracle
+    after = setup.after
     state = setup.start
     entries = [TraceEntry(0, None, None, state.capital)]
     pause_streak = 0
@@ -447,7 +484,8 @@ def _run(setup: Setup, text, oracle, steps: int, stop_threshold: Dyadic | None,
         else:
             pause_streak = 0
             word, label = item, 1 if member(item) else 0
-        state = checked_step(setup, state, item, n + 1)[label or 0]  # a pause has one outcome
+        # only the labelled outcome is applied; a pause has one outcome
+        state = after(state, checked_step(setup, state, item, n + 1)[label or 0])
         entries.append(TraceEntry(n + 1, word, label, state.capital))
         if stop_threshold is not None and state.capital >= stop_threshold:
             break
@@ -508,28 +546,27 @@ def audit_fairness(setup: Setup, probe_words, *, max_states: int = 256) -> Audit
     Exploration closes the start under stepping with every probe word
     (both labels) and a pause, breadth first, up to max_states states;
     each state and probe gets at most one contract violation.  A bettor's
-    state is its memory: bet is called once per memory, probe and label,
-    and its factors are checked, which holds the contract at every
-    capital.  Any other setup (a weighted sum, whose memory holds its
-    component capitals) is explored by full state.
+    state is its memory: bet is called once per memory and probe, and its
+    factors are checked, which holds the contract at every capital.  Any
+    other setup (a weighted sum, whose memory holds its component
+    capitals) is explored by full state, stepped once per label.
 
-    transitions_checked counts every bet or step call; closed is False
-    when the cap turned a reachable state away.  Violations are returned
-    as data, never raised.
+    transitions_checked counts the outcomes checked, 2 per word probe and 1
+    per pause; closed is False when the cap turned a reachable state away.
+    Violations are returned as data, never raised.
     """
     bet = setup.bet
-    step, start = (setup.step, setup.start) if bet is None else (bet, setup.start.memory)
-    probes = [(w, (Labeled(w, 0), Labeled(w, 1))) for w in probe_words]
-    probes.append((PAUSE, (PAUSE,)))
+    start = setup.start if bet is None else setup.start.memory
+    probes = [*probe_words, PAUSE]
     report = AuditReport()
     seen = {start}
     frontier = deque([start])
     while frontier:
         state = frontier.popleft()
         report.states_visited += 1
-        for word, dps in probes:
-            outs = tuple([step(state, dp) for dp in dps])
-            report.transitions_checked += len(dps)
+        for word in probes:
+            outs = _outcomes(setup, state, word)
+            report.transitions_checked += 1 if word is PAUSE else 2
             for nxt in outs:
                 if bet is not None:
                     nxt = nxt[1]

@@ -12,7 +12,6 @@ still exports every name here and loads it on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 from .automata import (
@@ -149,29 +148,22 @@ def extract_language(setup: Setup, state: MState) -> Callable[[str], bool]:
 # ---------------------------------------------------------------------------
 
 
-def _last_answers(fam: AutomaticFamily):
-    """fam.member and fam.succ_index, each remembering its last answer: a
-    checked step and the fairness audit ask both labels of one word in
-    turn."""
-    return lru_cache(maxsize=1)(fam.member), lru_cache(maxsize=1)(fam.succ_index)
-
-
 def family_learner(fam: AutomaticFamily) -> Setup:
     """Keeps an index as memory: right bets pay 3/2, wrong bets halve the
     capital and advance the index to its ll-successor."""
     start_index = fam.min_index()
-    member, succ_index = _last_answers(fam)
 
-    def bet(memory: tuple, dp):
-        if dp is PAUSE:
-            return ONE, memory
+    def bet(memory: tuple, word):
+        if word is PAUSE:
+            return ((ONE, memory),)
         e = memory[0]
-        if member(dp.word, e) == bool(dp.bit):
-            return THREE_HALVES, memory
+        member = fam.member(word, e)
         try:
-            return HALF, (succ_index(e),)
+            lost = HALF, (fam.succ_index(e),)
         except NoSuccessorError:
             raise LearnerStallError(f"index set exhausted after {e!r}") from None
+        won = THREE_HALVES, memory
+        return (lost, won) if member else (won, lost)
 
     return bettor("family_learner", bet, (start_index,), {THREE_HALVES, HALF})
 
@@ -187,17 +179,18 @@ def variant_family_learner(fam: AutomaticFamily) -> Setup:
     what tolerates a finite symmetric difference with a family member."""
     e0 = fam.min_index()
     letters = fam.index_language.alphabets[0]
-    member, succ_index = _last_answers(fam)
 
-    def bet(memory: tuple, dp):
-        if dp is PAUSE:
-            return ONE, memory
+    def bet(memory: tuple, word):
+        if word is PAUSE:
+            return ((ONE, memory),)
         e, d = memory
-        if member(dp.word, e) == bool(dp.bit):
-            return THREE_HALVES, memory
+        member = fam.member(word, e)
         if _ll_key(e, letters) < _ll_key(d, letters):
-            return HALF, (succ_index(e), d)
-        return HALF, (e0, succ_index(d))
+            lost = HALF, (fam.succ_index(e), d)
+        else:
+            lost = HALF, (e0, fam.succ_index(d))
+        won = THREE_HALVES, memory
+        return (lost, won) if member else (won, lost)
 
     return bettor("variant_family_learner", bet, (e0, e0), {THREE_HALVES, HALF})
 
@@ -309,20 +302,23 @@ def pclass_bettor(hyp: HypothesisSpace, domain: Dfa) -> Setup:
                 phase = "done"
         return (counter, anchor, m_in, idx, phase, work, out)
 
-    def bet(memory: tuple, dp):
+    def bet(memory: tuple, word):
         counter, anchor, m_in, idx, phase, work, out = memory
-        if dp is PAUSE or dp.word != anchor:
-            return ONE, ticked(memory)
+        if word is PAUSE:
+            return ((ONE, ticked(memory)),)
+        if word != anchor:
+            kept = ONE, ticked(memory)
+            return kept, kept
         # activation: settle the bet, then schedule the next anchor
-        if out == "":
-            factor = ONE
-        elif dp.bit == int(out):
-            factor = THREE_HALVES
-        else:
-            factor, idx = HALF, str(hyp.advance(int(idx)))
         counter = counter + "0"
         nxt = anchor_word(domain, max(len(counter), len(anchor) + 1))
-        return factor, (counter, nxt, nxt, idx, "run", "", "")
+        settled = (counter, nxt, nxt, idx, "run", "", "")
+        if out == "":
+            return (ONE, settled), (ONE, settled)
+        advanced = (counter, nxt, nxt, str(hyp.advance(int(idx))), "run", "", "")
+        verdict = int(out)
+        return tuple((THREE_HALVES, settled) if bit == verdict else (HALF, advanced)
+                     for bit in (0, 1))
 
     return bettor("pclass_bettor", bet, ("", first, first, "0", "run", "", ""),
                   {THREE_HALVES, HALF, ONE})

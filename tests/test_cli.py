@@ -40,6 +40,12 @@ def workdir(tmp_path, sigma, zeros_then_ones, one_zeros, zeros_or_ones):
         json.dumps(fam.membership.to_json()))
     (tmp_path / "tm.json").write_text(json.dumps(equal_counts_tm().to_json()))
     (tmp_path / "eq.grammar").write_text("S -> 0 S 1 | #eps\n")
+    (tmp_path / "empty.json").write_text(json.dumps(empty("01").to_json()))
+    (tmp_path / "three.json").write_text(json.dumps({
+        "arity": 1, "alphabet": "01", "states": [0, 1, 2], "start": 0,
+        "accepting": [0, 1, 2],
+        "transitions": [[0, "0", 1], [0, "1", 1], [1, "0", 2]],
+    }))  # {"", "0", "1", "00", "10"}
     return tmp_path
 
 
@@ -649,6 +655,12 @@ def slow_exponential_domain() -> dict:
      "seed must be positive, got 0"),
     (["audit", "regular-bettor", "--dfa", "zo.json", "--seed", "-3"], "audit setup error:",
      "seed must be positive, got -3"),
+    (["run", "tm-finite.ini"], "text error:",
+     "domain exhausted by the self-scheduled text: the domain has no member above '10'"),
+    (["run", "tm-empty.ini"], "text error:",
+     "domain exhausted by the self-scheduled text at stage 1: the domain has no members"),
+    (["run", "cfl-finite.ini"], "config error:", "the cfl pipeline needs an infinite domain"),
+    (["run", "cfl-empty.ini"], "config error:", "the cfl pipeline needs an infinite domain"),
 ], ids=["pclass-bounded-domain", "pclass-slow-domain", "learner-one-track-membership",
         "regular-two-track-domain", "growth-report-two-track", "growth-two-track",
         "audit-two-track", "diagonalize-past-finite-domain", "verify-words-int",
@@ -666,21 +678,16 @@ def slow_exponential_domain() -> dict:
         "diagonalize-zero-words", "diagonalize-negative-words", "pclass-zero-anchors",
         "dyadic-audit-zero-count", "config-percent-value", "config-line-without-equals",
         "config-key-twice", "verify-bit-2", "verify-bit-true", "verify-no-words",
-        "audit-seed-0", "audit-seed-negative"])
+        "audit-seed-0", "audit-seed-negative", "tm-dynamic-finite-domain",
+        "tm-dynamic-empty-domain", "cfl-finite-domain", "cfl-empty-domain"])
 def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needle):
     (workdir / "slow.json").write_text(json.dumps(slow_exponential_domain()))
     (workdir / "zero-only.json").write_text(json.dumps(ZERO_ONLY))
     (workdir / "loop.tm.json").write_text(json.dumps(LOOPING_TM))
     (workdir / "just-0.json").write_text(json.dumps(from_word("0").to_json()))
     (workdir / "two-word-head.grammar").write_text("S A -> 0 1\n")
-    (workdir / "empty.json").write_text(json.dumps(empty("01").to_json()))
     (workdir / "universe-012.json").write_text(json.dumps(universe("012").to_json()))
     (workdir / "deep.json").write_text(DEEP_JSON)
-    (workdir / "three.json").write_text(json.dumps({
-        "arity": 1, "alphabet": "01", "states": [0, 1, 2], "start": 0,
-        "accepting": [0, 1, 2],
-        "transitions": [[0, "0", 1], [0, "1", 1], [1, "0", 2]],
-    }))  # {"", "0", "1", "00", "10"}
     configs = {
         "pclass-bounded.ini": "kind = pclass\nhypotheses = const0\n[inputs]\n"
                               "domain = zero_star.json\noracle_dfa = zero_star.json",
@@ -745,6 +752,12 @@ def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needl
                        "language = zo.json",
         "no-equals.ini": "kind = dyadic-audit\ncount 40",
         "twice.ini": "kind = dyadic-audit\nsteps = 4\nsteps = 5",
+        "tm-finite.ini": "kind = tm-dynamic\n[inputs]\ndomain = three.json\ntm = tm.json",
+        "tm-empty.ini": "kind = tm-dynamic\n[inputs]\ndomain = empty.json\ntm = tm.json",
+        "cfl-finite.ini": "kind = cfl-pipeline\n[inputs]\ndomain = three.json\n"
+                          "grammar = eq.grammar",
+        "cfl-empty.ini": "kind = cfl-pipeline\n[inputs]\ndomain = empty.json\n"
+                         "grammar = eq.grammar",
     }
     for name, body in configs.items():
         write_config(workdir, name, f"[experiment]\n{body}\n")
@@ -905,7 +918,8 @@ INPUT_KEYS = ["domain", "language", "subset", "oracle_dfa", "oracle_grammar", "o
               "index_language", "membership", "tm", "grammar", "setup1", "setup4"]
 INPUT_FILES = ["sigma.json", "zo.json", "one_zeros.json", "zoro.json", "zero_star.json",
                "ones.json", "prefix_index.json", "prefix_member.json", "tm.json",
-               "eq.grammar", "missing.json", "", "regular_bettor:zo.json",
+               "eq.grammar", "three.json", "empty.json", "missing.json", "",
+               "regular_bettor:zo.json",
                "subset_bettor:outside:ones.json", "subset_bettor:zo.json"]
 # Values: small numbers (sizes stay capped), words the parsers know, and
 # short text over the letters configs are written in.

@@ -72,6 +72,25 @@ class TestRegularBettor:
         text = sequence_text([PAUSE] * 10)
         assert run(setup, text, zeros_then_ones, 10).capitals() == [ONE] * 11
 
+    def test_one_automaton_run_per_word(self, sigma, zeros_then_ones, monkeypatch):
+        """One bet call per item: a run of N stages runs the bettor's
+        automaton once per word, and not at all on a pause."""
+        calls = []
+        accepts = type(zeros_then_ones).accepts
+
+        def counting(dfa, word):
+            if dfa is zeros_then_ones:
+                calls.append(word)
+            return accepts(dfa, word)
+
+        setup = regular_bettor(zeros_then_ones)
+        monkeypatch.setattr(type(zeros_then_ones), "accepts", counting)
+        run(setup, ll_text(sigma), equal_counts, 50)
+        assert calls == enumerate_ll(sigma, 50)
+        calls.clear()
+        run(setup, sequence_text([PAUSE, "01", PAUSE, "10"]), equal_counts, 4)
+        assert calls == ["01", "10"]
+
     def test_pure_disagreement_text(self, zeros_then_ones):
         setup = regular_bettor(zeros_then_ones)
         # words inside 0*1* but outside {0^n 1^n}: the bettor loses each time

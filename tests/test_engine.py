@@ -62,7 +62,11 @@ def broken_setup():
 
 def lazy_setup():
     """Fair but forgetful: never moves capital."""
-    return bettor("lazy", lambda memory, dp: (ONE, memory), ("",), {ONE})
+
+    def bet(memory, word):
+        return ((ONE, memory),) if word is PAUSE else ((ONE, memory), (ONE, memory))
+
+    return bettor("lazy", bet, ("",), {ONE})
 
 
 def random_text(seed: int, domain, length: int):
@@ -77,15 +81,15 @@ def random_text(seed: int, domain, length: int):
     return sequence_text(items)
 
 
-def pays_5_4(memory, dp):
+def pays_5_4(memory, word):
     """A fair bet, but 5/4 and 3/4 are not the factors it declares."""
-    if dp is PAUSE:
-        return ONE, memory
-    return Dyadic(5, 2) if dp.bit else Dyadic(3, 2), memory
+    if word is PAUSE:
+        return ((ONE, memory),)
+    return (Dyadic(3, 2), memory), (Dyadic(5, 2), memory)
 
 
-def doubles_on_pause(memory, dp):
-    return TWO if dp is PAUSE else ONE, memory
+def doubles_on_pause(memory, word):
+    return ((TWO, memory),) if word is PAUSE else ((ONE, memory), (ONE, memory))
 
 
 def goes_negative(state, dp):
@@ -191,10 +195,11 @@ class TestRun:
                            match=r"in memory \(''\,\) at word '01' \(stage 7\)$"):
             run(broken_setup(), sequence_text(items), sigma, 7)
 
-        def remembers_last_word(memory, dp):
-            if dp is PAUSE:
-                return ONE, memory
-            return THREE_HALVES if dp.word == "01" else ONE, (dp.word,)  # 3/2 on both labels
+        def remembers_last_word(memory, word):
+            if word is PAUSE:
+                return ((ONE, memory),)
+            factor = THREE_HALVES if word == "01" else ONE  # 3/2 on both labels
+            return (factor, (word,)), (factor, (word,))
 
         bad = bettor("unfair-on-01", remembers_last_word, ("",), {ONE, THREE_HALVES})
         with pytest.raises(FairnessViolationError,
@@ -470,13 +475,17 @@ class TestTraceSerialization:
                 fh.write("\n")
             trace.write_csv(tmp / "out.csv")
             trace.write_json(tmp / "out.json")
+            trace.write(tmp / "both.csv", tmp / "both.json")  # the one-pass writer
             for ext in ("csv", "json"):
-                assert (tmp / f"out.{ext}").read_bytes() == (tmp / f"ref.{ext}").read_bytes()
+                ref = (tmp / f"ref.{ext}").read_bytes()
+                assert (tmp / f"out.{ext}").read_bytes() == ref
+                assert (tmp / f"both.{ext}").read_bytes() == ref
 
     def test_writers_convert_afresh_once(self, tmp_path, monkeypatch):
         """On a run whose numerator is only ever multiplied by 3 or kept,
         each writer converts one numerator to decimal afresh and carries
-        every other forward by a multiply, so its cost stays linear."""
+        every other forward by a multiply, so its cost stays linear; the
+        one-pass writer does so once for both files together."""
         sigma = universe("01")
         trace = run(regular_bettor(sigma), ll_text(sigma), sigma, 3000)
         fresh = []
@@ -486,29 +495,32 @@ class TestTraceSerialization:
             return Decimal(value)
 
         monkeypatch.setattr(engine, "Decimal", counting)
-        for write, path in ((trace.write_csv, tmp_path / "t.csv"),
-                            (trace.write_json, tmp_path / "t.json")):
+        csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
+        for write, paths in ((trace.write_csv, [csv_path]), (trace.write_json, [json_path]),
+                             (trace.write, [csv_path, json_path])):
             fresh.clear()
-            write(path)
-            assert fresh == [1], path.name
+            write(*paths)
+            assert fresh == [1], [path.name for path in paths]
         monkeypatch.undo()
         assert (tmp_path / "t.csv").read_text().splitlines()[-1].split(",")[3] \
             == str(trace.final.num)
 
     def test_writers_stream(self, tmp_path):
-        """Each writer's peak allocation is a small fraction of the file it
-        writes: neither holds the file's text nor every numerator's digits."""
+        """Each writer's peak allocation is a small fraction of what it
+        writes: none holds a file's text nor every numerator's digits."""
         sigma = universe("01")
         trace = run(regular_bettor(sigma), ll_text(sigma), sigma, 3000)
+        csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
         tracemalloc.start()
         try:
-            for write, path in ((trace.write_csv, tmp_path / "t.csv"),
-                                (trace.write_json, tmp_path / "t.json")):
+            for write, paths in ((trace.write_csv, [csv_path]), (trace.write_json, [json_path]),
+                                 (trace.write, [csv_path, json_path])):
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
-                write(path)
+                write(*paths)
                 peak = tracemalloc.get_traced_memory()[1] - before
-                assert peak < 0.05 * path.stat().st_size, (path.name, peak)
+                size = sum(path.stat().st_size for path in paths)
+                assert peak < 0.05 * size, ([path.name for path in paths], peak)
         finally:
             tracemalloc.stop()
 
@@ -649,12 +661,16 @@ def negative_from_0(state, dp):
     return MState(state.capital * (Dyadic(5, 1) if dp.bit else Dyadic(-1, 1)), state.memory)
 
 
-def unfair_bet(memory, dp):
-    return ONE if dp is PAUSE else THREE_HALVES, memory
+def unfair_bet(memory, word):
+    if word is PAUSE:
+        return ((ONE, memory),)
+    return (THREE_HALVES, memory), (THREE_HALVES, memory)
 
 
-def negative_bet(memory, dp):
-    return ONE if dp is PAUSE else Dyadic(5, 1) if dp.bit else Dyadic(-1, 1), memory
+def negative_bet(memory, word):
+    if word is PAUSE:
+        return ((ONE, memory),)
+    return (Dyadic(-1, 1), memory), (Dyadic(5, 1), memory)
 
 
 # Opaque steps that read the capital while they declare BASE's factors,
@@ -716,10 +732,11 @@ def test_threshold_mutant_is_reported_anywhere(table, pause_factor, capital):
     and a run from that capital raises the error of the first violation;
     a clean one multiplies the capital by its factors."""
 
-    def bet(memory, dp):
-        if dp is PAUSE:
-            return pause_factor, memory
-        return table[len(dp.word) % len(table)][dp.bit], (str(len(dp.word) % 3),)
+    def bet(memory, word):
+        if word is PAUSE:
+            return ((pause_factor, memory),)
+        factors, nxt = table[len(word) % len(table)], (str(len(word) % 3),)
+        return (factors[0], nxt), (factors[1], nxt)
 
     base = bettor("mutant", bet, ("",), BASE.bet_factors)
     setup = replace(base, start=MState(capital, base.start.memory))
