@@ -14,7 +14,6 @@ from .automata import (
 )
 from .engine import (
     CapitalTrace,
-    Labeled,
     MState,
     PAUSE,
     Setup,

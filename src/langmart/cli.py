@@ -34,6 +34,7 @@ from .constructions import (
     ConstructionError,
     DiagonalCertificate,
     TmProgram,
+    WEIGHT_BASE,
     build_setup,
     diagonalize,
     enumeration_hash,
@@ -608,6 +609,8 @@ def cmd_verify(args) -> int:
         cert = DiagonalCertificate.from_json_obj(_load_json(Path(args.certificate)))
         if not cert.setup_descriptors or not cert.domain_json:
             raise ConfigError("certificate carries no rebuildable setups")
+        if cert.weight_base != WEIGHT_BASE:
+            raise ConfigError(f"weight base {cert.weight_base} is not {WEIGHT_BASE}")
         try:
             descriptors = [json.loads(d) for d in cert.setup_descriptors]
         except RecursionError:
@@ -621,8 +624,7 @@ def cmd_verify(args) -> int:
     except (ConfigError, KeyError, ValueError, TypeError) as exc:
         print(f"bad certificate: {exc}", file=sys.stderr)
         return 2
-    expected = enumeration_hash(list(cert.setup_descriptors), cert.domain_json,
-                                cert.weight_base)
+    expected = enumeration_hash(list(cert.setup_descriptors), cert.domain_json)
     problems = [] if cert.enum_hash == expected else [
         f"enum_hash {cert.enum_hash!r} is not {expected!r}, the hash of the "
         f"certificate's setups, domain and weight base"]

@@ -45,6 +45,10 @@ class DiagonalBoundError(ConstructionError):
     pass
 
 
+# The weight base of every certificate: the i-th setup weighs 1/4**i.
+WEIGHT_BASE = Dyadic(1, 2)
+
+
 # ---------------------------------------------------------------------------
 # Bettors for regular languages and regular subsets
 # ---------------------------------------------------------------------------
@@ -265,13 +269,13 @@ def _bit(value) -> int:
     return value
 
 
-def enumeration_hash(descriptors, domain_json, weight_base: Dyadic) -> str:
+def enumeration_hash(descriptors, domain_json) -> str:
     """The enum_hash of a certificate: SHA-256 of its setup descriptors (or
     names), domain and weight base."""
     import hashlib  # only certificates hash; other runs need not load OpenSSL
 
     payload = json.dumps(
-        {"setups": descriptors, "domain": domain_json, "weight_base": str(weight_base)},
+        {"setups": descriptors, "domain": domain_json, "weight_base": str(WEIGHT_BASE)},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -295,8 +299,7 @@ def diagonalize(enum, domain: Dfa, words: int, descriptors=None) -> DiagonalCert
     for d in setups:
         if not is_normed(d):
             raise NotNormedError(f"{d.name} is not normed")
-    weight_base = Dyadic(1, 2)  # the i-th setup weighs 1/4**i
-    weights = [weight_base**i for i in range(len(setups))]
+    weights = [WEIGHT_BASE**i for i in range(len(setups))]
     states = [d.start for d in setups]
     entries = []
     word = None
@@ -316,8 +319,8 @@ def diagonalize(enum, domain: Dfa, words: int, descriptors=None) -> DiagonalCert
     names = list(descriptors) if descriptors else [d.name for d in setups]
     domain_json = domain.to_json()
     return DiagonalCertificate(
-        tuple(entries), weight_base,
-        enumeration_hash(names, domain_json, weight_base),
+        tuple(entries), WEIGHT_BASE,
+        enumeration_hash(names, domain_json),
         descriptors, domain_json,
     )
 
@@ -385,7 +388,6 @@ _MOVED = {
     **dict.fromkeys((
         "NoSuccessorError", "convolve", "count_leq_ll", "min_word_of_length_at_least",
         "slice_count", "words_of_length"), ".automata"),
-    "Labeled": ".engine",
 }
 
 

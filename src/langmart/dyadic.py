@@ -100,9 +100,18 @@ class Dyadic:
     # -- comparison ------------------------------------------------------------
 
     def _cmp(self, other) -> int:
+        # Signs decide unless both are alike and nonzero; then a magnitude
+        # lies in [2**(m-1), 2**m) for m = |num|.bit_length() - exp, and only
+        # a tie in m aligns the numerators, by a shift bounded by their size.
+        a, b = self.num, other.num
+        if (a < 0) != (b < 0) or not (a and b):
+            return (a > b) - (a < b)
+        m = a.bit_length() - self.exp - b.bit_length() + other.exp
+        if m:
+            return 1 if (m > 0) == (a > 0) else -1
         e = self.exp if self.exp >= other.exp else other.exp
-        a = self.num << (e - self.exp)
-        b = other.num << (e - other.exp)
+        a <<= e - self.exp
+        b <<= e - other.exp
         return (a > b) - (a < b)
 
     def __eq__(self, other):

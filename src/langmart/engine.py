@@ -1,31 +1,30 @@
 """Betting engine: states, data points, texts, runs, setup algebra.
 
 A state couples a capital value (exact dyadic) with a tuple of memory
-words.  A step function consumes one data point, either a labeled domain
-word or a pause, and returns the next state.  A text is a plain function
-text(n, state) -> word | PAUSE (`ll_text`, `sequence_text`); `run` labels
-each word of it with the oracle, so there is no stream type.  A bettor is
-a memory automaton built by `bettor`: one call bet(memory, word) returns
-the outcome of each label, ((f0, m0), (f1, m1)), and bet(memory, PAUSE)
-returns ((f, m),); an outcome multiplies the capital by its factor f and
-sets the memory, so a bettor cannot read the capital.  `weighted_sum`,
-the one combinator (flat memory), steps the whole state instead.  The
-step contract is written once, in `step_fault`: a word is stepped with
-both labels, which must be fair,
+words.  step(state, item) returns the next state of every outcome of an
+item: (s0, s1) for a word's labels 0 and 1, (s,) for a pause.  A text is
+a plain function text(n, state) -> word | PAUSE (`ll_text`,
+`sequence_text`); `run` labels each word of it with the oracle, so there
+is no stream type.  A bettor is a memory automaton built by `bettor`:
+bet(memory, item) returns the same outcomes as (factor, memory) pairs;
+an outcome multiplies the capital by its factor and sets the memory, so
+a bettor cannot read the capital.  `weighted_sum`, the one combinator
+(flat memory), steps each component once per item.  The step contract is
+written once, in `step_fault`: a word's two outcomes must be fair,
 
-    2 * capital(s) == capital(step(s, x, 0)) + capital(step(s, x, 1))
+    2 * capital(s) == capital(s0) + capital(s1)
 
 with exact equality; a pause must keep the capital; every outcome must
 keep capital nonnegative, keep the memory's arity and grow each memory
 word by at most MEMORY_GROWTH_LIMIT letters plus 2 per letter of the
 incoming word.  A bettor's factors must sum to 2 (1 for a pause), be
 nonnegative and be declared, which holds the contract at every capital.
-The run loop (shared by `run` and `run_dynamic`) and
-`constructions.diagonalize` step through `checked_step`, which makes one
-bet (or both steps) per item and raises the first fault with the memory,
-the word (or pause) and the stage; the run loop then applies only the
-labelled outcome.  `audit_fairness`, which explores a bettor by memory
-and any other setup by full state, records a fault as a violation.
+The run loop (shared by `run` and `run_dynamic`), `diagonalize` and
+`adversarial_text` step through `checked_step`, which makes one bet (or
+step) call per item and raises the first fault with the memory, the word
+(or pause) and the stage; the run loop then applies only the labelled
+outcome.  `audit_fairness`, which explores a bettor by memory and any
+other setup by full state, records a fault as a violation.
 """
 
 from __future__ import annotations
@@ -105,13 +104,8 @@ class _PauseType:
 PAUSE = _PauseType()
 
 
-# Labeled, MState and TraceEntry are made once per stage or more, so they
-# are plain immutable tuples with named fields.
-class Labeled(NamedTuple):
-    word: str
-    bit: int
-
-
+# MState and TraceEntry are made once per stage or more, so they are plain
+# immutable tuples with named fields.
 class MState(NamedTuple):
     capital: Dyadic
     memory: tuple[str, ...]
@@ -121,16 +115,17 @@ class MState(NamedTuple):
 class Setup:
     """A step function with its start state.
 
-    A bettor (see `bettor`) also has bet, which returns every outcome of
-    an item in one call (((f0, m0), (f1, m1)) for a word, ((f, m),) for a
-    pause) and from which its step is derived, and bet_factors, the
+    step(state, item) returns the next state of every outcome of the
+    item, (s0, s1) for a word and (s,) for a pause.  A bettor (see
+    `bettor`) also has bet, which returns the same outcomes as (factor,
+    memory) pairs and from which its step is derived, and bet_factors, the
     factors a word may apply; the run loop and the audit call bet, not
     step.  A setup without them (a weighted sum) steps its whole state,
     and its capital moves are checked as capitals.
     """
 
     name: str
-    step: Callable[[MState, object], MState]
+    step: Callable[[MState, object], tuple]
     start: MState
     bet_factors: frozenset | None = None
     bet: Callable[[tuple, object], tuple] | None = None
@@ -166,14 +161,11 @@ def bettor(name: str, bet, memory: tuple, bet_factors) -> Setup:
     """The memory automaton bet as a setup that starts at capital 1 with
     the given memory.  bet(memory, word) returns the outcome of each label,
     ((f0, m0), (f1, m1)), and bet(memory, PAUSE) the one outcome ((f, m),);
-    a step applies the labelled outcome, multiplying the capital by its
-    factor.  bet_factors are the factors a word may apply; a pause
-    applies 1."""
+    its step applies every outcome, multiplying the capital by its factor.
+    bet_factors are the factors a word may apply; a pause applies 1."""
 
-    def step(state: MState, dp) -> MState:
-        if dp is PAUSE:
-            return _moved(state, *bet(state.memory, PAUSE)[0])
-        return _moved(state, *bet(state.memory, dp.word)[dp.bit])
+    def step(state: MState, item) -> tuple:
+        return tuple(_moved(state, *o) for o in bet(state.memory, item))
 
     return Setup(name, step, MState(ONE, memory), frozenset(bet_factors), bet)
 
@@ -392,12 +384,12 @@ FAULT_ERRORS = {
 def step_fault(setup: Setup, state, word, outs) -> tuple[str, str] | None:
     """The first way one step breaks the step contract, as (kind, detail)
     with kind a key of FAULT_ERRORS, or None.  outs are state's outcomes on
-    word with labels 0 and 1, or the one outcome of a pause (see
-    `_outcomes`).  For a bettor, state is a memory and outs are the
-    (factor, memory) pairs one bet call returned: the factors must sum to
-    2 (a pause must apply 1), and each must be nonnegative and declared.
-    For any other setup they are states, which must be fair (a pause must
-    keep the capital) with nonnegative capitals."""
+    word with labels 0 and 1, or the one outcome of a pause, from one call.
+    For a bettor, state is a memory and outs are the (factor, memory) pairs
+    bet returned: the factors must sum to 2 (a pause must apply 1), and
+    each must be nonnegative and declared.  For any other setup they are
+    states, which must be fair (a pause must keep the capital) with
+    nonnegative capitals."""
     bets = setup.bet is not None
     if not bets:
         capital, memory = state.capital, state.memory
@@ -435,28 +427,17 @@ def step_fault(setup: Setup, state, word, outs) -> tuple[str, str] | None:
     return None
 
 
-def _outcomes(setup: Setup, state, word) -> tuple:
-    """The outcomes step_fault checks: for a bettor, state is a memory and
-    they are what one bet call returns; any other setup's state is stepped
-    on word with labels 0 and 1, or on a pause."""
-    if setup.bet is not None:
-        return setup.bet(state, word)
-    step = setup.step
-    if word is PAUSE:
-        return (step(state, PAUSE),)
-    return step(state, Labeled(word, 0)), step(state, Labeled(word, 1))
-
-
 def checked_step(setup: Setup, state: MState, word, stage: int) -> tuple:
     """The outcomes of state on word with labels 0 and 1, or the one
     outcome of a pause, checked: a bettor's (factor, memory) pairs from one
-    bet call, or any other setup's next states.  setup.after(state, out)
-    is the state an outcome leads to, so a caller applies only the
-    outcomes it needs.  Raises the error of the first step-contract fault
-    (see step_fault), naming the memory, the item and the stage it leads
-    to."""
-    before = state if setup.bet is None else state.memory
-    outs = _outcomes(setup, before, word)
+    bet call, or any other setup's next states from one step call.
+    setup.after(state, out) is the state an outcome leads to, so a caller
+    applies only the outcomes it needs.  Raises the error of the first
+    step-contract fault (see step_fault), naming the memory, the item and
+    the stage it leads to."""
+    bet = setup.bet
+    before = state if bet is None else state.memory
+    outs = (setup.step if bet is None else bet)(before, word)
     fault = step_fault(setup, before, word, outs)
     if fault is not None:
         kind, detail = fault
@@ -549,7 +530,7 @@ def audit_fairness(setup: Setup, probe_words, *, max_states: int = 256) -> Audit
     state is its memory: bet is called once per memory and probe, and its
     factors are checked, which holds the contract at every capital.  Any
     other setup (a weighted sum, whose memory holds its component
-    capitals) is explored by full state, stepped once per label.
+    capitals) is explored by full state, stepped once per probe.
 
     transitions_checked counts the outcomes checked, 2 per word probe and 1
     per pause; closed is False when the cap turned a reachable state away.
@@ -557,6 +538,7 @@ def audit_fairness(setup: Setup, probe_words, *, max_states: int = 256) -> Audit
     """
     bet = setup.bet
     start = setup.start if bet is None else setup.start.memory
+    answer = setup.step if bet is None else bet
     probes = [*probe_words, PAUSE]
     report = AuditReport()
     seen = {start}
@@ -565,7 +547,7 @@ def audit_fairness(setup: Setup, probe_words, *, max_states: int = 256) -> Audit
         state = frontier.popleft()
         report.states_visited += 1
         for word in probes:
-            outs = _outcomes(setup, state, word)
+            outs = answer(state, word)
             report.transitions_checked += 1 if word is PAUSE else 2
             for nxt in outs:
                 if bet is not None:
@@ -594,7 +576,8 @@ def weighted_sum(setups, weights) -> Setup:
     """Weighted sum: capital is the sum of weight_i * capital_i, so the trace
     is the pointwise weighted sum of the component traces.  The memory is
     flat: per component, its capital as one word (str, read back with
-    Dyadic.parse), then that component's own memory words.
+    Dyadic.parse), then that component's own memory words.  A step steps
+    each component once and combines their outcomes label by label.
     """
     parts = list(zip(setups, weights, strict=True))
     if not parts:
@@ -605,10 +588,11 @@ def weighted_sum(setups, weights) -> Setup:
         capital = sum((w * s.capital for (_, w), s in zip(parts, states)), ZERO)
         return MState(capital, tuple(x for s in states for x in (str(s.capital), *s.memory)))
 
-    def step(state: MState, dp) -> MState:
+    def step(state: MState, item) -> tuple:
         m = state.memory
-        return combine([d.step(MState(Dyadic.parse(m[lo]), m[lo + 1:hi]), dp)
-                        for (d, _), lo, hi in zip(parts, bounds, bounds[1:])])
+        outs = [d.step(MState(Dyadic.parse(m[lo]), m[lo + 1:hi]), item)
+                for (d, _), lo, hi in zip(parts, bounds, bounds[1:])]
+        return tuple(combine(states) for states in zip(*outs))
 
     name = "(" + " + ".join(f"{w} * {d.name}" for d, w in parts) + ")"
     return Setup(name, step, combine([d.start for d, _ in parts]), None)

@@ -28,7 +28,7 @@ from .automata import (
 )
 from .constructions import ConstructionError
 from .dyadic import HALF, ONE, THREE_HALVES
-from .engine import Labeled, MState, PAUSE, Setup, bettor, sequence_text
+from .engine import MState, PAUSE, Setup, bettor, checked_step, sequence_text
 from .regular import exponential_growth_witness, growth_class, universe
 
 
@@ -105,7 +105,8 @@ def adversarial_text(setup: Setup, domain: Dfa, oracle, *, mode: str = "any",
     used words in repetition-free mode) are scanned for one whose honest
     label does not increase the capital; the least such word is appended.
     If none exists the search stalls and the current state is returned as
-    a StallWitness instead of a text.
+    a StallWitness instead of a text.  Every candidate is stepped through
+    checked_step, so an unfair setup raises its step-contract error.
     """
     if mode not in ("any", "repetition-free"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -119,7 +120,8 @@ def adversarial_text(setup: Setup, domain: Dfa, oracle, *, mode: str = "any",
         for x in pool:
             if mode == "repetition-free" and x in used:
                 continue
-            nxt = setup.step(state, Labeled(x, 1 if oracle_fn(x) else 0))
+            outs = checked_step(setup, state, x, stage + 1)
+            nxt = setup.after(state, outs[1 if oracle_fn(x) else 0])
             if nxt.capital <= state.capital:
                 chosen = (x, nxt)
                 break
@@ -136,8 +138,7 @@ def extract_language(setup: Setup, state: MState) -> Callable[[str], bool]:
     the 1-labeled step pays strictly more than the 0-labeled step."""
 
     def predicate(word: str) -> bool:
-        hi = setup.step(state, Labeled(word, 1))
-        lo = setup.step(state, Labeled(word, 0))
+        lo, hi = setup.step(state, word)
         return hi.capital > lo.capital
 
     return predicate

@@ -312,6 +312,19 @@ def test_verify_checks_the_enum_hash(workdir, capsys):
     assert "'00'" in err and repr(SEED_OBJECTS[1]["enum_hash"]) in err
 
 
+def test_verify_huge_capital_is_a_divergence(workdir, capsys):
+    """A first capital of 1/2^99999999999 is compared without aligning it
+    bit by bit: verify exits 1 naming the divergence, in one line."""
+    words = SEED_OBJECTS[1]["words"]
+    huge = workdir / "huge-capital.json"
+    huge.write_text(json.dumps({**SEED_OBJECTS[1], "words": [
+        {**words[0], "capital": "1/2^99999999999"}, *words[1:]]}))
+    assert main(["verify", str(huge)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"first divergence at {words[0]['w']!r}: replayed ")
+    assert err.endswith("recorded 1/2^99999999999\n") and len(err.splitlines()) == 1
+
+
 def test_verify_malformed_is_status_2(workdir):
     bad = workdir / "garbage.json"
     bad.write_text("{}")
@@ -624,6 +637,8 @@ def slow_exponential_domain() -> dict:
     (["run", "looping-oracle.ini"], "config error:", "machine ran past 1000000 steps"),
     (["run", "looping-tm.ini"], "text error:", "10000 consecutive pauses"),
     (["run", "cfl.ini", "--threshold", "1/2^-5"], "config error:", "bad threshold value"),
+    (["run", "cfl.ini", "--threshold", "1/2^99999999999"], "config error:",
+     "threshold 1/2^99999999999 must exceed the starting capital"),
     (["verify", "negative-exponent.json"], "bad certificate:", "negative exponent"),
     (["run", "learner-finite.ini"], "config error:", "index_language is finite"),
     (["run", "variant-finite.ini"], "config error:", "index_language is finite"),
@@ -651,6 +666,10 @@ def slow_exponential_domain() -> dict:
     (["verify", "bit-2.json"], "bad certificate:", "bit 2 is not 0 or 1"),
     (["verify", "bit-true.json"], "bad certificate:", "bit True is not 0 or 1"),
     (["verify", "no-words.json"], "bad certificate:", "the certificate lists no words"),
+    (["verify", "weight-base-negative.json"], "bad certificate:",
+     "weight base -1/2^1 is not 1/2^2"),
+    (["verify", "weight-base-huge.json"], "bad certificate:",
+     "weight base 1/2^99999999999 is not 1/2^2"),
     (["audit", "regular-bettor", "--dfa", "zo.json", "--seed", "0"], "audit setup error:",
      "seed must be positive, got 0"),
     (["audit", "regular-bettor", "--dfa", "zo.json", "--seed", "-3"], "audit setup error:",
@@ -670,7 +689,8 @@ def slow_exponential_domain() -> dict:
         "regular-language-misses-letter", "regular-oracle-misses-letter",
         "subset-misses-letter", "diagonalize-setup-misses-letter",
         "verify-setup-misses-letter", "oracle-tm-never-halts", "tm-dynamic-never-halts",
-        "threshold-negative-exponent", "verify-capital-negative-exponent",
+        "threshold-negative-exponent", "threshold-huge-exponent",
+        "verify-capital-negative-exponent",
         "learner-finite-index", "variant-learner-finite-index", "pclass-no-cycle",
         "cfl-two-word-head", "learner-empty-index", "variant-learner-empty-index",
         "learner-target-outside-index", "learner-index-letter-unread",
@@ -678,6 +698,7 @@ def slow_exponential_domain() -> dict:
         "diagonalize-zero-words", "diagonalize-negative-words", "pclass-zero-anchors",
         "dyadic-audit-zero-count", "config-percent-value", "config-line-without-equals",
         "config-key-twice", "verify-bit-2", "verify-bit-true", "verify-no-words",
+        "verify-weight-base-negative", "verify-weight-base-huge",
         "audit-seed-0", "audit-seed-negative", "tm-dynamic-finite-domain",
         "tm-dynamic-empty-domain", "cfl-finite-domain", "cfl-empty-domain"])
 def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needle):
@@ -780,6 +801,8 @@ def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needl
         ("bit-true.json", "words",
          [{**SEED_OBJECTS[1]["words"][0], "bit": True}, *SEED_OBJECTS[1]["words"][1:]]),
         ("no-words.json", "words", []),
+        ("weight-base-negative.json", "weight_base", "-1/2^1"),
+        ("weight-base-huge.json", "weight_base", "1/2^99999999999"),
     ]:
         (workdir / name).write_text(json.dumps({**SEED_OBJECTS[1], key: value}))
     for name, alphabet in [("repeated-letter.json", "001"), ("padding-letter.json", "0#1")]:

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import brute_words, equal_counts, equal_counts_tm
 from test_acceptance import shipped_constructions
+from test_engine import broken_setup, each, unfair_bet
 from langmart.automata import (
     combine,
     concat,
@@ -44,10 +45,11 @@ from langmart.constructions import (
 )
 from langmart.dyadic import Dyadic, HALF, ONE, THREE_HALVES, TWO, ZERO
 from langmart.engine import (
-    Labeled,
+    FairnessViolationError,
     PAUSE,
     ValidityBudgetError,
     audit_fairness,
+    bettor,
     ll_text,
     run,
     run_dynamic,
@@ -103,8 +105,7 @@ class TestSubsetBettor:
     def test_fairness_at_member(self, one_zeros):
         setup = subset_bettor(one_zeros, "inside")
         state = setup.start
-        hi = setup.step(state, Labeled("10", 1)).capital
-        lo = setup.step(state, Labeled("10", 0)).capital
+        lo, hi = (nxt.capital for nxt in setup.step(state, "10"))
         assert (hi, lo) == (THREE_HALVES, HALF)
         assert hi + lo == TWO * state.capital
 
@@ -161,10 +162,36 @@ class TestAdversarial:
         for w in brute_words("01", 8):
             assert predicate(w) == zeros_then_ones.accepts(w)
 
+    @pytest.mark.parametrize("unfair", ["bettor", "opaque"])
+    def test_unfair_setup_raises(self, sigma, unfair):
+        """Every candidate is a checked step: a setup that pays 3/2 on both
+        labels, or 3/4 and 3/2, raises instead of yielding a text."""
+        setup = (bettor("unfair", unfair_bet, ("",), {THREE_HALVES, HALF})
+                 if unfair == "bettor" else broken_setup())
+        with pytest.raises(FairnessViolationError, match=r"at word '' \(stage 1\)$"):
+            adversarial_text(setup, sigma, equal_counts, horizon=5, search_bound=10)
+
+    def test_one_automaton_run_per_extracted_word(self, zeros_then_ones, monkeypatch):
+        """extract_language reads both capitals of a word from one step."""
+        calls = []
+        accepts = type(zeros_then_ones).accepts
+
+        def counting(dfa, word):
+            if dfa is zeros_then_ones:
+                calls.append(word)
+            return accepts(dfa, word)
+
+        setup = regular_bettor(zeros_then_ones)
+        predicate = extract_language(setup, setup.start)
+        monkeypatch.setattr(type(zeros_then_ones), "accepts", counting)
+        words = ["", "01", "10", "0011"]
+        assert [predicate(w) for w in words] == [True, True, False, True]
+        assert calls == words
+
     def test_tie_means_nonmember(self):
         from langmart.engine import MState, Setup
 
-        neutral = Setup("flat", lambda s, dp: s, MState(ONE, ("",)), None)
+        neutral = Setup("flat", lambda s, x: each(x, s), MState(ONE, ("",)), None)
         predicate = extract_language(neutral, neutral.start)
         assert not predicate("0")
 
@@ -200,7 +227,7 @@ class TestFamilyLearner:
         fam = prefix_family("01")
         setup = family_learner(fam)
         state = setup.start
-        nxt = setup.step(state, Labeled("1", 0))  # L_eps says 1, label 0: wrong
+        nxt = setup.step(state, "1")[0]  # L_eps says 1, label 0: wrong
         assert nxt.capital == HALF
         assert nxt.memory == ("0",)
 
@@ -237,9 +264,9 @@ class TestFamilyLearner:
         fam = AutomaticFamily(index_language, membership)
         learner = family_learner(fam)
         state = learner.start
-        state = learner.step(state, Labeled("0", 0))  # L_0 wrong: advance to 1
+        state = learner.step(state, "0")[0]  # L_0 wrong: advance to 1
         with pytest.raises(LearnerStallError):
-            learner.step(state, Labeled("1", 0))
+            learner.step(state, "1")
 
 
 class TestVariantLearner:
@@ -256,7 +283,7 @@ class TestVariantLearner:
         seen = [state.memory]
         for _ in range(19):
             wrong = 0 if fam.member("0", state.memory[0]) else 1
-            state = setup.step(state, Labeled("0", wrong))
+            state = setup.step(state, "0")[wrong]
             seen.append(state.memory)
         assert seen == [tuple(p) for p in pairs]
 
@@ -331,9 +358,8 @@ class TestTmBettor:
         setup, generator = tm_dynamic_bettor(tm_equal_counts, sigma)
         state = setup.start
         while not state.memory[2]:
-            state = setup.step(state, PAUSE)
-        hi = setup.step(state, Labeled(state.memory[0], 1)).capital
-        lo = setup.step(state, Labeled(state.memory[0], 0)).capital
+            (state,) = setup.step(state, PAUSE)
+        lo, hi = (nxt.capital for nxt in setup.step(state, state.memory[0]))
         assert {hi, lo} == {TWO * state.capital, ZERO}
 
 
@@ -416,7 +442,7 @@ class TestDiagonalize:
     def test_ties_choose_zero(self, sigma):
         from langmart.engine import MState, Setup
 
-        neutral = Setup("flat", lambda s, dp: s, MState(ONE, ("",)), None)
+        neutral = Setup("flat", lambda s, x: each(x, s), MState(ONE, ("",)), None)
         cert = diagonalize([neutral], sigma, 8)
         assert all(e.bit == 0 for e in cert.entries)
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from langmart.dyadic import (
+    ZERO,
     Dyadic,
     MalformedCodeError,
     TwoRowCode,
@@ -95,6 +96,36 @@ def test_compare_matches_sub_sign(x, y):
     diff = x - y
     assert compare(x, y) == (diff.num > 0) - (diff.num < 0)
     assert (x < y) == (as_fraction(x) < as_fraction(y))
+
+
+# Magnitudes that share the power-of-two bracket [1, 2), so that comparing
+# them needs the aligned numerators: 3/2^1 and 1, and (2^k+1)/2^k and
+# (2^(k+1)-1)/2^k for k = 2, 12 and 2000 (7/8 lies in the bracket below);
+# with their negatives and zero.
+TIE_MAGNITUDES = [Dyadic(3, 1), Dyadic(1), Dyadic(5, 2), Dyadic(7, 2),
+                  Dyadic(2**12 + 1, 12), Dyadic(2**13 - 1, 12),
+                  Dyadic(2**2000 + 1, 2000), Dyadic(2**2001 - 1, 2000), Dyadic(7, 3)]
+TIE_VALUES = [Dyadic(0)] + TIE_MAGNITUDES + [-x for x in TIE_MAGNITUDES]
+
+
+@pytest.mark.parametrize("x", TIE_VALUES, ids=str)
+def test_compare_ties_match_fractions(x):
+    fx = as_fraction(x)
+    for y in TIE_VALUES:
+        fy = as_fraction(y)
+        assert (x < y, x <= y, x == y, x != y, x > y, x >= y) == \
+            (fx < fy, fx <= fy, fx == fy, fx != fy, fx > fy, fx >= fy), (x, y)
+        assert compare(x, y) == (fx > fy) - (fx < fy)
+
+
+def test_compare_huge_exponents_without_aligning():
+    """An exponent of 10**11 would need 10**11 bits to align with 1; the
+    comparison is decided by sign and bit length, or by a shift no longer
+    than the operands."""
+    tiny = Dyadic(1, 10**11)
+    assert ZERO < tiny < Dyadic(1) and -tiny < ZERO and not tiny >= Dyadic(1, 40)
+    assert Dyadic(3, 10**11) > Dyadic(1, 10**11 - 1) > Dyadic(1, 10**11)
+    assert compare(Dyadic(-3, 10**11), Dyadic(-1, 10**11 - 1)) == -1
 
 
 def test_tworow_examples():

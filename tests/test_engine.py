@@ -18,7 +18,6 @@ from langmart.engine import (
     CapitalTrace,
     FAULT_ERRORS,
     FairnessViolationError,
-    Labeled,
     MemoryDisciplineError,
     MState,
     NegativeCapitalError,
@@ -48,14 +47,22 @@ from langmart.constructions import diagonalize
 from langmart.rng import Lcg
 
 
-def broken_setup():
-    """Deliberately unfair: pays 3/2 and 3/4 on the two labels."""
+def each(item, state):
+    """state as the outcome of every label of item: (state,) for a pause,
+    (state, state) for a word."""
+    return (state,) if item is PAUSE else (state, state)
 
-    def step(state, dp):
-        if dp is PAUSE:
-            return state
-        factor = Dyadic(3, 1) if dp.bit else Dyadic(3, 2)
-        return MState(state.capital * factor, state.memory)
+
+def scaled(state, *factors):
+    """One outcome per factor: state with its capital multiplied by it."""
+    return tuple(MState(state.capital * f, state.memory) for f in factors)
+
+
+def broken_setup():
+    """Deliberately unfair: pays 3/4 and 3/2 on the labels 0 and 1."""
+
+    def step(state, item):
+        return (state,) if item is PAUSE else scaled(state, Dyadic(3, 2), Dyadic(3, 1))
 
     return Setup("broken", step, MState(ONE, ("",)), None)
 
@@ -92,22 +99,20 @@ def doubles_on_pause(memory, word):
     return ((TWO, memory),) if word is PAUSE else ((ONE, memory), (ONE, memory))
 
 
-def goes_negative(state, dp):
+def goes_negative(state, item):
     """Fair: 5/2 on label 0 and -1/2 on label 1."""
-    if dp is PAUSE:
-        return state
-    return MState(state.capital * (Dyadic(-1, 1) if dp.bit else Dyadic(5, 1)), state.memory)
+    return (state,) if item is PAUSE else scaled(state, Dyadic(5, 1), Dyadic(-1, 1))
 
 
-def adds_a_word(state, dp):
-    return MState(state.capital, state.memory + ("",))
+def adds_a_word(state, item):
+    return each(item, MState(state.capital, state.memory + ("",)))
 
 
 def grows_by(letters):
     """Keeps the capital and appends `letters` letters to the memory word."""
 
-    def step(state, dp):
-        return MState(state.capital, (state.memory[0] + "x" * letters,))
+    def step(state, item):
+        return each(item, MState(state.capital, (state.memory[0] + "x" * letters,)))
 
     return step
 
@@ -159,10 +164,8 @@ class TestRun:
             run(broken_setup(), ll_text(sigma), sigma, 3)
 
     def test_pause_violation_detected(self, sigma):
-        def step(state, dp):
-            if dp is PAUSE:
-                return MState(state.capital * Dyadic(2), state.memory)
-            return state
+        def step(state, item):
+            return scaled(state, Dyadic(2)) if item is PAUSE else (state, state)
 
         bad = Setup("pause-breaker", step, MState(ONE, ("",)), None)
         with pytest.raises(PausePreservationError):
@@ -206,8 +209,8 @@ class TestRun:
                            match=r"in memory \('1',\) at word '01' \(stage 7\)$"):
             run(bad, sequence_text(["0"] * 5 + ["1", "01"]), sigma, 7)
 
-        def pause_doubles(state, dp):
-            return MState(state.capital * 2, state.memory) if dp is PAUSE else state
+        def pause_doubles(state, item):
+            return scaled(state, TWO) if item is PAUSE else (state, state)
 
         bad = Setup("pause-doubles", pause_doubles, MState(ONE, ("",)), None)
         with pytest.raises(PausePreservationError,
@@ -215,10 +218,10 @@ class TestRun:
             run(bad, sequence_text(["0"] * 6 + [PAUSE]), sigma, 7)
 
     def test_diagonalize_errors_name_the_word_position(self, sigma):
-        def unfair_on_1(state, dp):
-            if dp is PAUSE or dp.word != "1":
-                return state
-            return MState(state.capital * 2, state.memory)  # on both labels
+        def unfair_on_1(state, item):
+            if item is PAUSE or item != "1":
+                return each(item, state)
+            return scaled(state, TWO, TWO)  # on both labels
 
         # the ll order of sigma is '', '0', '1', ...: '1' is the third word
         bad = Setup("unfair-on-1", unfair_on_1, MState(ONE, ("",)), None)
@@ -288,10 +291,10 @@ class TestAudit:
         setup = regular_bettor(zeros_then_ones)
         state = setup.start
         for w in ["", "0", "01", "11", "10"]:
-            lo = setup.step(state, Labeled(w, 0)).capital
-            hi = setup.step(state, Labeled(w, 1)).capital
+            outs = setup.step(state, w)
+            lo, hi = outs[0].capital, outs[1].capital
             assert min(lo, hi) <= state.capital <= max(lo, hi)
-            state = setup.step(state, Labeled(w, 1))
+            state = outs[1]
 
 
 class TestTexts:
@@ -594,6 +597,24 @@ def test_weighted_sum_memory_is_flat():
     assert total.start.memory[:2] == ("1/2^0", d.start.memory[0])
 
 
+def test_one_automaton_run_per_component_and_item(sigma, monkeypatch):
+    """A composite steps each component once per item: a two-bettor
+    truncated sum run for 10 stages runs each bettor's automaton 10 times."""
+    langs = [ZEROS_THEN_ONES, word_star("1")]
+    calls = {0: 0, 1: 0}
+    accepts = type(ZEROS_THEN_ONES).accepts
+
+    def counting(dfa, word):
+        for i, lang in enumerate(langs):
+            calls[i] += dfa is lang
+        return accepts(dfa, word)
+
+    composite = truncated_sum([regular_bettor(lang) for lang in langs])
+    monkeypatch.setattr(type(ZEROS_THEN_ONES), "accepts", counting)
+    trace = run(composite, ll_text(sigma), equal_counts, 10)
+    assert len(trace) == 11 and calls == {0: 10, 1: 10}
+
+
 def test_weighted_sum_rejects_mismatched_weights():
     d = regular_bettor(ZEROS_THEN_ONES)
     with pytest.raises(ValueError):
@@ -614,51 +635,49 @@ def threshold_mutant(threshold, above=True):
     """BASE's step, except that it pays 3/2 on both labels at every capital
     on one side of threshold (at or above it, or below it)."""
 
-    def step(state, dp):
-        if dp is not PAUSE and (state.capital >= threshold) == above:
-            return MState(state.capital * THREE_HALVES, state.memory)
-        return BASE.step(state, dp)
+    def step(state, item):
+        if item is not PAUSE and (state.capital >= threshold) == above:
+            return scaled(state, THREE_HALVES, THREE_HALVES)
+        return BASE.step(state, item)
 
     return step
 
 
-def still_at_1(state, dp):
-    if dp is PAUSE or state.capital == ONE:
-        return state
-    return MState(state.capital * THREE_HALVES, state.memory)
+def still_at_1(state, item):
+    if item is PAUSE or state.capital == ONE:
+        return each(item, state)
+    return scaled(state, THREE_HALVES, THREE_HALVES)
 
 
-def remembers_size(state, dp):
-    nxt = BASE.step(state, dp)
-    if dp is not PAUSE and state.capital >= 4:
-        return MState(nxt.capital, ("big",))
-    return nxt
+def remembers_size(state, item):
+    outs = BASE.step(state, item)
+    if item is not PAUSE and state.capital >= 4:
+        return tuple(MState(nxt.capital, ("big",)) for nxt in outs)
+    return outs
 
 
-def bets_only_at_1(state, dp):
-    return BASE.step(state, dp) if state.capital == ONE else state
+def bets_only_at_1(state, item):
+    return BASE.step(state, item) if state.capital == ONE else each(item, state)
 
 
-def bets_less_from_4(state, dp):
-    if dp is PAUSE or state.capital < 4:
-        return BASE.step(state, dp)
-    return MState(state.capital * (Dyadic(5, 2) if dp.bit else Dyadic(3, 2)), state.memory)
+def bets_less_from_4(state, item):
+    if item is PAUSE or state.capital < 4:
+        return BASE.step(state, item)
+    return scaled(state, Dyadic(3, 2), Dyadic(5, 2))
 
 
-def pause_moves_from_4(state, dp):
-    if dp is PAUSE and state.capital >= 4:
-        return MState(state.capital * 2, state.memory)
-    return BASE.step(state, dp)
+def pause_moves_from_4(state, item):
+    if item is PAUSE and state.capital >= 4:
+        return scaled(state, TWO)
+    return BASE.step(state, item)
 
 
-def unfair_from_0(state, dp):
-    return state if dp is PAUSE else MState(state.capital * THREE_HALVES, state.memory)
+def unfair_from_0(state, item):
+    return (state,) if item is PAUSE else scaled(state, THREE_HALVES, THREE_HALVES)
 
 
-def negative_from_0(state, dp):
-    if dp is PAUSE:
-        return state
-    return MState(state.capital * (Dyadic(5, 1) if dp.bit else Dyadic(-1, 1)), state.memory)
+def negative_from_0(state, item):
+    return (state,) if item is PAUSE else scaled(state, Dyadic(-1, 1), Dyadic(5, 1))
 
 
 def unfair_bet(memory, word):

@@ -14,7 +14,7 @@ import pytest
 # as `dataclass` or `gcd` that a module merely imported are left out).
 PUBLIC = {
     "langmart": """
-        CapitalTrace ConvolvedWord Dfa Dyadic GrowthClass Labeled MState Nfa PAUSE Setup
+        CapitalTrace ConvolvedWord Dfa Dyadic GrowthClass MState Nfa PAUSE Setup
         TwoRowCode add_setups audit_fairness bettor classify_text_prefix combine compare
         complement convolve count_leq_ll decode_tworow determinize embed_alphabet
         encode_tworow enumerate_ll growth_class ll_text min_ll project pump_decompose run
@@ -31,8 +31,8 @@ PUBLIC = {
     "langmart.constructions": """
         AutomaticFamily CertEntry ConstructionError Dfa DiagonalBoundError
         DiagonalCertificate Dyadic HALF Hypothesis HypothesisExhaustedError HypothesisSpace
-        Labeled LearnerStallError MState NoSuccessorError NotNormedError ONE PAUSE Setup
-        SliceCodec StallWitness THREE_HALVES TWO TmProgram ZERO adversarial_text
+        LearnerStallError MState NoSuccessorError NotNormedError ONE PAUSE Setup
+        SliceCodec StallWitness THREE_HALVES TWO TmProgram WEIGHT_BASE ZERO adversarial_text
         anchor_gap_report anchor_word bettor build_setup checked_step convolve count_leq_ll
         diagonalize dovetail_pairs enumerate_ll exponential_growth_witness extract_language
         family_learner finite_set_indexing growth_class is_normed min_ll
