@@ -100,6 +100,17 @@ def _check_letters(dfa: Dfa, domain: Dfa, what: str) -> None:
         raise ConfigError(f"{what} does not read the domain letter(s) {missing!r}")
 
 
+def _descriptor_setup(desc, domain: Dfa, what: str):
+    """The setup a certificate descriptor rebuilds; its automaton must read
+    every domain letter.  Errors name what."""
+    try:
+        setup = build_setup(desc)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from None
+    _check_letters(Dfa.from_json(desc["dfa"]), domain, what)
+    return setup
+
+
 def _load_dfa(path: Path, tracks: int = 1, domain: Dfa | None = None) -> Dfa:
     """The automaton in path; it must read `tracks` tracks and, when a
     domain is given, every domain letter."""
@@ -259,7 +270,8 @@ def _probe_words(domain: Dfa, seed: int) -> list[str]:
     rng = Lcg(seed)
     alphabet = "".join(domain.alphabets[0])
     words = enumerate_ll(domain, 32)
-    words += [rng.word(alphabet, 8) for _ in range(64 - len(words))]
+    if alphabet:  # over no letters the empty word is the only word
+        words += [rng.word(alphabet, 8) for _ in range(64 - len(words))]
     return sorted(set(words))
 
 
@@ -385,21 +397,14 @@ def _diagonalize_parts(exp: Experiment):
     setups = []
     for key in sorted(k for k in exp.inputs if k.startswith("setup")):
         spec = exp.inputs[key]
-        parts = spec.split(":")
-        if parts[0] == "regular_bettor" and len(parts) == 2:
-            desc = {"kind": "regular_bettor",
-                    "dfa": _load_json(exp.base / parts[1])}
-        elif parts[0] == "subset_bettor" and len(parts) == 3:
-            desc = {"kind": "subset_bettor", "side": parts[1],
-                    "dfa": _load_json(exp.base / parts[2])}
-        else:
+        kind, *args = spec.split(":")
+        if (kind, len(args)) not in (("regular_bettor", 1), ("subset_bettor", 2)):
             raise ConfigError(f"bad setup spec {spec!r}")
+        desc = {"kind": kind, "dfa": _load_json(exp.base / args[-1])}
+        if kind == "subset_bettor":
+            desc["side"] = args[0]
         descriptors.append(desc)
-        try:
-            setups.append(build_setup(desc))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"bad setup {spec!r}: {exc}") from None
-        _check_letters(Dfa.from_json(desc["dfa"]), domain, f"setup {spec!r}")
+        setups.append(_descriptor_setup(desc, domain, f"setup {spec!r}"))
     if not setups:
         raise ConfigError("diagonalize needs setup1, setup2, ... inputs")
     return domain, setups, descriptors
@@ -468,7 +473,7 @@ def _run_pclass(exp: Experiment, out_dir: Path) -> int:
 
 
 def _run_cfl_pipeline(exp: Experiment, out_dir: Path) -> int:
-    from .grammar import cfl_nonrandom_pipeline, cyk_member, to_cnf
+    from .grammar import NoPumpError, cfl_nonrandom_pipeline, cyk_member, to_cnf
 
     domain = exp.dfa("domain")
     grammar = _load_grammar(exp.path("grammar"))
@@ -477,6 +482,9 @@ def _run_cfl_pipeline(exp: Experiment, out_dir: Path) -> int:
         setup, r, side = cfl_nonrandom_pipeline(cnf, domain)
     except EmptyLanguageError as exc:  # no domain word is long enough to pump
         raise ConfigError(f"the cfl pipeline needs an infinite domain: {exc}") from None
+    except NoPumpError as exc:
+        raise ConfigError(f"the cfl pipeline found no infinite regular subset: "
+                          f"{exc}") from None
     if exp.threshold <= setup.start.capital:
         raise ConfigError(f"threshold {exp.threshold} must exceed the starting "
                           f"capital {setup.start.capital}")
@@ -615,12 +623,10 @@ def cmd_verify(args) -> int:
             descriptors = [json.loads(d) for d in cert.setup_descriptors]
         except RecursionError:
             raise ConfigError("a setup descriptor is nested too deeply") from None
-        setups = [build_setup(d) for d in descriptors]
         domain = Dfa.from_json(cert.domain_json)
         if domain.arity != 1:
             raise ConfigError(f"the domain reads {domain.arity} tracks, not 1")
-        for d in descriptors:
-            _check_letters(Dfa.from_json(d["dfa"]), domain, f"setup {d['kind']}")
+        setups = [_descriptor_setup(d, domain, f"setup {d['kind']}") for d in descriptors]
     except (ConfigError, KeyError, ValueError, TypeError) as exc:
         print(f"bad certificate: {exc}", file=sys.stderr)
         return 2
@@ -650,15 +656,13 @@ def cmd_growth(args) -> int:
 
 def cmd_audit(args) -> int:
     try:
-        dfa = _load_dfa(Path(args.dfa)) if args.dfa else None
+        if not args.dfa:
+            raise ConfigError("--dfa required")
+        domain = _load_dfa(Path(args.dfa))
         if args.setup_kind == "regular-bettor":
-            if dfa is None:
-                raise ConfigError("--dfa required")
-            setup, domain = regular_bettor(dfa), dfa
+            setup = regular_bettor(domain)
         elif args.setup_kind == "subset-bettor":
-            if dfa is None:
-                raise ConfigError("--dfa required")
-            setup, domain = subset_bettor(dfa, args.side), dfa
+            setup = subset_bettor(domain, args.side)
         else:
             raise ConfigError(f"unknown setup kind {args.setup_kind!r}")
         if args.seed <= 0:

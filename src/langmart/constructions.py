@@ -54,16 +54,23 @@ WEIGHT_BASE = Dyadic(1, 2)
 # ---------------------------------------------------------------------------
 
 
-def regular_bettor(lang: Dfa) -> Setup:
-    """Bets 3/2 of the capital on the automaton's verdict, 1/2 against."""
+def dfa_bettor(name: str, dfa: Dfa, on_member: tuple, on_other: tuple) -> Setup:
+    """Bets along a 1-track automaton: a word pays the factor pair (label 0,
+    label 1) on_member when dfa accepts it and on_other when not; a pause
+    pays 1.  Its memory never moves."""
 
     def bet(memory: tuple, word):
         if word is PAUSE:
             return ((ONE, memory),)
-        lost, won = (HALF, memory), (THREE_HALVES, memory)
-        return (lost, won) if lang.accepts(word) else (won, lost)
+        f0, f1 = on_member if dfa.accepts(word) else on_other
+        return (f0, memory), (f1, memory)
 
-    return bettor("regular_bettor", bet, ("",), {THREE_HALVES, HALF})
+    return bettor(name, bet, ("",), {*on_member, *on_other})
+
+
+def regular_bettor(lang: Dfa) -> Setup:
+    """Bets 3/2 of the capital on the automaton's verdict, 1/2 against."""
+    return dfa_bettor("regular_bettor", lang, (HALF, THREE_HALVES), (THREE_HALVES, HALF))
 
 
 def subset_bettor(r: Dfa, side: str) -> Setup:
@@ -71,17 +78,8 @@ def subset_bettor(r: Dfa, side: str) -> Setup:
     or non-membership ('outside') of the target language."""
     if side not in ("inside", "outside"):
         raise ValueError(f"side must be inside/outside, not {side!r}")
-    bet_bit = 1 if side == "inside" else 0
-
-    def bet(memory: tuple, word):
-        if word is PAUSE:
-            return ((ONE, memory),)
-        if not r.accepts(word):
-            return (ONE, memory), (ONE, memory)
-        lost, won = (HALF, memory), (THREE_HALVES, memory)
-        return (lost, won) if bet_bit else (won, lost)
-
-    return bettor(f"subset_bettor[{side}]", bet, ("",), {ONE, THREE_HALVES, HALF})
+    toward = (HALF, THREE_HALVES) if side == "inside" else (THREE_HALVES, HALF)
+    return dfa_bettor(f"subset_bettor[{side}]", r, toward, (ONE, ONE))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from functools import cached_property
 
 from .automata import Dfa, min_word_of_length_at_least
 from .regular import (
+    _sccs,
     combine,
     concat,
     finite_language,
@@ -37,6 +38,14 @@ class GrammarError(Exception):
 
 class NotAMemberError(GrammarError):
     pass
+
+
+class NoPumpError(GrammarError):
+    pass
+
+
+# infinite_regular_subset tries the powers v^1 .. v^PUMP_POWERS of the pumped word.
+PUMP_POWERS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -508,36 +517,15 @@ def _useful_nonterminals(g: CnfGrammar) -> set:
 
 
 def is_finite_cfl(g: CnfGrammar) -> bool:
-    """Finite iff no useful nonterminal can re-derive itself."""
+    """Finite iff no useful nonterminal can re-derive itself: every
+    strongly connected component of the derivation graph is one
+    nonterminal with no rule back to itself."""
     useful = _useful_nonterminals(g)
-    edges: dict[str, set] = {x: set() for x in useful}
-    for x, pairs in g.pair_rules.items():
-        if x not in useful:
-            continue
-        for y, z in pairs:
-            if y in useful and z in useful:
-                edges[x] |= {y, z}
-    # DFS cycle detection
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {x: WHITE for x in useful}
-    for root in useful:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(edges[root]))]
-        color[root] = GRAY
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    return False
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(edges[nxt])))
-                    break
-            else:
-                color[node] = BLACK
-                stack.pop()
-    return True
+    edges = {x: {sym for pair in g.pair_rules.get(x, ()) if useful.issuperset(pair)
+                 for sym in pair}
+             for x in useful}
+    return all(len(comp) == 1 and comp.isdisjoint(edges[x])
+               for comp in _sccs(sorted(useful), edges) for x in comp)
 
 
 def max_finite_length(g: CnfGrammar) -> int:
@@ -638,6 +626,8 @@ def intersect_regular(g: CnfGrammar, d: Dfa) -> CnfGrammar:
                         rules.append((name(p, y, s), name(s, z, q)))
     for x, letters in g.term_rules.items():
         for a in letters:
+            if a not in d.alphabets[0]:
+                continue  # no word the automaton reads has this letter
             for p in states:
                 q = d.transitions[(p, (a,))]
                 productions.setdefault(name(p, x, q), []).append((a,))
@@ -662,8 +652,8 @@ def infinite_regular_subset(g: CnfGrammar, domain: Dfa):
     and analyses the intersection with u v* w: finite intersections leave
     the complement branch, infinite ones are thinned to an arithmetic
     progression of v-powers via the context-free pumping lemma (powers
-    v^1 to v^64 are tried).  The 20 least words of r are checked against
-    the grammar before r is returned.
+    v^1 to v^PUMP_POWERS are tried, else NoPumpError).  The 20 least words
+    of r are checked against the grammar before r is returned.
     """
     alphabet = "".join(domain.alphabets[0])
     p = pumping_constant(domain)
@@ -687,7 +677,7 @@ def infinite_regular_subset(g: CnfGrammar, domain: Dfa):
 
     n_grammar = quotient(m_grammar, u, w)
     failures = []
-    for j in range(1, 65):
+    for j in range(1, PUMP_POWERS + 1):
         y = v * j
         if not cyk_member(n_grammar, y):
             continue
@@ -707,8 +697,8 @@ def infinite_regular_subset(g: CnfGrammar, domain: Dfa):
         except GrammarError:
             continue
         return r, "inside"
-    raise GrammarError(
-        "no pumpable power found in the intersection"
+    raise NoPumpError(
+        f"no power v^j with j <= {PUMP_POWERS} of v = {v!r} pumps in the intersection"
         + (f" ({failures[0]})" if failures else ""))
 
 

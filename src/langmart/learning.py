@@ -29,7 +29,7 @@ from .automata import (
 from .constructions import ConstructionError
 from .dyadic import HALF, ONE, THREE_HALVES
 from .engine import MState, PAUSE, Setup, bettor, checked_step, sequence_text
-from .regular import exponential_growth_witness, growth_class, universe
+from .regular import explore, exponential_growth_witness, growth_class, universe
 
 
 class LearnerStallError(ConstructionError):
@@ -428,30 +428,24 @@ def finite_set_indexing(domain: Dfa) -> tuple[SliceCodec, AutomaticFamily]:
         return all(bit == 0 for j, bit in enumerate(bits) if j >= sizes[sched_i])
 
     # ---- index language over K ----
-    # a state remembers the schedule position of the next slice and whether
-    # the letter just read was the all-empty tuple (indices never end on it)
-    sched_states = pre + period
-    start_state = 0
-    dead = 1 + 2 * sched_states
+    # a tail state remembers the schedule position of the next slice and
+    # whether the letter just read was not the all-empty tuple (indices never
+    # end on it); the empty index encodes the empty set
+    DEAD = ("dead",)
 
-    def e_state(position: int, last_nonzero: bool) -> int:
-        return 1 + 2 * position + (1 if last_nonzero else 0)
+    def tail_state(sched_i, last_nz):
+        return ("tail", sched_i, last_nz)
 
-    accepting = [start_state]  # the empty index encodes the empty set
-    accepting += [e_state(i, True) for i in range(sched_states)]
-    trans = {}
-    sources = [(start_state, 0)]
-    for i in range(sched_states):
-        for flag in (False, True):
-            sources.append((e_state(i, flag), i))
-    for src, position in sources:
-        for letter in codec.letters:
-            if letter_ok(letter, position):
-                trans[(src, (letter,))] = e_state(sched_next(position), letter != kz)
-            else:
-                trans[(src, (letter,))] = dead
-    index_language = Dfa(1, [codec.letters], dead + 1, start_state,
-                         accepting, trans)
+    def next_tail(state, kappa):
+        if state == DEAD or not letter_ok(kappa, state[1]):
+            return DEAD
+        return tail_state(sched_next(state[1]), kappa != kz)
+
+    def accepts(state) -> bool:
+        return state[0] == "tail" and state[2]
+
+    index_language = explore(1, [codec.letters], tail_state(0, True),
+                             lambda state, col: next_tail(state, col[0]), accepts)
 
     # ---- membership relation over (word, index) convolutions ----
     letters = domain.alphabets[0]
@@ -461,11 +455,6 @@ def finite_set_indexing(domain: Dfa) -> tuple[SliceCodec, AutomaticFamily]:
 
     def read_state(sched_i, q, cnts):
         return ("read", sched_i, q, cnts)
-
-    def tail_state(sched_i, last_nz):
-        return ("tail", sched_i, last_nz)
-
-    DEAD = ("dead",)
 
     def advance_counts(cnts, q, a):
         new = [0] * domain.n_states
@@ -486,13 +475,8 @@ def finite_set_indexing(domain: Dfa) -> tuple[SliceCodec, AutomaticFamily]:
         a, kappa = col
         if state == DEAD:
             return DEAD
-        if state[0] == "tail":
-            _, sched_i, last_nz = state
-            if a != "#":
-                return DEAD
-            if not letter_ok(kappa, sched_i):
-                return DEAD
-            return tail_state(sched_next(sched_i), kappa != kz)
+        if state[0] == "tail":  # the word has ended: the index language's moves
+            return next_tail(state, kappa) if a == "#" else DEAD
         _, sched_i, q, cnts = state
         if a != "#" and kappa != "#":
             if not letter_ok(kappa, sched_i):
@@ -514,29 +498,5 @@ def finite_set_indexing(domain: Dfa) -> tuple[SliceCodec, AutomaticFamily]:
         return tail_state(sched_next(sched_i), kappa != kz)
 
     start = read_state(0, domain.start, tuple([0] * domain.n_states))
-    columns = [
-        (a, kappa)
-        for a in letters + ("#",)
-        for kappa in codec.letters + ("#",)
-        if not (a == "#" and kappa == "#")
-    ]
-    index_of = {start: 0}
-    ordered = [start]
-    rel_trans = {}
-    i = 0
-    while i < len(ordered):
-        state = ordered[i]
-        for col in columns:
-            nxt = successor(state, col)
-            if nxt not in index_of:
-                index_of[nxt] = len(ordered)
-                ordered.append(nxt)
-            rel_trans[(i, col)] = index_of[nxt]
-        i += 1
-    rel_accepting = [
-        i for i, state in enumerate(ordered)
-        if state[0] == "tail" and state[2]
-    ]
-    membership = Dfa(2, [letters, codec.letters], len(ordered), 0,
-                     rel_accepting, rel_trans)
+    membership = explore(2, [letters, codec.letters], start, successor, accepts)
     return codec, AutomaticFamily(index_language, membership)

@@ -1,6 +1,7 @@
 """Constructions on regular languages beyond what a run needs.
 
-Nondeterministic automata with epsilon moves, the subset construction,
+Nondeterministic automata with epsilon moves, one breadth-first
+construction of reachable automata (`explore`), the subset construction,
 minimization, projection, products and complements, builders for small
 word languages, pumping splits, the slice-growth classifier and the
 embedding of a bigger alphabet into binary tracks.  Runs of the common
@@ -67,28 +68,37 @@ class Nfa:
                    dfa.accepting, trans)
 
 
-def determinize(nfa: Nfa) -> Dfa:
-    """Subset construction; the result is trimmed to reachable subsets."""
-    columns = list(admissible_columns(nfa.alphabets))
-    start = nfa.closure(nfa.starts)
+def explore(arity, alphabets, start, successor, accepts) -> Dfa:
+    """The automaton of the states reachable from start, numbered in
+    breadth-first order from 0 with columns in admissible order:
+    successor(state, column) is the next state and accepts(state) its
+    verdict.  States are any hashable values."""
+    columns = list(admissible_columns(alphabets))
     index = {start: 0}
     order = [start]
     trans = {}
-    i = 0
-    while i < len(order):
-        subset = order[i]
+    for i, state in enumerate(order):  # order grows while it is walked
         for col in columns:
-            nxt = set()
-            for q in subset:
-                nxt |= nfa.transitions.get((q, col), frozenset())
-            nxt = nfa.closure(nxt)
+            nxt = successor(state, col)
             if nxt not in index:
                 index[nxt] = len(order)
                 order.append(nxt)
             trans[(i, col)] = index[nxt]
-        i += 1
-    accepting = [i for i, subset in enumerate(order) if subset & nfa.accepting]
-    return Dfa(nfa.arity, nfa.alphabets, len(order), 0, accepting, trans)
+    accepting = [i for i, state in enumerate(order) if accepts(state)]
+    return Dfa(arity, alphabets, len(order), 0, accepting, trans)
+
+
+def determinize(nfa: Nfa) -> Dfa:
+    """Subset construction; the result is trimmed to reachable subsets."""
+
+    def successor(subset, col):
+        nxt = set()
+        for q in subset:
+            nxt |= nfa.transitions.get((q, col), frozenset())
+        return nfa.closure(nxt)
+
+    return explore(nfa.arity, nfa.alphabets, nfa.closure(nfa.starts), successor,
+                   lambda subset: bool(subset & nfa.accepting))
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -152,25 +162,9 @@ def combine(a: Dfa, b: Dfa, op: str) -> Dfa:
         test = tests[op]
     except KeyError:
         raise ValueError(f"unknown operation {op!r}") from None
-    columns = list(admissible_columns(a.alphabets))
-    index = {(a.start, b.start): 0}
-    order = [(a.start, b.start)]
-    trans = {}
-    i = 0
-    while i < len(order):
-        p, q = order[i]
-        for col in columns:
-            nxt = (a.transitions[(p, col)], b.transitions[(q, col)])
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            trans[(i, col)] = index[nxt]
-        i += 1
-    accepting = [
-        i for i, (p, q) in enumerate(order)
-        if test(p in a.accepting, q in b.accepting)
-    ]
-    return Dfa(a.arity, a.alphabets, len(order), 0, accepting, trans)
+    return explore(a.arity, a.alphabets, (a.start, b.start),
+                   lambda pq, col: (a.transitions[(pq[0], col)], b.transitions[(pq[1], col)]),
+                   lambda pq: test(pq[0] in a.accepting, pq[1] in b.accepting))
 
 
 def complement(a: Dfa, universe: Dfa | None = None) -> Dfa:

@@ -40,6 +40,8 @@ def workdir(tmp_path, sigma, zeros_then_ones, one_zeros, zeros_or_ones):
         json.dumps(fam.membership.to_json()))
     (tmp_path / "tm.json").write_text(json.dumps(equal_counts_tm().to_json()))
     (tmp_path / "eq.grammar").write_text("S -> 0 S 1 | #eps\n")
+    (tmp_path / "ab.grammar").write_text("S -> a S b | #eps\n")  # no letter of sigma
+    (tmp_path / "no_letters.json").write_text(json.dumps(NO_LETTERS))
     (tmp_path / "empty.json").write_text(json.dumps(empty("01").to_json()))
     (tmp_path / "three.json").write_text(json.dumps({
         "arity": 1, "alphabet": "01", "states": [0, 1, 2], "start": 0,
@@ -568,6 +570,43 @@ grammar = 01.grammar
     assert err.startswith("threshold 1048576/2^0 not reached in 50 stages")
 
 
+@pytest.mark.parametrize("grammar,argv,code", [
+    ("S -> a S b | #eps", [], 1),  # only the empty word is a domain word
+    ("S -> 0 S 1 | 0 2 1", ["--threshold", "8"], 0),  # no domain word at all
+], ids=["a-and-b", "letter-2"])
+def test_cfl_pipeline_skips_letters_the_domain_does_not_read(workdir, capsys, grammar,
+                                                             argv, code):
+    """A terminal rule on a letter the domain does not read derives no
+    common word, so the grammar's other rules decide."""
+    (workdir / "foreign.grammar").write_text(grammar + "\n")
+    cfg = write_config(workdir, "cfg.ini", "[experiment]\nkind = cfl-pipeline\n[inputs]\n"
+                                           "domain = sigma.json\ngrammar = foreign.grammar\n")
+    assert main(["run", cfg, "--out-dir", str(workdir / "out"), *argv]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert len(err.splitlines()) == 1
+        assert err.startswith("threshold 1048576/2^0 not reached in 1000 stages")
+    else:
+        assert err == ""
+    extracted = json.loads((workdir / "out" / "extracted.json").read_text())
+    assert extracted["side"] == "outside"
+
+
+def test_domain_without_letters(workdir, capsys):
+    """Over no letters the empty word is the only probe word."""
+    cfg = write_config(workdir, "cfg.ini", "[experiment]\nkind = regular-bettor\nsteps = 1\n"
+                                           "[inputs]\ndomain = no_letters.json\n"
+                                           "language = no_letters.json\n")
+    out = workdir / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    assert json.loads((out / "audit.json").read_text()) == []
+    assert main(["audit", "regular-bettor", "--dfa", str(workdir / "no_letters.json"),
+                 "--out-dir", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == "checked 3 transitions, 0 violations, 1 states visited, closed\n"
+
+
 def test_threshold_not_above_start_is_status_2(workdir, capsys):
     cfg = write_config(workdir, "cfg.ini", """\
 [experiment]
@@ -593,9 +632,12 @@ def test_audit_subcommand_reports_coverage(workdir, capsys):
         assert line.endswith(", 1 states visited, closed")
 
 
-# A word automaton over the alphabet "0" only, and a machine that never halts.
+# Word automata over the alphabet "0" only and over no letters (it accepts
+# the empty word), and a machine that never halts.
 ZERO_ONLY = {"arity": 1, "alphabet": "0", "states": [0], "start": 0, "accepting": [0],
              "transitions": [[0, "0", 0]]}
+NO_LETTERS = {"arity": 1, "alphabet": "", "states": [0], "start": 0, "accepting": [0],
+              "transitions": []}
 LOOPING_TM = {"start": "q", "accept": "acc", "reject": "rej", "blank": "_",
               "rules": [["q", a, a, "S", "q"] for a in "01_"]}
 
@@ -680,6 +722,8 @@ def slow_exponential_domain() -> dict:
      "domain exhausted by the self-scheduled text at stage 1: the domain has no members"),
     (["run", "cfl-finite.ini"], "config error:", "the cfl pipeline needs an infinite domain"),
     (["run", "cfl-empty.ini"], "config error:", "the cfl pipeline needs an infinite domain"),
+    (["run", "cfl-no-pump.ini"], "config error:",
+     "found no infinite regular subset: no power v^j with j <= 64"),
 ], ids=["pclass-bounded-domain", "pclass-slow-domain", "learner-one-track-membership",
         "regular-two-track-domain", "growth-report-two-track", "growth-two-track",
         "audit-two-track", "diagonalize-past-finite-domain", "verify-words-int",
@@ -700,13 +744,15 @@ def slow_exponential_domain() -> dict:
         "config-key-twice", "verify-bit-2", "verify-bit-true", "verify-no-words",
         "verify-weight-base-negative", "verify-weight-base-huge",
         "audit-seed-0", "audit-seed-negative", "tm-dynamic-finite-domain",
-        "tm-dynamic-empty-domain", "cfl-finite-domain", "cfl-empty-domain"])
+        "tm-dynamic-empty-domain", "cfl-finite-domain", "cfl-empty-domain", "cfl-no-pump"])
 def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needle):
     (workdir / "slow.json").write_text(json.dumps(slow_exponential_domain()))
     (workdir / "zero-only.json").write_text(json.dumps(ZERO_ONLY))
     (workdir / "loop.tm.json").write_text(json.dumps(LOOPING_TM))
     (workdir / "just-0.json").write_text(json.dumps(from_word("0").to_json()))
     (workdir / "two-word-head.grammar").write_text("S A -> 0 1\n")
+    # (0^70)+ inside 0*: no power 0^j with j <= 64 is a member, so none pumps
+    (workdir / "long.grammar").write_text("S -> A S | A\nA -> " + " ".join("0" * 70) + "\n")
     (workdir / "universe-012.json").write_text(json.dumps(universe("012").to_json()))
     (workdir / "deep.json").write_text(DEEP_JSON)
     configs = {
@@ -779,6 +825,8 @@ def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needl
                           "grammar = eq.grammar",
         "cfl-empty.ini": "kind = cfl-pipeline\n[inputs]\ndomain = empty.json\n"
                          "grammar = eq.grammar",
+        "cfl-no-pump.ini": "kind = cfl-pipeline\n[inputs]\ndomain = zero_star.json\n"
+                           "grammar = long.grammar",
     }
     for name, body in configs.items():
         write_config(workdir, name, f"[experiment]\n{body}\n")
@@ -941,7 +989,8 @@ INPUT_KEYS = ["domain", "language", "subset", "oracle_dfa", "oracle_grammar", "o
               "index_language", "membership", "tm", "grammar", "setup1", "setup4"]
 INPUT_FILES = ["sigma.json", "zo.json", "one_zeros.json", "zoro.json", "zero_star.json",
                "ones.json", "prefix_index.json", "prefix_member.json", "tm.json",
-               "eq.grammar", "three.json", "empty.json", "missing.json", "",
+               "eq.grammar", "ab.grammar", "three.json", "empty.json", "no_letters.json",
+               "missing.json", "",
                "regular_bettor:zo.json",
                "subset_bettor:outside:ones.json", "subset_bettor:zo.json"]
 # Values: small numbers (sizes stay capped), words the parsers know, and

@@ -1,9 +1,11 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import brute_words, equal_counts, equal_counts_tm
 from test_acceptance import shipped_constructions
+from test_automata import _brute_accepts, word_automata
 from test_engine import broken_setup, each, unfair_bet
 from langmart.automata import (
     combine,
@@ -126,6 +128,37 @@ class TestSubsetBettor:
     def test_bad_side(self, one_zeros):
         with pytest.raises(ValueError):
             subset_bettor(one_zeros, "within")
+
+
+# (label 0, label 1) factors of a bet toward and against membership
+TOWARD, AGAINST, NEUTRAL = (HALF, THREE_HALVES), (THREE_HALVES, HALF), (ONE, ONE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(word_automata())
+def test_automaton_bettors_pay_their_stake_tables(case):
+    """On every word of length at most 7, regular_bettor and subset_bettor
+    on both sides (dfa_bettor calls under their own names) pay the factor
+    pair of the word's membership, read off the partial transition dict; a
+    pause pays 1 and the memory never moves."""
+    dfa, trans, accepting, letters = case
+    tables = [  # (setup, name, factors on members, on the rest, declared factors)
+        (regular_bettor(dfa), "regular_bettor", TOWARD, AGAINST, {THREE_HALVES, HALF}),
+        (subset_bettor(dfa, "inside"), "subset_bettor[inside]", TOWARD, NEUTRAL,
+         {ONE, THREE_HALVES, HALF}),
+        (subset_bettor(dfa, "outside"), "subset_bettor[outside]", AGAINST, NEUTRAL,
+         {ONE, THREE_HALVES, HALF}),
+    ]
+    memory = ("",)
+    for setup, name, _, _, factors in tables:
+        assert setup.name == name and setup.start.memory == memory
+        assert setup.bet_factors == factors
+        assert setup.bet(memory, PAUSE) == ((ONE, memory),)
+    for w in brute_words(letters, 7):
+        member = _brute_accepts(trans, accepting, w)
+        for setup, _, on_member, on_other, _ in tables:
+            pair = on_member if member else on_other
+            assert setup.bet(memory, w) == tuple((f, memory) for f in pair), (setup.name, w)
 
 
 class TestAdversarial:

@@ -7,6 +7,7 @@ from langmart.dyadic import Dyadic, ONE, THREE_HALVES
 from langmart.engine import ll_text, run, sequence_text, succeeded
 from langmart.grammar import (
     Cfg,
+    CnfGrammar,
     CykRecognizer,
     GrammarError,
     NotAMemberError,
@@ -199,6 +200,27 @@ class TestFiniteness:
         # a cycle that never terminates is not generating
         dead_cycle = Cfg.from_text("S -> 0 | A\nA -> 0 A")
         assert is_finite_cfl(to_cnf(dead_cycle))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_pumping_oracle(self, data):
+        """With k CNF nonterminals (k <= 3), the language is infinite iff
+        generate_words finds a word whose length is in [2^k, 2^(k+1)).
+        Grammars have up to three pair rules over S, A and B and the letter
+        a alone (finiteness does not depend on the letters), which keeps
+        the oracle's expansion small."""
+        names = data.draw(st.sampled_from(["S", "SA", "SAB"]))
+        name = st.sampled_from(names)
+        rules = data.draw(st.lists(st.tuples(name, name, name), max_size=3, unique=True))
+        lettered = data.draw(st.sets(name))
+        pairs = {x: tuple(sorted((y, z) for head, y, z in rules if head == x)) for x in names}
+        cnf = CnfGrammar("S", {x: p for x, p in pairs.items() if p},
+                         {x: ("a",) for x in lettered})
+        cfg = Cfg("S", {x: pairs[x] + ((("a",),) if x in lettered else ()) for x in names})
+        k = len(cnf.nonterminals)
+        words = generate_words(cfg, 2 ** (k + 1) - 1)
+        infinite = any(len(w) >= 2**k for w in words)
+        assert is_finite_cfl(cnf) == (not infinite), cfg.to_text()
 
     def test_max_finite_length(self):
         cnf = to_cnf(Cfg.from_text("S -> 0 A | 1\nA -> 0 1"))

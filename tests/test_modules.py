@@ -34,8 +34,8 @@ PUBLIC = {
         LearnerStallError MState NoSuccessorError NotNormedError ONE PAUSE Setup
         SliceCodec StallWitness THREE_HALVES TWO TmProgram WEIGHT_BASE ZERO adversarial_text
         anchor_gap_report anchor_word bettor build_setup checked_step convolve count_leq_ll
-        diagonalize dovetail_pairs enumerate_ll exponential_growth_witness extract_language
-        family_learner finite_set_indexing growth_class is_normed min_ll
+        dfa_bettor diagonalize dovetail_pairs enumerate_ll exponential_growth_witness
+        extract_language family_learner finite_set_indexing growth_class is_normed min_ll
         min_word_of_length_at_least pclass_bettor prefix_family regular_bettor
         replay_certificate run sequence_text slice_count subset_bettor succ_ll
         tm_dynamic_bettor truncated_sum variant_family_learner words_of_length""",
