@@ -8,10 +8,12 @@ and the workload's re-check (a reproduction run, or `langmart verify`),
 each as a child process of this checkout's package.  It then runs, once
 each, the configs of tests/test_cli.py that no workload covers (the
 stalled and the flat adversarial runs, subset-bettor, family-learner,
-variant-learner, tm-dynamic, pclass and growth-report) with the seed, and
-the `langmart growth` and `langmart audit` subcommands, on automata built
-with `langmart` itself, perfbench's equal-counts machine and its 0^n1^n
-grammar.  It prints one line
+variant-learner, tm-dynamic, pclass and growth-report) with the seed, two
+configs whose machine moves its head left of the first letter and makes S
+moves (tm-dynamic, and a regular-bettor labelled by that machine), and the
+`langmart growth` and `langmart audit` subcommands, on automata built with
+`langmart` itself, perfbench's equal-counts machine, the left-moving
+machine and perfbench's 0^n1^n grammar.  It prints one line
 
     workload seed name sha256
 
@@ -65,6 +67,22 @@ CONFIGS = {
                {"domain": "sigma.json", "oracle_dfa": "zero_star.json"}),
     "tm-dynamic": ("tm-dynamic", {"steps": 260}, {"domain": "sigma.json", "tm": "tm.json"}),
     "growth-report": ("growth-report", {}, {"domain": "zoro.json"}),
+    "tm-dynamic-left": ("tm-dynamic", {"steps": 300},
+                        {"domain": "sigma.json", "tm": "left.tm.json"}),
+    "regular-oracle-tm": ("regular-bettor", {"steps": 120},
+                          {"domain": "sigma.json", "language": "zo.json",
+                           "oracle_tm": "left.tm.json"}),
+}
+# Accepts the words that end in 1.  It first writes a marker M left of the
+# first letter (an S move), walks right to the last letter, and on a 0
+# walks back to the marker before it rejects.
+LEFT_TM = {
+    "start": "s", "accept": "acc", "reject": "rej", "blank": "_",
+    "rules": [["s", "0", "0", "L", "m"], ["s", "1", "1", "L", "m"], ["s", "_", "_", "S", "rej"],
+              ["m", "_", "M", "S", "r"], ["r", "M", "M", "R", "r"], ["r", "0", "0", "R", "r"],
+              ["r", "1", "1", "R", "r"], ["r", "_", "_", "L", "c"], ["c", "1", "1", "S", "acc"],
+              ["c", "0", "0", "L", "b"], ["b", "0", "0", "L", "b"], ["b", "1", "1", "L", "b"],
+              ["b", "M", "M", "S", "rej"]],
 }
 # Subcommands as name: the arguments after `langmart`, where OUT is the
 # artifacts directory, SEED the seed and a .json name an input file.
@@ -93,6 +111,7 @@ def write_inputs(config: Workload) -> None:
                       ("prefix_member.json", fam.membership)):
         config.write(name, dfa.to_json())
     config.write("tm.json", EQUAL_COUNTS_TM)
+    config.write("left.tm.json", LEFT_TM)
     config.write("eq.grammar", EQUAL_COUNTS_GRAMMAR)
 
 

@@ -382,6 +382,8 @@ def _run_tm_dynamic(exp: Experiment, out_dir: Path) -> int:
     except EmptyLanguageError:
         raise TextExhaustedError("domain exhausted by the self-scheduled text at stage 1: "
                                  "the domain has no members") from None
+    except ConstructionError as exc:
+        raise ConfigError(str(exc)) from None
     try:  # the bettor schedules the domain's words in ll order, one after another
         trace = run_dynamic(setup, generator, _tm_oracle(prog), exp.steps)
         audit = _audited(setup, domain, exp.seed)

@@ -24,6 +24,7 @@ from typing import Callable
 from .automata import Dfa, enumerate_ll, min_ll, succ_ll
 from .dyadic import Dyadic, HALF, ONE, THREE_HALVES, TWO, ZERO
 from .engine import (
+    MEMORY_GROWTH_LIMIT,
     MState,
     NotNormedError,
     PAUSE,
@@ -86,6 +87,8 @@ def subset_bettor(r: Dfa, side: str) -> Setup:
 # Machine simulation on a self-scheduled text
 # ---------------------------------------------------------------------------
 
+TM_STEP_BUDGET = 10**6  # the steps TmProgram.decide takes before it gives up
+
 
 @dataclass(frozen=True)
 class TmProgram:
@@ -108,11 +111,13 @@ class TmProgram:
         names = {self.start, self.accept, self.reject}
         names.update(state for state, _ in self.rules)
         names.update(rule[2] for rule in self.rules.values())
-        if any("|" in name for name in names):
-            raise ValueError("state names must not contain '|'")
         symbols = {self.blank}
         symbols.update(sym for _, sym in self.rules)
         symbols.update(rule[0] for rule in self.rules.values())
+        if not all(isinstance(x, str) for x in names | symbols):
+            raise TypeError("state names and tape symbols must be strings")
+        if any("|" in name for name in names):
+            raise ValueError("state names must not contain '|'")
         if any(len(sym) != 1 or sym == "|" for sym in symbols):
             raise ValueError("tape symbols must be single letters, not '|'")
         for _, move, _ in self.rules.values():
@@ -135,16 +140,15 @@ class TmProgram:
             # undefined pairs halt rejecting
             return f"{left}|{self.reject}|{right}", "0"
         write, move, nxt = rule
-        rest = right[1:] if right else ""
+        rest = right[1:]
         if move == "S":
             left2, right2 = left, write + rest
         elif move == "R":
             left2, right2 = left + write, rest
+        elif left:
+            left2, right2 = left[:-1], left[-1] + write + rest
         else:
-            if left:
-                left2, right2 = left[:-1], left[-1] + write + rest
-            else:
-                left2, right2 = "", self.blank + write + rest
+            left2, right2 = "", self.blank + write + rest
         left2 = left2.lstrip(self.blank)
         if right2:
             right2 = right2[0] + right2[1:].rstrip(self.blank)
@@ -153,12 +157,17 @@ class TmProgram:
         return f"{left2}|{nxt}|{right2}", self._verdict(nxt)
 
     def decide(self, word: str) -> int:
-        config, out = self.init_config(word)
-        for _ in range(10**6):
-            if out:
-                return int(out)
-            config, out = self.step_config(config)
-        raise ConstructionError(f"machine ran past 1000000 steps on {word!r}")
+        """The verdict on word, 1 or 0, from a run on a tape keyed by position."""
+        rules, blank, accept, reject = self.rules, self.blank, self.accept, self.reject
+        tape, head, state = dict(enumerate(word)), 0, self.start
+        for _ in range(TM_STEP_BUDGET):
+            if state == accept or state == reject:
+                return int(state == accept)
+            sym = tape.get(head, blank)
+            # an undefined pair is one step to rejecting
+            tape[head], move, state = rules.get((state, sym)) or (sym, "S", reject)
+            head += 1 if move == "R" else -1 if move == "L" else 0
+        raise ConstructionError(f"machine ran past {TM_STEP_BUDGET} steps on {word!r}")
 
     def to_json(self) -> dict:
         return {
@@ -184,8 +193,13 @@ def tm_dynamic_bettor(prog: TmProgram, domain: Dfa) -> tuple[Setup, Callable]:
     """Simulates the machine one step per stage; the paired generator
     pauses the text until an output is ready, then schedules the simulated
     input itself and the bettor stakes everything on the computed verdict.
+    An input too long for one step's memory growth is first copied onto the
+    work word a bounded piece per pause; a configuration always holds '|'.
     """
+    if "|" in domain.alphabets[0]:
+        raise ConstructionError("the domain letter '|' cannot appear in a machine configuration")
     d0 = min_ll(domain)
+    load = max(1, MEMORY_GROWTH_LIMIT - 2 - len(prog.start))  # letters per loading pause
 
     def generator(state: MState):
         m_in, _, m_out = state.memory
@@ -196,7 +210,12 @@ def tm_dynamic_bettor(prog: TmProgram, domain: Dfa) -> tuple[Setup, Callable]:
         if word is PAUSE:
             if m_out:
                 return ((ONE, memory),)  # waiting for the scheduled word
-            work, out = prog.init_config(m_in) if m_work == "" else prog.step_config(m_work)
+            if "|" in m_work:
+                work, out = prog.step_config(m_work)
+            elif len(m_in) - len(m_work) > load:
+                work, out = m_in[:len(m_work) + load], ""
+            else:
+                work, out = prog.init_config(m_in)
             return ((ONE, (m_in, work, out)),)
         if m_out and word == m_in:
             nxt = (succ_ll(domain, m_in), "", "")

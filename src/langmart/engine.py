@@ -29,6 +29,7 @@ other setup by full state, records a fault as a violation.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -381,15 +382,23 @@ FAULT_ERRORS = {
 }
 
 
+@functools.cache
+def _fair_pairs(factors: frozenset) -> frozenset:
+    """The nonnegative pairs of factors that sum to 2, once per factor set."""
+    return frozenset((a, b) for a in factors for b in factors
+                     if a.num >= 0 and b.num >= 0 and a + b == TWO)
+
+
 def step_fault(setup: Setup, state, word, outs) -> tuple[str, str] | None:
     """The first way one step breaks the step contract, as (kind, detail)
     with kind a key of FAULT_ERRORS, or None.  outs are state's outcomes on
     word with labels 0 and 1, or the one outcome of a pause, from one call.
     For a bettor, state is a memory and outs are the (factor, memory) pairs
     bet returned: the factors must sum to 2 (a pause must apply 1), and
-    each must be nonnegative and declared.  For any other setup they are
-    states, which must be fair (a pause must keep the capital) with
-    nonnegative capitals."""
+    each must be nonnegative and declared; a pair among the declared set's
+    fair pairs passes with no further check.
+    For any other setup they are states, which must be fair (a pause must
+    keep the capital) with nonnegative capitals."""
     bets = setup.bet is not None
     if not bets:
         capital, memory = state.capital, state.memory
@@ -402,13 +411,15 @@ def step_fault(setup: Setup, state, word, outs) -> tuple[str, str] | None:
             if nxt.capital.num < 0:
                 return "negative-capital", f"capital went negative: {nxt.capital}"
     else:
-        memory = state
+        memory, factors = state, outs
         if word is PAUSE:
             if outs[0][0] is not ONE and outs[0][0] != ONE:
                 return "pause", f"pause applies factor {outs[0][0]}"
+        elif len(outs) == 2 and (outs[0][0], outs[1][0]) in _fair_pairs(setup.bet_factors):
+            factors = ()  # a fair pair of declared factors needs no more checks
         elif outs[0][0] + outs[1][0] != TWO:
             return "fairness", f"bet factors {outs[0][0]} + {outs[1][0]} != 2"
-        for factor, _ in outs:
+        for factor, _ in factors:
             if factor.num < 0:
                 return "negative-capital", f"bet factor {factor} is negative"
             if word is not PAUSE and factor not in setup.bet_factors:

@@ -9,9 +9,9 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import equal_counts_tm
+from conftest import equal_counts, equal_counts_tm
 from langmart.automata import Dfa, combine, concat, empty, from_word, universe, word_star
 from langmart.cli import _HANDLERS, main
 from langmart.constructions import (
@@ -42,6 +42,7 @@ def workdir(tmp_path, sigma, zeros_then_ones, one_zeros, zeros_or_ones):
     (tmp_path / "eq.grammar").write_text("S -> 0 S 1 | #eps\n")
     (tmp_path / "ab.grammar").write_text("S -> a S b | #eps\n")  # no letter of sigma
     (tmp_path / "no_letters.json").write_text(json.dumps(NO_LETTERS))
+    (tmp_path / "bar.json").write_text(json.dumps(universe("01|").to_json()))  # a '|' letter
     (tmp_path / "empty.json").write_text(json.dumps(empty("01").to_json()))
     (tmp_path / "three.json").write_text(json.dumps({
         "arity": 1, "alphabet": "01", "states": [0, 1, 2], "start": 0,
@@ -607,6 +608,41 @@ def test_domain_without_letters(workdir, capsys):
     assert captured.out == "checked 3 transitions, 0 violations, 1 states visited, closed\n"
 
 
+def test_oracle_tm_labels_words_with_a_bar(workdir):
+    """A machine reads '|' as a letter with no rule, so it rejects there."""
+    cfg = write_config(workdir, "cfg.ini", "[experiment]\nkind = regular-bettor\nsteps = 60\n"
+                                           "[inputs]\ndomain = bar.json\nlanguage = bar.json\n"
+                                           "oracle_tm = tm.json\n")
+    out = workdir / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    rows = (out / "trace.csv").read_text().splitlines()[2:]
+    assert len(rows) == 60 and any("|" in row.split(",")[1] for row in rows)
+    assert all(row.split(",")[2] == str(int(equal_counts(row.split(",")[1]))) for row in rows)
+
+
+def test_tm_dynamic_steps_configurations_only_in_the_bettor(workdir, monkeypatch):
+    """The oracle decides on its own tape: every configuration step of a
+    tm-dynamic run is the bettor's, in the run at most one per pause, and
+    the rest in its audit."""
+    callers = []
+    step_config = TmProgram.step_config
+
+    def counted(prog, config):
+        callers.append((sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name))
+        return step_config(prog, config)
+
+    monkeypatch.setattr(TmProgram, "step_config", counted)
+    cfg = write_config(workdir, "cfg.ini", "[experiment]\nkind = tm-dynamic\nsteps = 400\n"
+                                           "[inputs]\ndomain = sigma.json\ntm = tm.json\n")
+    out = workdir / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    pauses = sum(row.split(",")[1] == "#"
+                 for row in (out / "trace.csv").read_text().splitlines())
+    in_run = callers.count(("bet", "checked_step"))
+    assert set(callers) == {("bet", "checked_step"), ("bet", "audit_fairness")}
+    assert 0 < in_run <= pauses
+
+
 def test_threshold_not_above_start_is_status_2(workdir, capsys):
     cfg = write_config(workdir, "cfg.ini", """\
 [experiment]
@@ -724,6 +760,10 @@ def slow_exponential_domain() -> dict:
     (["run", "cfl-empty.ini"], "config error:", "the cfl pipeline needs an infinite domain"),
     (["run", "cfl-no-pump.ini"], "config error:",
      "found no infinite regular subset: no power v^j with j <= 64"),
+    (["run", "tm-bar.ini"], "config error:",
+     "the domain letter '|' cannot appear in a machine configuration"),
+    (["run", "tm-int-state.ini"], "config error:",
+     "bad machine in int-state.tm.json: state names and tape symbols must be strings"),
 ], ids=["pclass-bounded-domain", "pclass-slow-domain", "learner-one-track-membership",
         "regular-two-track-domain", "growth-report-two-track", "growth-two-track",
         "audit-two-track", "diagonalize-past-finite-domain", "verify-words-int",
@@ -744,7 +784,8 @@ def slow_exponential_domain() -> dict:
         "config-key-twice", "verify-bit-2", "verify-bit-true", "verify-no-words",
         "verify-weight-base-negative", "verify-weight-base-huge",
         "audit-seed-0", "audit-seed-negative", "tm-dynamic-finite-domain",
-        "tm-dynamic-empty-domain", "cfl-finite-domain", "cfl-empty-domain", "cfl-no-pump"])
+        "tm-dynamic-empty-domain", "cfl-finite-domain", "cfl-empty-domain", "cfl-no-pump",
+        "tm-dynamic-bar-letter", "tm-int-state-name"])
 def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needle):
     (workdir / "slow.json").write_text(json.dumps(slow_exponential_domain()))
     (workdir / "zero-only.json").write_text(json.dumps(ZERO_ONLY))
@@ -755,6 +796,7 @@ def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needl
     (workdir / "long.grammar").write_text("S -> A S | A\nA -> " + " ".join("0" * 70) + "\n")
     (workdir / "universe-012.json").write_text(json.dumps(universe("012").to_json()))
     (workdir / "deep.json").write_text(DEEP_JSON)
+    (workdir / "int-state.tm.json").write_text(json.dumps({**LOOPING_TM, "start": 5}))
     configs = {
         "pclass-bounded.ini": "kind = pclass\nhypotheses = const0\n[inputs]\n"
                               "domain = zero_star.json\noracle_dfa = zero_star.json",
@@ -827,6 +869,9 @@ def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needl
                          "grammar = eq.grammar",
         "cfl-no-pump.ini": "kind = cfl-pipeline\n[inputs]\ndomain = zero_star.json\n"
                            "grammar = long.grammar",
+        "tm-bar.ini": "kind = tm-dynamic\n[inputs]\ndomain = bar.json\ntm = tm.json",
+        "tm-int-state.ini": "kind = tm-dynamic\n[inputs]\ndomain = sigma.json\n"
+                            "tm = int-state.tm.json",
     }
     for name, body in configs.items():
         write_config(workdir, name, f"[experiment]\n{body}\n")
@@ -990,6 +1035,7 @@ INPUT_KEYS = ["domain", "language", "subset", "oracle_dfa", "oracle_grammar", "o
 INPUT_FILES = ["sigma.json", "zo.json", "one_zeros.json", "zoro.json", "zero_star.json",
                "ones.json", "prefix_index.json", "prefix_member.json", "tm.json",
                "eq.grammar", "ab.grammar", "three.json", "empty.json", "no_letters.json",
+               "bar.json",
                "missing.json", "",
                "regular_bettor:zo.json",
                "subset_bettor:outside:ones.json", "subset_bettor:zo.json"]
@@ -1040,6 +1086,9 @@ def run_configs(draw):
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=run_configs())
+# the words of 1 0* outgrow one pause's memory growth near stage 180
+@example(text="[experiment]\nkind = tm-dynamic\nsteps = 260\n"
+              "[inputs]\ndomain = one_zeros.json\ntm = tm.json\n")
 def test_run_exits_0_1_or_2_on_mutated_configs(workdir, text):
     cfg = write_config(workdir, "fuzz.ini", text)
     err = io.StringIO()

@@ -1,9 +1,11 @@
 from itertools import combinations
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_words, equal_counts, equal_counts_tm
+from langmart import constructions
 from test_acceptance import shipped_constructions
 from test_automata import _brute_accepts, word_automata
 from test_engine import broken_setup, each, unfair_bet
@@ -47,6 +49,7 @@ from langmart.constructions import (
 )
 from langmart.dyadic import Dyadic, HALF, ONE, THREE_HALVES, TWO, ZERO
 from langmart.engine import (
+    MEMORY_GROWTH_LIMIT,
     FairnessViolationError,
     PAUSE,
     ValidityBudgetError,
@@ -365,6 +368,23 @@ class TestTmBettor:
         for k, entry in enumerate(bets, start=1):
             assert entry.capital == TWO**k
 
+    def test_long_inputs_are_loaded_within_the_memory_growth_limit(self, one_zeros,
+                                                                    tm_equal_counts):
+        # the words of 1 0* grow past what one pause may add to the work word
+        setup, generator = tm_dynamic_bettor(tm_equal_counts, one_zeros)
+        trace = run_dynamic(setup, generator, equal_counts, 500)
+        bets = [e for e in trace.entries if e.word is not None]
+        assert len(bets[-1].word) > 2 * MEMORY_GROWTH_LIMIT
+        for k, entry in enumerate(bets, start=1):
+            assert entry.capital == TWO**k
+        state, pauses = setup.start._replace(memory=(bets[-1].word, "", "")), 0
+        while "|" not in state.memory[1]:  # loading pieces, then the start configuration
+            (nxt,) = setup.step(state, PAUSE)
+            assert 0 < len(nxt.memory[1]) - len(state.memory[1]) <= MEMORY_GROWTH_LIMIT
+            state, pauses = nxt, pauses + 1
+        assert pauses == 3
+        assert state.memory[1] == tm_equal_counts.init_config(bets[-1].word)[0]
+
     def test_wrong_program_zeroes_and_continues(self, sigma):
         # a machine that instantly accepts everything is wrong on "0"
         always = TmProgram("q", "acc", "rej", "_", {("q", s): (s, "S", "acc")
@@ -387,6 +407,18 @@ class TestTmBettor:
         back = TmProgram.from_json(tm_equal_counts.to_json())
         assert back == tm_equal_counts
 
+    def test_a_word_with_a_bar_is_decided(self, tm_equal_counts):
+        # '|' is no tape symbol, so the machine rejects once it reads one
+        assert [tm_equal_counts.decide(w) for w in ("01", "01|", "0|1", "|")] == [1, 0, 0, 0]
+
+    @pytest.mark.parametrize("move", ["S", "L", "R"])
+    def test_a_machine_that_never_halts_runs_out_of_steps(self, move):
+        spinner = TmProgram("q", "acc", "rej", "_", {("q", s): ("X", move, "q")
+                                                     for s in "01_X"})
+        with pytest.raises(ConstructionError,
+                           match=r"^machine ran past 1000000 steps on '01'$"):
+            spinner.decide("01")
+
     def test_audit_betting_state(self, sigma, tm_equal_counts):
         setup, generator = tm_dynamic_bettor(tm_equal_counts, sigma)
         state = setup.start
@@ -394,6 +426,54 @@ class TestTmBettor:
             (state,) = setup.step(state, PAUSE)
         lo, hi = (nxt.capital for nxt in setup.step(state, state.memory[0]))
         assert {hi, lo} == {TWO * state.capital, ZERO}
+
+
+# Machines over the tape letters 01_X with 2-4 working states: each
+# (state, letter) pair, the halting states' included, may have no rule,
+# and the start may be the accepting or the rejecting state.
+TM_LETTERS = "01_X"
+
+
+@st.composite
+def machines(draw):
+    working = [f"q{i}" for i in range(draw(st.integers(2, 4)))]
+    states = working + ["acc", "rej"]
+    rule = st.tuples(st.sampled_from(TM_LETTERS), st.sampled_from("LRS"), st.sampled_from(states))
+    rules = {(q, a): r for q in states for a in TM_LETTERS
+             if (r := draw(st.none() | rule)) is not None}
+    return TmProgram(draw(st.sampled_from(states)), "acc", "rej", "_", rules)
+
+
+def decide_by_configs(prog: TmProgram, word: str, budget: int):
+    """The verdict of the configuration route, stepped as the bettor steps
+    it, or None when `budget` steps bring none."""
+    config, out = prog.init_config(word)
+    for _ in range(budget):
+        if out:
+            return int(out)
+        config, out = prog.step_config(config)
+    return None
+
+
+# Words hold the blank and the letter 2, which no rule reads.  Budgets are
+# small, so that machines which never halt are cheap, and a machine that
+# halts at the last step the budget allows is common.
+@settings(max_examples=300, deadline=None)
+@given(prog=machines(), words=st.lists(st.text(TM_LETTERS + "2", max_size=8), max_size=6),
+       budget=st.integers(1, 12) | st.just(40))
+@example(prog=TmProgram("q0", "acc", "rej", "_", {}), words=["0"], budget=1)
+@example(prog=TmProgram("q0", "acc", "rej", "_", {("q0", "0"): ("0", "L", "q1"),
+                                                  ("q1", "_"): ("_", "S", "acc")}),
+         words=["0"], budget=40)  # the head steps left of the word onto a blank
+def test_decide_matches_the_configuration_route(prog, words, budget):
+    with mock.patch.object(constructions, "TM_STEP_BUDGET", budget):
+        for word in words:
+            expected = decide_by_configs(prog, word, budget)
+            if expected is None:
+                with pytest.raises(ConstructionError, match=f"ran past {budget} steps"):
+                    prog.decide(word)
+            else:
+                assert prog.decide(word) == expected, word
 
 
 class TestDiagonalize:

@@ -7,7 +7,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import equal_counts
 from langmart import engine
@@ -18,6 +18,7 @@ from langmart.engine import (
     CapitalTrace,
     FAULT_ERRORS,
     FairnessViolationError,
+    MEMORY_GROWTH_LIMIT,
     MemoryDisciplineError,
     MState,
     NegativeCapitalError,
@@ -38,6 +39,7 @@ from langmart.engine import (
     run_dynamic,
     scale_setup,
     sequence_text,
+    step_fault,
     succeeded,
     truncated_sum,
     weighted_sum,
@@ -794,3 +796,80 @@ def test_learner_audit_stays_open_at_the_cap():
     report = audit_fairness(family_learner(prefix_family("01")), PROBES[:8], max_states=12)
     assert report.ok and not report.closed
     assert report.states_visited == 12
+
+
+def reference_bettor_fault(setup, memory, word, outs):
+    """step_fault's bettor branch with no shortcut: every check on every
+    outcome, in the contract's order."""
+    if word is PAUSE:
+        if outs[0][0] is not ONE and outs[0][0] != ONE:
+            return "pause", f"pause applies factor {outs[0][0]}"
+    elif outs[0][0] + outs[1][0] != TWO:
+        return "fairness", f"bet factors {outs[0][0]} + {outs[1][0]} != 2"
+    for factor, _ in outs:
+        if factor.num < 0:
+            return "negative-capital", f"bet factor {factor} is negative"
+        if word is not PAUSE and factor not in setup.bet_factors:
+            return "bet-factor", f"bet factor {factor} is not declared"
+    allowed = MEMORY_GROWTH_LIMIT + (0 if word is PAUSE else 2 * len(word))
+    for _, nxt in outs:
+        if nxt is memory:
+            continue
+        if len(nxt) != setup.arity:
+            return "memory", f"memory arity changed {setup.arity} -> {len(nxt)}"
+        for before, after in zip(memory, nxt):
+            if len(after) - len(before) > allowed:
+                return "memory", f"memory word grew by {len(after) - len(before)} in one step"
+    return None
+
+
+# Candidate factors: fair pairs (1/2 + 3/2, 1 + 1, 2 + 0, 5/4 + 3/4 and the
+# negative -1/2 + 5/2) and unfair mixes; a drawn declared set makes each
+# one declared or not.
+FAULT_FACTORS = [ZERO, HALF, ONE, THREE_HALVES, TWO, Dyadic(3, 2), Dyadic(5, 2),
+                 Dyadic(-1, 1), Dyadic(5, 1)]
+
+
+@st.composite
+def bet_steps(draw):
+    """(setup, memory, item, outcomes) of one bet call: factors that are the
+    declared objects, fresh equal copies or other values, and memories that
+    are kept, moved, of another arity or grown past the limit."""
+    declared = draw(st.sets(st.sampled_from(FAULT_FACTORS), min_size=1))
+    setup = bettor("drawn", lambda m, w: (), ("ab", ""), declared)
+    memory = draw(st.sampled_from([setup.start.memory, ("", "xyz")]))
+    word = draw(st.just(PAUSE) | st.text("01", max_size=3))
+    allowed = MEMORY_GROWTH_LIMIT + (0 if word is PAUSE else 2 * len(word))
+
+    def factor(partner=None):
+        f = draw(st.sampled_from(FAULT_FACTORS))
+        if partner is not None and draw(st.booleans()):  # the fair partner
+            f = next(g for g in FAULT_FACTORS + [TWO - partner] if g == TWO - partner)
+        return f if draw(st.booleans()) else Dyadic(f.num, f.exp)
+
+    def next_memory():
+        return draw(st.sampled_from([
+            memory, (memory[0] + "0", memory[1]), memory + ("",), memory[:1],
+            (memory[0], memory[1] + "x" * allowed), (memory[0] + "x" * (allowed + 1), "")]))
+
+    factors = [ONE if word is PAUSE and draw(st.booleans()) else factor()]
+    if word is not PAUSE:
+        factors.append(factor(factors[0]))
+    factors += [factor() for _ in range(draw(st.integers(0, 1)))]  # a malformed extra outcome
+    return setup, memory, word, tuple((f, next_memory()) for f in factors)
+
+
+def pause_with_two_outcomes():
+    """A pause whose first outcome keeps the memory at factor 1 and whose
+    malformed second outcome is negative."""
+    memory = ("ab", "")
+    setup = bettor("drawn", lambda m, w: (), memory, {ONE})
+    return setup, memory, PAUSE, ((ONE, memory), (Dyadic(-1, 1), memory))
+
+
+@settings(max_examples=600, deadline=None)
+@given(bet_steps())
+@example(pause_with_two_outcomes())
+def test_step_fault_keeps_every_check_of_a_bet(step):
+    setup, memory, word, outs = step
+    assert step_fault(setup, memory, word, outs) == reference_bettor_fault(*step)

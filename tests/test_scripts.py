@@ -48,6 +48,8 @@ CONFIG_ARTIFACTS = {
     "pclass": ["anchors.json", "audit.json", "trace.csv", "trace.json"],
     "tm-dynamic": ["audit.json", "trace.csv", "trace.json"],
     "growth-report": ["growth.json"],
+    "tm-dynamic-left": ["audit.json", "trace.csv", "trace.json"],
+    "regular-oracle-tm": ["audit.json", "trace.csv", "trace.json"],
     "growth": [],
     "audit": ["audit.json"],
 }
