@@ -16,15 +16,13 @@ toolbox used everywhere else: minimum, successor, rank counting (dynamic
 programming over (state, length), so counts stay exact on domains whose
 slices grow exponentially), slice counts and enumeration.  Boolean
 operations, builders, pumping, growth classes and alphabet embedding live
-in `langmart.regular`; the names below `_MOVED` still import from here and
-load that module on first use.
+in `langmart.regular`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from importlib import import_module
 
 PAD = "#"
 
@@ -444,20 +442,3 @@ def words_of_length(d: Dfa, n: int) -> list[str]:
     """Members of length exactly n, lexicographically ordered."""
     _require_words(d)
     return list(_slice_members(d, n))
-
-
-# ---------------------------------------------------------------------------
-# Names that moved to langmart.regular (PEP 562: loaded on first use)
-# ---------------------------------------------------------------------------
-
-_MOVED = dict.fromkeys((
-    "AlphabetCodec", "GrowthClass", "Nfa", "PumpingError", "combine", "complement",
-    "concat", "determinize", "embed_alphabet", "empty", "exponential_growth_witness",
-    "finite_language", "from_word", "growth_class", "minimize", "project",
-    "pump_decompose", "pumping_constant", "universe", "word_star"), ".regular")
-
-
-def __getattr__(name):
-    if name not in _MOVED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(_MOVED[name], __package__), name)

@@ -154,7 +154,10 @@ def _write_json(path: Path, obj):
 
 
 def _write_outputs(out_dir: Path, trace=None, audit=None, extra=None):
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # out_dir, or a directory above it, is a file
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
     if trace is not None:
         trace.write(out_dir / "trace.csv", out_dir / "trace.json")
     if audit is not None:
@@ -427,10 +430,9 @@ def _run_diagonalize(exp: Experiment, out_dir: Path) -> int:
             print(message, file=sys.stderr)
         held = not problems
     audits = [_audited(s, domain, exp.seed) for s in setups]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "certificate.json", cert.to_json_obj())
-    _write_json(out_dir / "audit.json",
-                [v.to_json_obj() for a in audits for v in a.violations])
+    _write_outputs(out_dir, extra={
+        "certificate.json": cert.to_json_obj(),
+        "audit.json": [v.to_json_obj() for a in audits for v in a.violations]})
     if any(not a.ok for a in audits):
         return 1
     return 0 if held else 1
@@ -673,9 +675,11 @@ def cmd_audit(args) -> int:
         print(f"audit setup error: {exc}", file=sys.stderr)
         return 2
     report = audit_fairness(setup, _probe_words(domain, args.seed))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "audit.json", report.to_json_obj())
+    try:
+        _write_outputs(Path(args.out_dir), audit=report)
+    except ConfigError as exc:
+        print(f"audit output error: {exc}", file=sys.stderr)
+        return 2
     print(f"checked {report.transitions_checked} transitions, "
           f"{len(report.violations)} violations, {report.states_visited} states visited, "
           f"{'closed' if report.closed else 'open'}")

@@ -10,15 +10,13 @@ outcome of a pause, so its capital moves by fixed dyadic factors its
 memory chooses, and
 every construction is meant to pass the engine's exact fairness audit.
 The learners, adversarial texts, anchored betting and finite-set indexing
-live in `langmart.learning`; the names below `_MOVED` still import from
-here and load their module on first use.
+live in `langmart.learning`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import import_module
 from typing import Callable
 
 from .automata import Dfa, enumerate_ll, min_ll, succ_ll
@@ -198,8 +196,25 @@ def tm_dynamic_bettor(prog: TmProgram, domain: Dfa) -> tuple[Setup, Callable]:
     """
     if "|" in domain.alphabets[0]:
         raise ConstructionError("the domain letter '|' cannot appear in a machine configuration")
+    # A pause may grow the work word by MEMORY_GROWTH_LIMIT letters.  The start
+    # configuration adds two '|', the start state and a load piece of one letter
+    # or more; a step changes the state name and adds at most 2 tape letters on
+    # a left move, 1 on another and none when an undefined pair halts rejecting.
+    load = MEMORY_GROWTH_LIMIT - 2 - len(prog.start)  # letters per loading pause
+    if load < 1:
+        raise ConstructionError(
+            f"the start state {prog.start!r} is too long: the start configuration can grow "
+            f"the work word by more than {MEMORY_GROWTH_LIMIT} letters in one pause")
+    running = {prog.start, *(state for state, _ in prog.rules),
+               *(rule[2] for rule in prog.rules.values())} - {prog.accept, prog.reject}
+    changes = [(state, nxt, 2 if move == "L" else 1)
+               for (state, _), (_, move, nxt) in prog.rules.items() if state in running]
+    for state, nxt, letters in changes + [(state, prog.reject, 0) for state in running]:
+        if letters + len(nxt) - len(state) > MEMORY_GROWTH_LIMIT:
+            raise ConstructionError(
+                f"the step from state {state!r} to {nxt!r} can grow the work word by "
+                f"more than {MEMORY_GROWTH_LIMIT} letters in one pause")
     d0 = min_ll(domain)
-    load = max(1, MEMORY_GROWTH_LIMIT - 2 - len(prog.start))  # letters per loading pause
 
     def generator(state: MState):
         m_in, _, m_out = state.memory
@@ -388,27 +403,3 @@ def build_setup(descriptor: dict) -> Setup:
     if kind == "regular_bettor":
         return regular_bettor(dfa)
     return subset_bettor(dfa, descriptor["side"])
-
-
-# ---------------------------------------------------------------------------
-# Names defined or used elsewhere (PEP 562: loaded on first use)
-# ---------------------------------------------------------------------------
-
-_MOVED = {
-    **dict.fromkeys((
-        "AutomaticFamily", "Hypothesis", "HypothesisExhaustedError", "HypothesisSpace",
-        "LearnerStallError", "SliceCodec", "StallWitness", "adversarial_text",
-        "anchor_gap_report", "anchor_word", "dovetail_pairs", "extract_language",
-        "family_learner", "finite_set_indexing", "pclass_bettor", "prefix_family",
-        "variant_family_learner"), ".learning"),
-    **dict.fromkeys(("exponential_growth_witness", "growth_class"), ".regular"),
-    **dict.fromkeys((
-        "NoSuccessorError", "convolve", "count_leq_ll", "min_word_of_length_at_least",
-        "slice_count", "words_of_length"), ".automata"),
-}
-
-
-def __getattr__(name):
-    if name not in _MOVED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(_MOVED[name], __package__), name)

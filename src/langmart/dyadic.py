@@ -3,13 +3,10 @@
 Capital in the betting engine is always a dyadic rational num / 2**exp.
 Values are kept normalized (exp == 0, or num odd) so equality is plain
 field comparison.  Their two-row bit presentation lives in
-`langmart.tworow`; the names below `_MOVED` still import from here and
-load that module on first use.
+`langmart.tworow`.
 """
 
 from __future__ import annotations
-
-from importlib import import_module
 
 
 class Dyadic:
@@ -175,15 +172,3 @@ TWO = Dyadic(2)
 def compare(x: Dyadic, y: Dyadic) -> int:
     """-1, 0, or 1 as x is below, equal to, or above y."""
     return x._cmp(_coerce(y))
-
-
-# Names that moved to langmart.tworow (PEP 562: loaded on first use).
-_MOVED = dict.fromkeys((
-    "MalformedCodeError", "TwoRowCode", "decode_tworow", "encode_tworow", "rel_l",
-    "rel_p", "rel_z", "tworow_add"), ".tworow")
-
-
-def __getattr__(name):
-    if name not in _MOVED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(_MOVED[name], __package__), name)

@@ -38,7 +38,7 @@ from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, NamedTuple
 
-from .automata import Dfa, enumerate_ll, iter_ll
+from .automata import Dfa, iter_ll
 from .dyadic import Dyadic, ONE, TWO, ZERO
 
 DEFAULT_THRESHOLD = Dyadic(2**20)
@@ -211,30 +211,6 @@ def sequence_text(items):
         return seq[n]
 
     return text
-
-
-@dataclass(frozen=True)
-class TextFlags:
-    repetition_free: bool
-    distinct_words: int
-    exhaustive_up_to: int | None = None
-
-
-def classify_text_prefix(prefix, domain: Dfa | None = None) -> TextFlags:
-    """Prefix-verifiable properties only: these flags can never prove the
-    infinite-horizon classes, they witness them on the seen part."""
-    words = [item for item in prefix if item is not PAUSE]
-    seen = set(words)
-    repetition_free = len(seen) == len(words)
-    exhaustive_up_to = None
-    if domain is not None:
-        members = enumerate_ll(domain, len(seen) + 1)
-        exhaustive_up_to = 0
-        for w in members:
-            if w not in seen:
-                break
-            exhaustive_up_to += 1
-    return TextFlags(repetition_free, len(seen), exhaustive_up_to)
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +561,17 @@ def audit_fairness(setup: Setup, probe_words, *, max_states: int = 256) -> Audit
 
 def weighted_sum(setups, weights) -> Setup:
     """Weighted sum: capital is the sum of weight_i * capital_i, so the trace
-    is the pointwise weighted sum of the component traces.  The memory is
-    flat: per component, its capital as one word (str, read back with
-    Dyadic.parse), then that component's own memory words.  A step steps
-    each component once and combines their outcomes label by label.
+    is the pointwise weighted sum of the component traces; weights [ONE, ONE]
+    add two setups and [c] scales one by c.  Every weight must be positive.
+    The memory is flat: per component, its capital as one word (str, read
+    back with Dyadic.parse), then that component's own memory words.  A step
+    steps each component once and combines their outcomes label by label.
     """
     parts = list(zip(setups, weights, strict=True))
     if not parts:
         raise ValueError("need at least one setup")
+    if any(w <= ZERO for _, w in parts):
+        raise ValueError("weights must be positive")
     bounds = list(accumulate((1 + d.arity for d, _ in parts), initial=0))
 
     def combine(states) -> MState:
@@ -607,18 +586,6 @@ def weighted_sum(setups, weights) -> Setup:
 
     name = "(" + " + ".join(f"{w} * {d.name}" for d, w in parts) + ")"
     return Setup(name, step, combine([d.start for d, _ in parts]), None)
-
-
-def add_setups(d1: Setup, d2: Setup) -> Setup:
-    """Sum setup: its trace is the pointwise sum of the component traces."""
-    return weighted_sum([d1, d2], [ONE, ONE])
-
-
-def scale_setup(c: Dyadic, d: Setup) -> Setup:
-    """Scaled setup: trace is c times the component trace, pointwise."""
-    if c <= ZERO:
-        raise ValueError("scale factor must be positive")
-    return weighted_sum([d], [c])
 
 
 def truncated_sum(setups, weight_base: Dyadic = Dyadic(1, 2)) -> Setup:

@@ -1,8 +1,9 @@
 import pytest
 
-from langmart.automata import Dfa, combine, concat, empty, finite_language, from_word, universe, word_star
+from langmart.automata import Dfa
 from langmart.constructions import TmProgram
 from langmart.grammar import Cfg, to_cnf
+from langmart.regular import combine, concat, empty, finite_language, from_word, universe, word_star
 
 
 @pytest.fixture(scope="session")

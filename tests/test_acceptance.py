@@ -9,60 +9,42 @@ import time
 from itertools import combinations
 
 from conftest import brute_words, equal_counts, equal_counts_tm, growth_corpus
-from langmart.automata import (
-    combine,
-    concat,
-    enumerate_ll,
-    from_word,
-    slice_count,
-    universe,
-    word_star,
-    words_of_length,
-)
+from langmart.automata import enumerate_ll, slice_count, words_of_length
 from langmart.constructions import (
+    diagonalize,
+    regular_bettor,
+    replay_certificate,
+    subset_bettor,
+    tm_dynamic_bettor,
+)
+from langmart.dyadic import Dyadic, HALF, ONE, THREE_HALVES, TWO
+from langmart.engine import (
+    audit_fairness,
+    ll_text,
+    run,
+    run_dynamic,
+    sequence_text,
+    succeeded,
+    weighted_sum,
+)
+from langmart.grammar import Cfg, cfl_nonrandom_pipeline, cyk_member, to_cnf
+from langmart.learning import (
     Hypothesis,
     HypothesisSpace,
     StallWitness,
     adversarial_text,
     anchor_gap_report,
-    diagonalize,
     dovetail_pairs,
     extract_language,
     family_learner,
     finite_set_indexing,
     pclass_bettor,
     prefix_family,
-    regular_bettor,
-    replay_certificate,
-    subset_bettor,
-    tm_dynamic_bettor,
     variant_family_learner,
 )
-from langmart.dyadic import (
-    Dyadic,
-    HALF,
-    ONE,
-    THREE_HALVES,
-    TWO,
-    decode_tworow,
-    encode_tworow,
-    rel_l,
-    rel_p,
-    rel_z,
-    tworow_add,
-)
-from langmart.engine import (
-    add_setups,
-    audit_fairness,
-    ll_text,
-    run,
-    run_dynamic,
-    scale_setup,
-    sequence_text,
-    succeeded,
-)
-from langmart.grammar import Cfg, cfl_nonrandom_pipeline, cyk_member, to_cnf
+from langmart.regular import combine, concat, from_word, universe, word_star
 from langmart.rng import Lcg
+from langmart.tworow import decode_tworow, encode_tworow, rel_l, rel_p, rel_z, tworow_add
 
 
 def report(number: int, title: str, detail: str):
@@ -198,9 +180,9 @@ def test_criterion_6_setup_algebra_identities():
         text = sequence_text(items)
         t1 = run(d1, text, oracle, 50)
         t2 = run(d2, text, oracle, 50)
-        ts = run(add_setups(d1, d2), text, oracle, 50)
+        ts = run(weighted_sum([d1, d2], [ONE, ONE]), text, oracle, 50)
         scalar = Dyadic(rng.below(15) + 1, rng.below(4))
-        tc = run(scale_setup(scalar, d1), text, oracle, 50)
+        tc = run(weighted_sum([d1], [scalar]), text, oracle, 50)
         for stage in range(51):
             assert ts.capitals()[stage] == t1.capitals()[stage] + t2.capitals()[stage]
             assert tc.capitals()[stage] == scalar * t1.capitals()[stage]
@@ -268,7 +250,7 @@ def test_criterion_8_learners():
 
 def test_criterion_9_growth_and_indexing():
     for name, dfa, expected in growth_corpus():
-        from langmart.automata import growth_class
+        from langmart.regular import growth_class
 
         cls = growth_class(dfa)
         assert cls.kind == expected, name

@@ -10,31 +10,33 @@ from langmart.automata import (
     ConvolvedWord,
     Dfa,
     EmptyLanguageError,
-    Nfa,
     NoSuccessorError,
+    convolve,
+    count_leq_ll,
+    enumerate_ll,
+    min_ll,
+    min_word_of_length_at_least,
+    slice_count,
+    succ_ll,
+    words_of_length,
+)
+from langmart.regular import (
+    Nfa,
     PumpingError,
     combine,
     complement,
     concat,
-    convolve,
-    count_leq_ll,
     determinize,
     embed_alphabet,
     empty,
-    enumerate_ll,
     from_word,
     growth_class,
     exponential_growth_witness,
-    min_ll,
-    min_word_of_length_at_least,
     project,
     pump_decompose,
     pumping_constant,
-    slice_count,
-    succ_ll,
     universe,
     word_star,
-    words_of_length,
 )
 
 

@@ -12,16 +12,17 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import equal_counts, equal_counts_tm
-from langmart.automata import Dfa, combine, concat, empty, from_word, universe, word_star
+from langmart.automata import Dfa
 from langmart.cli import _HANDLERS, main
 from langmart.constructions import (
     TmProgram,
     diagonalize,
-    prefix_family,
     regular_bettor,
     subset_bettor,
 )
 from langmart.dyadic import Dyadic
+from langmart.learning import prefix_family
+from langmart.regular import combine, concat, empty, from_word, universe, word_star
 
 
 @pytest.fixture()
@@ -643,6 +644,39 @@ def test_tm_dynamic_steps_configurations_only_in_the_bettor(workdir, monkeypatch
     assert 0 < in_run <= pauses
 
 
+def long_start_tm(length: int) -> dict:
+    """The equal-counts machine with its start state named by length letters."""
+    tm = equal_counts_tm()
+    name = "q" * length
+    rename = {tm.start: name}
+    rules = {(rename.get(state, state), sym): (write, move, rename.get(nxt, nxt))
+             for (state, sym), (write, move, nxt) in tm.rules.items()}
+    return TmProgram(name, tm.accept, tm.reject, tm.blank, rules).to_json()
+
+
+def long_accept_tm(length: int) -> dict:
+    """Accepts the empty word by a left move off the empty tape into an
+    accepting state named by length letters: that step grows the work word
+    by length + 1 letters.  Rejects every other word."""
+    accept = "a" * length
+    return TmProgram("s", accept, "r", "_", {("s", "_"): ("1", "L", accept)}).to_json()
+
+
+@pytest.mark.parametrize("machine", [long_start_tm(61), long_accept_tm(63)],
+                         ids=["start-61", "step-63"])
+def test_tm_dynamic_runs_at_the_longest_state_names(workdir, machine):
+    """One pause may grow the work word by MEMORY_GROWTH_LIMIT = 64 letters:
+    '|', a 61-letter start state, '|' and one loaded letter, or a step
+    from 's' to a 63-letter state that writes 2 tape letters, grow it by 64.
+    One letter more is refused (test_bad_input_is_status_2)."""
+    (workdir / "long.tm.json").write_text(json.dumps(machine))
+    cfg = write_config(workdir, "cfg.ini", "[experiment]\nkind = tm-dynamic\nsteps = 200\n"
+                                           "[inputs]\ndomain = sigma.json\ntm = long.tm.json\n")
+    out = workdir / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    assert json.loads((out / "audit.json").read_text()) == []
+
+
 def test_threshold_not_above_start_is_status_2(workdir, capsys):
     cfg = write_config(workdir, "cfg.ini", """\
 [experiment]
@@ -764,6 +798,25 @@ def slow_exponential_domain() -> dict:
      "the domain letter '|' cannot appear in a machine configuration"),
     (["run", "tm-int-state.ini"], "config error:",
      "bad machine in int-state.tm.json: state names and tape symbols must be strings"),
+    (["run", "tm-long-start.ini"], "config error:",
+     f"the start state {'q' * 62!r} is too long: the start configuration can grow the "
+     "work word by more than 64 letters in one pause"),
+    (["run", "tm-long-step.ini"], "config error:",
+     f"the step from state 's' to {'a' * 64!r} can grow the work word by more than 64"),
+    (["run", "tm-long-reject.ini"], "config error:",
+     f"the step from state 's' to {'r' * 66!r} can grow the work word by more than 64"),
+    (["run", "ok.ini", "--out-dir", "afile"], "config error:",
+     "cannot create output directory afile: File exists"),
+    (["run", "ok.ini", "--out-dir", "afile/sub"], "config error:",
+     "cannot create output directory afile/sub: Not a directory"),
+    (["run", "diag-ok.ini", "--out-dir", "afile"], "config error:",
+     "cannot create output directory afile: File exists"),
+    (["audit", "subset-bettor", "--dfa", "zo.json", "--side", "outside", "--seed", "3",
+      "--out-dir", "afile"], "audit output error:",
+     "cannot create output directory afile: File exists"),
+    (["audit", "subset-bettor", "--dfa", "zo.json", "--side", "outside", "--seed", "3",
+      "--out-dir", "afile/sub"], "audit output error:",
+     "cannot create output directory afile/sub: Not a directory"),
 ], ids=["pclass-bounded-domain", "pclass-slow-domain", "learner-one-track-membership",
         "regular-two-track-domain", "growth-report-two-track", "growth-two-track",
         "audit-two-track", "diagonalize-past-finite-domain", "verify-words-int",
@@ -785,7 +838,10 @@ def slow_exponential_domain() -> dict:
         "verify-weight-base-negative", "verify-weight-base-huge",
         "audit-seed-0", "audit-seed-negative", "tm-dynamic-finite-domain",
         "tm-dynamic-empty-domain", "cfl-finite-domain", "cfl-empty-domain", "cfl-no-pump",
-        "tm-dynamic-bar-letter", "tm-int-state-name"])
+        "tm-dynamic-bar-letter", "tm-int-state-name", "tm-dynamic-start-state-62",
+        "tm-dynamic-step-grows-65", "tm-dynamic-reject-grows-65", "run-out-dir-file",
+        "run-out-dir-under-file", "diagonalize-out-dir-file", "audit-out-dir-file",
+        "audit-out-dir-under-file"])
 def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needle):
     (workdir / "slow.json").write_text(json.dumps(slow_exponential_domain()))
     (workdir / "zero-only.json").write_text(json.dumps(ZERO_ONLY))
@@ -797,6 +853,12 @@ def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needl
     (workdir / "universe-012.json").write_text(json.dumps(universe("012").to_json()))
     (workdir / "deep.json").write_text(DEEP_JSON)
     (workdir / "int-state.tm.json").write_text(json.dumps({**LOOPING_TM, "start": 5}))
+    (workdir / "long-start.tm.json").write_text(json.dumps(long_start_tm(62)))
+    (workdir / "long-step.tm.json").write_text(json.dumps(long_accept_tm(64)))
+    # every pair is undefined, so the first step halts rejecting
+    (workdir / "long-reject.tm.json").write_text(json.dumps(
+        {"start": "s", "accept": "acc", "reject": "r" * 66, "blank": "_", "rules": []}))
+    (workdir / "afile").write_text("")
     configs = {
         "pclass-bounded.ini": "kind = pclass\nhypotheses = const0\n[inputs]\n"
                               "domain = zero_star.json\noracle_dfa = zero_star.json",
@@ -872,6 +934,16 @@ def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needl
         "tm-bar.ini": "kind = tm-dynamic\n[inputs]\ndomain = bar.json\ntm = tm.json",
         "tm-int-state.ini": "kind = tm-dynamic\n[inputs]\ndomain = sigma.json\n"
                             "tm = int-state.tm.json",
+        "tm-long-start.ini": "kind = tm-dynamic\n[inputs]\ndomain = sigma.json\n"
+                             "tm = long-start.tm.json",
+        "tm-long-step.ini": "kind = tm-dynamic\n[inputs]\ndomain = sigma.json\n"
+                            "tm = long-step.tm.json",
+        "tm-long-reject.ini": "kind = tm-dynamic\n[inputs]\ndomain = sigma.json\n"
+                              "tm = long-reject.tm.json",
+        "ok.ini": "kind = regular-bettor\nsteps = 5\n[inputs]\ndomain = sigma.json\n"
+                  "language = zo.json",
+        "diag-ok.ini": "kind = diagonalize\nwords = 4\n[inputs]\ndomain = sigma.json\n"
+                       "setup1 = regular_bettor:zo.json",
     }
     for name, body in configs.items():
         write_config(workdir, name, f"[experiment]\n{body}\n")
@@ -902,8 +974,9 @@ def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needl
         (workdir / name).write_text(json.dumps({**SEED_OBJECTS[0], "alphabet": alphabet}))
     monkeypatch.chdir(workdir)
     out = workdir / "out"
-    extra = ["--out-dir", str(out)] if argv[0] in ("run", "audit") else []
-    assert main(argv + extra) == 2
+    if argv[0] in ("run", "audit") and "--out-dir" not in argv:
+        argv = argv + ["--out-dir", str(out)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(prefix) and len(err.splitlines()) == 1
     assert needle in err
@@ -943,7 +1016,11 @@ def mutated(data, value):
     deleted; the node is usually a leaf.  A certificate's setup
     descriptors are JSON text, and are mutated inside too."""
     if isinstance(value, str) and value.startswith("{") and data.draw(st.booleans()):
-        return json.dumps(mutated(data, json.loads(value)))
+        try:
+            inner = json.loads(value)
+        except ValueError:  # a string an earlier mutation drew, not a descriptor
+            return data.draw(REPLACEMENTS)
+        return json.dumps(mutated(data, inner))
     if isinstance(value, (dict, list)) and value and data.draw(st.integers(0, 3)):
         copy = dict(value) if isinstance(value, dict) else list(value)
         key = data.draw(st.sampled_from(sorted(copy) if isinstance(copy, dict)

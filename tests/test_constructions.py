@@ -9,43 +9,17 @@ from langmart import constructions
 from test_acceptance import shipped_constructions
 from test_automata import _brute_accepts, word_automata
 from test_engine import broken_setup, each, unfair_bet
-from langmart.automata import (
-    combine,
-    concat,
-    convolve,
-    count_leq_ll,
-    enumerate_ll,
-    from_word,
-    min_ll,
-    universe,
-    word_star,
-)
+from langmart.automata import convolve, count_leq_ll, enumerate_ll, min_ll
 from langmart.constructions import (
-    AutomaticFamily,
     ConstructionError,
     DiagonalCertificate,
-    Hypothesis,
-    HypothesisExhaustedError,
-    HypothesisSpace,
-    LearnerStallError,
-    StallWitness,
     TmProgram,
-    adversarial_text,
-    anchor_gap_report,
-    anchor_word,
     build_setup,
     diagonalize,
-    dovetail_pairs,
-    extract_language,
-    family_learner,
-    finite_set_indexing,
-    pclass_bettor,
-    prefix_family,
     regular_bettor,
     replay_certificate,
     subset_bettor,
     tm_dynamic_bettor,
-    variant_family_learner,
 )
 from langmart.dyadic import Dyadic, HALF, ONE, THREE_HALVES, TWO, ZERO
 from langmart.engine import (
@@ -60,6 +34,25 @@ from langmart.engine import (
     run_dynamic,
     sequence_text,
 )
+from langmart.learning import (
+    AutomaticFamily,
+    Hypothesis,
+    HypothesisExhaustedError,
+    HypothesisSpace,
+    LearnerStallError,
+    StallWitness,
+    adversarial_text,
+    anchor_gap_report,
+    anchor_word,
+    dovetail_pairs,
+    extract_language,
+    family_learner,
+    finite_set_indexing,
+    pclass_bettor,
+    prefix_family,
+    variant_family_learner,
+)
+from langmart.regular import combine, concat, from_word, universe, word_star
 
 
 class TestRegularBettor:

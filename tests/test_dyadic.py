@@ -3,12 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from langmart.dyadic import (
-    ZERO,
-    Dyadic,
+from langmart.dyadic import ZERO, Dyadic, compare
+from langmart.rng import Lcg
+from langmart.tworow import (
     MalformedCodeError,
     TwoRowCode,
-    compare,
     decode_tworow,
     encode_tworow,
     rel_l,
@@ -16,7 +15,6 @@ from langmart.dyadic import (
     rel_z,
     tworow_add,
 )
-from langmart.rng import Lcg
 
 dyadics = st.builds(Dyadic, st.integers(-10**9, 10**9), st.integers(0, 40))
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import equal_counts
 from langmart import engine
-from langmart.automata import concat, enumerate_ll, from_word, universe, word_star
+from langmart.automata import enumerate_ll
 from langmart.dyadic import Dyadic, HALF, ONE, THREE_HALVES, TWO, ZERO
 from langmart.engine import (
     BetFactorError,
@@ -29,23 +29,22 @@ from langmart.engine import (
     TextExhaustedError,
     TraceEntry,
     ValidityBudgetError,
-    add_setups,
     audit_fairness,
     bettor,
-    classify_text_prefix,
     is_normed,
     ll_text,
     run,
     run_dynamic,
-    scale_setup,
     sequence_text,
     step_fault,
     succeeded,
     truncated_sum,
     weighted_sum,
 )
-from langmart.constructions import family_learner, prefix_family, regular_bettor, subset_bettor
+from langmart.constructions import regular_bettor, subset_bettor
 from langmart.constructions import diagonalize
+from langmart.learning import family_learner, prefix_family
+from langmart.regular import concat, from_word, universe, word_star
 from langmart.rng import Lcg
 
 
@@ -241,7 +240,7 @@ class TestRun:
             run(lazy_setup(), sequence_text(["0"]), sigma, 2)
 
     def test_ll_text_exhaustion_on_finite_domain(self):
-        from langmart.automata import from_word
+        from langmart.regular import from_word
 
         with pytest.raises(TextExhaustedError):
             run(lazy_setup(), ll_text(from_word("01")), lambda w: True, 2)
@@ -304,22 +303,12 @@ class TestTexts:
         text = ll_text(sigma)
         assert [text(i, None) for i in range(5)] == ["", "0", "1", "00", "01"]
 
-    def test_classify_prefix(self, sigma):
-        flags = classify_text_prefix(["0", PAUSE, "0"])
-        assert not flags.repetition_free
-        flags = classify_text_prefix(["", "0", "1"], sigma)
-        assert flags.repetition_free
-        assert flags.exhaustive_up_to == 3
-        assert flags.distinct_words == 3
-        flags = classify_text_prefix(["1", "0"], sigma)
-        assert flags.exhaustive_up_to == 0  # epsilon is missing
-
 
 class TestSetupAlgebra:
     def test_sum_start_and_traces(self, sigma, zeros_then_ones, one_zeros):
         d1 = regular_bettor(zeros_then_ones)
         d2 = subset_bettor(one_zeros, "inside")
-        total = add_setups(d1, d2)
+        total = weighted_sum([d1, d2], [ONE, ONE])
         assert total.start.capital == d1.start.capital + d2.start.capital
         for seed in range(5):
             text = random_text(seed, sigma, 50)
@@ -331,9 +320,9 @@ class TestSetupAlgebra:
 
     def test_scale_identity_and_traces(self, sigma, zeros_then_ones):
         d = regular_bettor(zeros_then_ones)
-        same = scale_setup(ONE, d)
+        same = weighted_sum([d], [ONE])
         c = Dyadic(5, 3)
-        scaled = scale_setup(c, d)
+        scaled = weighted_sum([d], [c])
         for seed in range(3):
             text = random_text(seed, sigma, 50)
             base = run(d, text, equal_counts, 50)
@@ -344,8 +333,11 @@ class TestSetupAlgebra:
                 assert a * c == b
 
     def test_scale_rejects_nonpositive(self, zeros_then_ones):
+        d = regular_bettor(zeros_then_ones)
         with pytest.raises(ValueError):
-            scale_setup(Dyadic(0), regular_bettor(zeros_then_ones))
+            weighted_sum([d], [Dyadic(0)])
+        with pytest.raises(ValueError):
+            weighted_sum([d, d], [ONE, Dyadic(-1)])
 
     def test_truncated_sum_single_is_identity(self, sigma, zeros_then_ones):
         d = regular_bettor(zeros_then_ones)
@@ -378,7 +370,7 @@ class TestSetupAlgebra:
     def test_truncated_sum_requires_normed(self, zeros_then_ones):
         d = regular_bettor(zeros_then_ones)
         with pytest.raises(NotNormedError):
-            truncated_sum([scale_setup(Dyadic(3), d)])
+            truncated_sum([weighted_sum([d], [Dyadic(3)])])
         assert is_normed(d)
 
 
@@ -562,10 +554,10 @@ def build_tree(tree):
         return SHIPPED[tree[1]], [(ONE, tree[1])]
     if tree[0] == "add":
         (d1, t1), (d2, t2) = build_tree(tree[1]), build_tree(tree[2])
-        return add_setups(d1, d2), t1 + t2
+        return weighted_sum([d1, d2], [ONE, ONE]), t1 + t2
     if tree[0] == "scale":
         d, terms = build_tree(tree[2])
-        return scale_setup(tree[1], d), [(tree[1] * w, i) for w, i in terms]
+        return weighted_sum([d], [tree[1]]), [(tree[1] * w, i) for w, i in terms]
     base = tree[2] if len(tree) == 3 else Dyadic(1, 1)
     built = [build_tree(part) for part in tree[1]]
     terms = [(base**k * w, i) for k, (_, ts) in enumerate(built) for w, i in ts]
@@ -775,7 +767,7 @@ def test_threshold_mutant_is_reported_anywhere(table, pause_factor, capital):
 
 
 def test_composite_is_audited_by_full_state():
-    composite = add_setups(broken_setup(), lazy_setup())
+    composite = weighted_sum([broken_setup(), lazy_setup()], [ONE, ONE])
     assert composite.bet_factors is None and composite.bet is None
     report = audit_fairness(composite, ["0", "1"], max_states=16)
     assert report.violations and report.violations[0].kind == "fairness"

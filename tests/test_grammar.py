@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import brute_words, equal_counts
-from langmart.automata import enumerate_ll, growth_class, universe, word_star
+from langmart.automata import enumerate_ll
 from langmart.dyadic import Dyadic, ONE, THREE_HALVES
 from langmart.engine import ll_text, run, sequence_text, succeeded
 from langmart.grammar import (
@@ -23,6 +23,7 @@ from langmart.grammar import (
     quotient,
     to_cnf,
 )
+from langmart.regular import growth_class, universe, word_star
 
 BALANCED = "S -> 0 S 1 S | 1 S 0 S | #eps"  # equal number of 0s and 1s
 
