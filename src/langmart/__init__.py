@@ -2,9 +2,7 @@
 
 from .dyadic import Dyadic, compare
 from .automata import (
-    ConvolvedWord,
     Dfa,
-    convolve,
     count_leq_ll,
     enumerate_ll,
     min_ll,

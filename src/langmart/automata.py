@@ -5,11 +5,11 @@ letter of every word, with '#' filling rows whose word has already ended.
 A k-track automaton reads such columns; k = 1 gives ordinary word automata.
 All automata are total (a rejecting sink is added on construction) and
 immutable once built.  The `transitions` dict, keyed by (state, column),
-is the form every automaton has: the JSON form and the one the multi-track
-constructions read.  A 1-track automaton is also compiled once, on
-construction, into `table`, one dict per state from letter to next state
-in the declared letter order, and membership and the length-lexicographic
-toolbox step through that table one letter at a time.
+is the JSON and construction form.  Every automaton is also compiled once,
+on construction, into `table`, one dict per state from letter (1 track) or
+column (more tracks) to next state in the declared order.  Membership,
+reachability and the length-lexicographic toolbox step through that table,
+the one stepping path.
 
 Besides the automaton type the module provides the length-lexicographic
 toolbox used everywhere else: minimum, successor, rank counting (dynamic
@@ -22,7 +22,6 @@ in `langmart.regular`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 PAD = "#"
 
@@ -41,52 +40,6 @@ class EmptyLanguageError(AutomatonError):
 
 class NoSuccessorError(AutomatonError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Convolution
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConvolvedWord:
-    """Column-wise alignment of a word tuple, '#'-padded per row."""
-
-    arity: int
-    columns: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
-        ended = [False] * self.arity
-        for col in self.columns:
-            if len(col) != self.arity:
-                raise ArityMismatchError(f"column {col!r} has wrong width")
-            for i, ch in enumerate(col):
-                if ch == PAD:
-                    ended[i] = True
-                elif ended[i]:
-                    raise ValueError("padding must be a suffix of its row")
-        if self.columns and all(ch == PAD for ch in self.columns[-1]):
-            raise ValueError("trailing all-padding column")
-
-    def rows(self) -> tuple[str, ...]:
-        return tuple(
-            "".join(col[i] for col in self.columns if col[i] != PAD)
-            for i in range(self.arity)
-        )
-
-    def __len__(self):
-        return len(self.columns)
-
-
-def convolve(words) -> ConvolvedWord:
-    words = tuple(words)
-    if not words:
-        raise ArityMismatchError("need at least one word")
-    width = max((len(w) for w in words), default=0)
-    cols = tuple(
-        tuple(w[j] if j < len(w) else PAD for w in words) for j in range(width)
-    )
-    return ConvolvedWord(len(words), cols)
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +62,9 @@ class Dfa:
     declared order is also the lexicographic order used by every
     length-lexicographic operation.  transitions maps (state, column) to
     the next state, a column being a tuple of one letter (or PAD) per
-    track.  A 1-track automaton also has table: table[q] maps each letter
-    to the next state from q, in letter order, compiled from transitions;
-    it is None for more tracks.
+    track.  table is compiled from transitions: table[q] maps each letter
+    (1 track) or admissible column (more tracks) to the next state from
+    q, in declared order.
     """
 
     __slots__ = ("arity", "alphabets", "n_states", "start", "accepting",
@@ -139,42 +92,33 @@ class Dfa:
         self.start = start
         self.accepting = frozenset(accepting)
         self.transitions = trans
-        self.table = None if arity != 1 else tuple(
-            {ch: trans[(q, (ch,))] for ch in self.alphabets[0]} for q in range(n_states))
+        keys = self.alphabets[0] if arity == 1 else columns
+        self.table = tuple(
+            {key: trans[(q, col)] for key, col in zip(keys, columns)} for q in range(n_states))
         self._layers = None  # lazy per-length acceptance counts
 
-    def _as_columns(self, w):
-        if isinstance(w, ConvolvedWord):
-            if w.arity != self.arity:
-                raise ArityMismatchError(
-                    f"word arity {w.arity} != automaton arity {self.arity}")
-            return w.columns
-        if self.arity != 1:
-            raise ArityMismatchError("plain words only fit 1-track automata")
-        return [(ch,) for ch in w]
-
-    def step(self, state: int, column) -> int:
-        try:
-            return self.transitions[(state, column)]
-        except KeyError:
-            raise ArityMismatchError(f"column {column!r} outside alphabet") from None
-
-    def run(self, w) -> int:
-        state = self.start
-        for col in self._as_columns(w):
-            state = self.step(state, col)
-        return state
-
     def accepts(self, w) -> bool:
+        """Membership of w: a plain word on a 1-track automaton, or a tuple
+        of one word per track, read column by column with PAD filling the
+        rows that have ended."""
+        if isinstance(w, str):
+            if self.arity != 1:
+                raise ArityMismatchError("plain words only fit 1-track automata")
+            columns = w
+        elif len(w) != self.arity:
+            raise ArityMismatchError(
+                f"{len(w)} words for an automaton of arity {self.arity}")
+        elif any(PAD in row for row in w):
+            raise ArityMismatchError(f"a row holds the padding letter {PAD!r}")
+        else:
+            columns = w[0] if self.arity == 1 else itertools.zip_longest(*w, fillvalue=PAD)
         table = self.table
-        if table is None or not isinstance(w, str):
-            return self.run(w) in self.accepting
         state = self.start
         try:
-            for ch in w:
-                state = table[state][ch]
+            for col in columns:
+                state = table[state][col]
         except KeyError:
-            raise ArityMismatchError(f"column {(ch,)!r} outside alphabet") from None
+            raise ArityMismatchError(f"column {col!r} outside alphabet") from None
         return state in self.accepting
 
     # -- structural helpers ----------------------------------------------------
@@ -184,8 +128,7 @@ class Dfa:
         stack = [self.start]
         while stack:
             q = stack.pop()
-            for col in admissible_columns(self.alphabets):
-                r = self.transitions[(q, col)]
+            for r in self.table[q].values():
                 if r not in seen:
                     seen.add(r)
                     stack.append(r)
@@ -207,21 +150,6 @@ class Dfa:
 
     def useful_states(self) -> set[int]:
         return self.reachable_states() & self.coreachable_states()
-
-    def trim(self) -> "Dfa":
-        """Restrict to reachable states (a fresh sink is re-added as needed)."""
-        keep = sorted(self.reachable_states())
-        index = {q: i for i, q in enumerate(keep)}
-        trans = {
-            (index[q], col): index[r]
-            for (q, col), r in self.transitions.items()
-            if q in index and r in index
-        }
-        return Dfa(self.arity, self.alphabets, len(keep), index[self.start],
-                   [index[q] for q in self.accepting if q in index], trans)
-
-    def is_empty(self) -> bool:
-        return not (self.reachable_states() & self.accepting)
 
     # -- serialization -----------------------------------------------------------
 

@@ -158,12 +158,15 @@ def _write_outputs(out_dir: Path, trace=None, audit=None, extra=None):
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # out_dir, or a directory above it, is a file
         raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
-    if trace is not None:
-        trace.write(out_dir / "trace.csv", out_dir / "trace.json")
-    if audit is not None:
-        _write_json(out_dir / "audit.json", audit.to_json_obj())
-    for name, obj in (extra or {}).items():
-        _write_json(out_dir / name, obj)
+    try:
+        if trace is not None:
+            trace.write(out_dir / "trace.csv", out_dir / "trace.json")
+        if audit is not None:
+            _write_json(out_dir / "audit.json", audit.to_json_obj())
+        for name, obj in (extra or {}).items():
+            _write_json(out_dir / name, obj)
+    except OSError as exc:  # an output path is taken, e.g. by a directory
+        raise ConfigError(f"cannot write {exc.filename or out_dir}: {exc.strerror}") from None
 
 
 def _one_of(*options):

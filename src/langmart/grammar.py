@@ -114,63 +114,40 @@ class Cfg:
 
 
 def generate_words(g: Cfg, max_len: int) -> set[str]:
-    """All derivable words up to max_len, by plain leftmost expansion.
+    """All derivable words up to max_len, by dynamic programming over
+    lengths on the plain grammar: words[x][n] is the set of words of
+    length n that nonterminal x derives.  Each length is run to a fixed
+    point, because epsilon and unit rules make the sets of one length
+    depend on each other.
 
-    Independent of CYK on purpose: this is the oracle the parser is
-    checked against.
+    Independent of CNF and CYK on purpose: this is the oracle the parser
+    is checked against.
     """
-    minlen = _min_lengths(g)
-    seen_forms = set()
-    out = set()
-    queue = [(g.start,)]
-    while queue:
-        form = queue.pop()
-        if form in seen_forms:
-            continue
-        seen_forms.add(form)
-        lower = 0
-        first_nt = None
-        for idx, sym in enumerate(form):
-            if sym in g.productions:
-                if first_nt is None:
-                    first_nt = idx
-                if minlen.get(sym) is None:
-                    lower = max_len + 1
-                    break
-                lower += minlen[sym]
-            else:
-                lower += 1
-        if lower > max_len:
-            continue
-        if first_nt is None:
-            out.add("".join(form))
-            continue
-        head = form[first_nt]
-        for rhs in g.productions[head]:
-            queue.append(form[:first_nt] + rhs + form[first_nt + 1:])
-    return out
+    words: dict[str, list[set[str]]] = {x: [] for x in g.productions}
 
+    def derive(rhs, n):
+        """The words of length n that rhs derives from the sets found so far."""
+        if not rhs:
+            return {""} if n == 0 else set()
+        head, rest = rhs[0], rhs[1:]
+        if head not in words:  # a terminal
+            return {head + w for w in derive(rest, n - 1)} if n > 0 else set()
+        return {u + v for m, firsts in enumerate(words[head][:n + 1]) if firsts
+                for v in derive(rest, n - m) for u in firsts}
 
-def _min_lengths(g: Cfg) -> dict:
-    minlen: dict[str, int | None] = {nt: None for nt in g.productions}
-    changed = True
-    while changed:
-        changed = False
-        for nt, rhss in g.productions.items():
-            for rhs in rhss:
-                total = 0
-                for sym in rhs:
-                    if sym in g.productions:
-                        if minlen[sym] is None:
-                            break
-                        total += minlen[sym]
-                    else:
-                        total += 1
-                else:
-                    if minlen[nt] is None or total < minlen[nt]:
-                        minlen[nt] = total
+    for n in range(max_len + 1):
+        for sets in words.values():
+            sets.append(set())
+        changed = True
+        while changed:
+            changed = False
+            for x, rhss in g.productions.items():
+                for rhs in rhss:
+                    new = derive(rhs, n) - words[x][n]
+                    if new:
+                        words[x][n] |= new
                         changed = True
-    return minlen
+    return {w for n in range(max_len + 1) for w in derive((g.start,), n)}
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +606,7 @@ def intersect_regular(g: CnfGrammar, d: Dfa) -> CnfGrammar:
             if a not in d.alphabets[0]:
                 continue  # no word the automaton reads has this letter
             for p in states:
-                q = d.transitions[(p, (a,))]
+                q = d.table[p][a]
                 productions.setdefault(name(p, x, q), []).append((a,))
     for x in set(g.pair_rules) | set(g.term_rules):
         for p in states:

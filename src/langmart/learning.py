@@ -5,8 +5,8 @@ dovetail), greedy adversarial texts with language extraction from stalled
 states, anchored betting on polynomial-time languages inside the gaps of
 the ordered text, and an indexing of all finite subsets of a
 bounded-slice domain.  Only the adversarial, family-learner,
-variant-learner and pclass kinds load this module; `langmart.constructions`
-still exports every name here and loads it on first use.
+variant-learner and pclass kinds load this module, and its names import
+only from here.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Callable
 from .automata import (
     Dfa,
     NoSuccessorError,
-    convolve,
     count_leq_ll,
     enumerate_ll,
     min_ll,
@@ -58,7 +57,7 @@ class AutomaticFamily:
             raise ValueError("membership relation must read two tracks")
 
     def member(self, word: str, index: str) -> bool:
-        return self.membership.accepts(convolve((word, index)))
+        return self.membership.accepts((word, index))
 
     def min_index(self) -> str:
         return min_ll(self.index_language)
@@ -462,11 +461,11 @@ def finite_set_indexing(domain: Dfa) -> tuple[SliceCodec, AutomaticFamily]:
             if not count:
                 continue
             for ch in letters:
-                r = domain.transitions[(p, (ch,))]
+                r = domain.table[p][ch]
                 if r in coreach:
                     new[r] = min(new[r] + count, cap)
         for ch in letters[: order[a]]:
-            r = domain.transitions[(q, (ch,))]
+            r = domain.table[q][ch]
             if r in coreach:
                 new[r] = min(new[r] + 1, cap)
         return tuple(new)
@@ -482,7 +481,7 @@ def finite_set_indexing(domain: Dfa) -> tuple[SliceCodec, AutomaticFamily]:
             if not letter_ok(kappa, sched_i):
                 return DEAD
             return read_state(sched_next(sched_i),
-                              domain.transitions[(q, (a,))],
+                              domain.table[q][a],
                               advance_counts(cnts, q, a))
         if a != "#" and kappa == "#":
             return DEAD  # index too short: no letter covers this word's slice

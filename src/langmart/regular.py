@@ -5,8 +5,7 @@ construction of reachable automata (`explore`), the subset construction,
 minimization, projection, products and complements, builders for small
 word languages, pumping splits, the slice-growth classifier and the
 embedding of a bigger alphabet into binary tracks.  Runs of the common
-kinds never load this module; `langmart.automata` still exports every
-name here and loads it on first use.
+kinds never load this module, and its names import only from here.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .automata import (
     PAD,
     ArityMismatchError,
     AutomatonError,
-    ConvolvedWord,
     Dfa,
     _require_words,
     admissible_columns,
@@ -102,23 +100,24 @@ def determinize(nfa: Nfa) -> Dfa:
 
 
 def minimize(d: Dfa) -> Dfa:
-    """Merge indistinguishable states (plain partition refinement)."""
-    d = d.trim()
+    """Merge indistinguishable reachable states (plain partition refinement);
+    unreachable states are dropped."""
+    states = sorted(d.reachable_states())
     columns = list(admissible_columns(d.alphabets))
-    block = {q: int(q in d.accepting) for q in range(d.n_states)}
+    block = {q: int(q in d.accepting) for q in states}
     while True:
         signature = {
             q: (block[q],
                 tuple(block[d.transitions[(q, col)]] for col in columns))
-            for q in range(d.n_states)
+            for q in states
         }
         labels = {sig: i for i, sig in enumerate(sorted(set(signature.values())))}
-        new_block = {q: labels[signature[q]] for q in range(d.n_states)}
+        new_block = {q: labels[signature[q]] for q in states}
         if len(labels) == len(set(block.values())):
             break
         block = new_block
     reps: dict[int, int] = {}
-    for q in range(d.n_states):
+    for q in states:
         reps.setdefault(new_block[q], q)
     index = {b: i for i, b in enumerate(sorted(reps))}
     trans = {
@@ -415,15 +414,17 @@ class AlphabetCodec:
         i = self.letters.index(ch)
         return tuple(format(i, f"0{self.k}b"))
 
-    def encode(self, word: str) -> ConvolvedWord:
-        cols = tuple(self.encode_letter(ch) for ch in word)
-        return ConvolvedWord(self.k, cols)
+    def encode(self, word: str) -> tuple[str, ...]:
+        """The image of word: k rows, row i holding bit i of each letter."""
+        cols = [self.encode_letter(ch) for ch in word]
+        return tuple("".join(col[i] for col in cols) for i in range(self.k))
 
-    def decode(self, cw: ConvolvedWord) -> str:
+    def decode(self, rows) -> str:
+        if len(rows) != self.k or len({len(row) for row in rows}) > 1 \
+                or any(PAD in row for row in rows):
+            raise ValueError("an embedded image is k rows of one length, with no padding")
         out = []
-        for col in cw.columns:
-            if PAD in col:
-                raise ValueError("embedded images carry no padding")
+        for col in zip(*rows):
             i = int("".join(col), 2)
             if i >= len(self.letters):
                 raise ValueError(f"column {col!r} is outside the image")

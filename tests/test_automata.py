@@ -1,17 +1,18 @@
 import bisect
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import brute_words, growth_corpus
 from langmart.automata import (
+    PAD,
     ArityMismatchError,
-    ConvolvedWord,
     Dfa,
     EmptyLanguageError,
     NoSuccessorError,
-    convolve,
+    admissible_columns,
     count_leq_ll,
     enumerate_ll,
     min_ll,
@@ -61,36 +62,42 @@ def equality_relation() -> Dfa:
     return Dfa(2, ["01", "01"], 1, 0, [0], trans)
 
 
-class TestConvolution:
-    def test_examples(self):
-        cw = convolve(("01", "1"))
-        assert cw.columns == (("0", "1"), ("1", "#"))
-        assert convolve(("", "")).columns == ()
-        assert convolve(("0", "011")).columns == (("0", "0"), ("#", "1"), ("#", "1"))
-
-    def test_rows_invert(self):
-        words = ("010", "11", "")
-        assert convolve(words).rows() == words
-
-    def test_bad_columns_rejected(self):
-        with pytest.raises(ValueError):
-            ConvolvedWord(2, ((("#", "1")), ("0", "1")))
-        with pytest.raises(ValueError):
-            ConvolvedWord(1, (("#",),))
-
-
 class TestAccepts:
     def test_shorter_relation_examples(self):
         shorter = shorter_relation()
-        assert shorter.accepts(convolve(("0", "11")))
-        assert not shorter.accepts(convolve(("11", "0")))
-        assert not shorter.accepts(convolve(("0", "1")))
+        assert shorter.accepts(("0", "11"))
+        assert not shorter.accepts(("11", "0"))
+        assert not shorter.accepts(("0", "1"))
+        assert shorter.accepts(("", "1"))
+        assert not shorter.accepts(("", ""))
+
+    def test_one_track_reads_a_word_or_a_one_word_tuple(self, zeros_then_ones):
+        for w in brute_words("01", 5):
+            assert zeros_then_ones.accepts((w,)) == zeros_then_ones.accepts(w)
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatchError):
             shorter_relation().accepts("01")
         with pytest.raises(ArityMismatchError):
-            universe("01").accepts(convolve(("0", "1")))
+            universe("01").accepts(("0", "1"))
+
+    @pytest.mark.parametrize("dfa, word, needle", [
+        (shorter_relation, ("0",), "1 words for an automaton of arity 2"),
+        (shorter_relation, ("0", "1", "1"), "3 words for an automaton of arity 2"),
+        (shorter_relation, (), "0 words for an automaton of arity 2"),
+        (shorter_relation, ("0#1", "111"), "a row holds the padding letter '#'"),
+        (shorter_relation, ("0", "1#"), "a row holds the padding letter '#'"),
+        (lambda: universe("01"), ("0#",), "a row holds the padding letter '#'"),
+        (shorter_relation, ("02", "1"), "column ('2', '#') outside alphabet"),
+        (shorter_relation, ("", "x"), "column ('#', 'x') outside alphabet"),
+        (lambda: universe("01"), "012", "column '2' outside alphabet"),
+        (lambda: universe("01"), ("#",), "a row holds the padding letter '#'"),
+    ], ids=["one-word", "three-words", "no-words", "pad-inside-row", "pad-ending-row",
+            "pad-one-track", "foreign-letter", "foreign-letter-after-pad",
+            "foreign-letter-one-track", "pad-alone"])
+    def test_malformed_input_raises(self, dfa, word, needle):
+        with pytest.raises(ArityMismatchError, match=re.escape(needle)):
+            dfa().accepts(word)
 
 
 class TestBooleanOps:
@@ -99,7 +106,7 @@ class TestBooleanOps:
         both = combine(zeros_then_ones, ones, "and")
         assert both.accepts("11")
         assert not both.accepts("01")
-        assert combine(zeros_then_ones, zeros_then_ones, "xor").is_empty()
+        assert combine(zeros_then_ones, zeros_then_ones, "xor").useful_states() == set()
 
     def test_projection_of_equality(self):
         # exists y (x = y) describes every word
@@ -307,21 +314,26 @@ class TestEmbedding:
         assert codec.encode_letter("a") == ("0", "0")
         assert codec.encode_letter("b") == ("0", "1")
         assert codec.encode_letter("c") == ("1", "0")
-        cw = codec.encode("ab")
-        assert cw.rows() == ("00", "01")
-        assert image.accepts(cw)
+        rows = codec.encode("ab")
+        assert rows == ("00", "01")
+        assert image.accepts(rows)
+        assert codec.encode("") == ("", "")
 
     def test_binary_identity(self):
         d = universe("01")
         image, codec = embed_alphabet(d)
         assert codec.k == 1
-        assert codec.encode("0110").rows() == ("0110",)
+        assert codec.encode("0110") == ("0110",)
+        assert image.accepts(codec.encode("0110"))
 
     def test_roundtrip_and_language(self, zeros_or_ones):
         d = universe("abc")
         image, codec = embed_alphabet(d)
         for w in brute_words("abc", 6):
             assert codec.decode(codec.encode(w)) == w
+        for rows in [("0", ""), ("0#", "01"), ("1",), ("11", "11")]:
+            with pytest.raises(ValueError):
+                codec.decode(rows)
         # embedded image of a sublanguage is recognized exactly
         lang = word_star("ab", "abc")
         lang_image, lang_codec = embed_alphabet(lang)
@@ -449,3 +461,47 @@ def test_compiled_toolbox_matches_brute_force(case):
             assert not long_enough and len(listed) == len(members)
         else:
             assert least == long_enough[0] if long_enough else beyond(least)
+
+
+@st.composite
+def track_automata(draw):
+    """(automaton, its partial transition dict, accepting states, word
+    tuples): 2 or 3 tracks, each over "0", "01" or "10", up to 4 states,
+    missing transitions (the constructor sends them to a trap state), maybe
+    no accepting state, and up to 20 tuples of one word per track over
+    that track's letters, of unequal lengths and with empty words."""
+    alphabets = draw(st.lists(st.sampled_from(["0", "01", "10"]), min_size=2, max_size=3))
+    n = draw(st.integers(1, 4))
+    trans = {}
+    for q in range(n):
+        for col in admissible_columns(alphabets):
+            target = draw(st.none() | st.integers(0, n - 1))
+            if target is not None:
+                trans[(q, col)] = target
+    accepting = draw(st.sets(st.integers(0, n - 1)))
+    rows = st.tuples(*[st.text(a, max_size=4) for a in alphabets])
+    tuples = draw(st.lists(rows, max_size=20))
+    d = Dfa(len(alphabets), alphabets, n, 0, accepting, trans)
+    return d, trans, accepting, tuples + [("",) * len(alphabets)]
+
+
+def _column_walk(trans, accepting, words) -> bool:
+    """Membership read off the partial dict column by column, PAD filling
+    the rows that have ended: a missing move rejects."""
+    q = 0
+    for j in range(max(len(w) for w in words)):
+        col = tuple(w[j] if j < len(w) else PAD for w in words)
+        if (q, col) not in trans:
+            return False
+        q = trans[(q, col)]
+    return q in accepting
+
+
+@settings(max_examples=60, deadline=None)
+@given(track_automata())
+def test_multi_track_accepts_matches_column_walk(case):
+    d, trans, accepting, tuples = case
+    for words in tuples:
+        assert d.accepts(words) == _column_walk(trans, accepting, words), words
+    with pytest.raises(ArityMismatchError):
+        d.accepts(tuples[0] + ("",))

@@ -136,6 +136,24 @@ setup2 = subset_bettor:inside:one_zeros.json
     assert json.loads((workdir / "out" / "audit.json").read_text()) == []
 
 
+def test_automata_loads_no_dataclasses():
+    """langmart.automata, which every run compiles, loads no dataclasses.
+    The child stands a bare package in for langmart, because the package's
+    __init__ imports langmart.engine, whose records are still dataclasses;
+    a sibling module that automata imports would still be loaded."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import sys, types\n"
+              "package = types.ModuleType('langmart')\n"
+              "package.__path__ = [sys.argv[1]]\n"
+              "sys.modules['langmart'] = package\n"
+              "import langmart.automata\n"
+              "print(sorted(m for m in sys.modules if m.startswith(('langmart', 'dataclasses'))))")
+    done = subprocess.run([sys.executable, "-c", script, str(src / "langmart")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["['langmart', 'langmart.automata']"]
+
+
 def test_determinism(workdir):
     cfg = write_config(workdir, "cfg.ini", """\
 [experiment]
@@ -817,6 +835,10 @@ def slow_exponential_domain() -> dict:
     (["audit", "subset-bettor", "--dfa", "zo.json", "--side", "outside", "--seed", "3",
       "--out-dir", "afile/sub"], "audit output error:",
      "cannot create output directory afile/sub: Not a directory"),
+    (["run", "ok.ini", "--out-dir", "taken-trace"], "config error:",
+     "cannot write taken-trace/trace.csv: Is a directory"),
+    (["audit", "regular-bettor", "--dfa", "zo.json", "--out-dir", "taken-audit"],
+     "audit output error:", "cannot write taken-audit/audit.json: Is a directory"),
 ], ids=["pclass-bounded-domain", "pclass-slow-domain", "learner-one-track-membership",
         "regular-two-track-domain", "growth-report-two-track", "growth-two-track",
         "audit-two-track", "diagonalize-past-finite-domain", "verify-words-int",
@@ -841,7 +863,8 @@ def slow_exponential_domain() -> dict:
         "tm-dynamic-bar-letter", "tm-int-state-name", "tm-dynamic-start-state-62",
         "tm-dynamic-step-grows-65", "tm-dynamic-reject-grows-65", "run-out-dir-file",
         "run-out-dir-under-file", "diagonalize-out-dir-file", "audit-out-dir-file",
-        "audit-out-dir-under-file"])
+        "audit-out-dir-under-file", "run-trace-path-is-directory",
+        "audit-output-path-is-directory"])
 def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needle):
     (workdir / "slow.json").write_text(json.dumps(slow_exponential_domain()))
     (workdir / "zero-only.json").write_text(json.dumps(ZERO_ONLY))
@@ -859,6 +882,8 @@ def test_bad_input_is_status_2(workdir, capsys, monkeypatch, argv, prefix, needl
     (workdir / "long-reject.tm.json").write_text(json.dumps(
         {"start": "s", "accept": "acc", "reject": "r" * 66, "blank": "_", "rules": []}))
     (workdir / "afile").write_text("")
+    (workdir / "taken-trace" / "trace.csv").mkdir(parents=True)
+    (workdir / "taken-audit" / "audit.json").mkdir(parents=True)
     configs = {
         "pclass-bounded.ini": "kind = pclass\nhypotheses = const0\n[inputs]\n"
                               "domain = zero_star.json\noracle_dfa = zero_star.json",

@@ -9,7 +9,7 @@ from langmart import constructions
 from test_acceptance import shipped_constructions
 from test_automata import _brute_accepts, word_automata
 from test_engine import broken_setup, each, unfair_bet
-from langmart.automata import convolve, count_leq_ll, enumerate_ll, min_ll
+from langmart.automata import count_leq_ll, enumerate_ll, min_ll
 from langmart.constructions import (
     ConstructionError,
     DiagonalCertificate,

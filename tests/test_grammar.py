@@ -207,17 +207,15 @@ class TestFiniteness:
     def test_matches_the_pumping_oracle(self, data):
         """With k CNF nonterminals (k <= 3), the language is infinite iff
         generate_words finds a word whose length is in [2^k, 2^(k+1)).
-        Grammars have up to three pair rules over S, A and B and the letter
-        a alone (finiteness does not depend on the letters), which keeps
-        the oracle's expansion small."""
+        Grammars have up to four pair rules over S, A and B, and each
+        nonterminal may derive the letter a, the letter b or both."""
         names = data.draw(st.sampled_from(["S", "SA", "SAB"]))
         name = st.sampled_from(names)
-        rules = data.draw(st.lists(st.tuples(name, name, name), max_size=3, unique=True))
-        lettered = data.draw(st.sets(name))
+        rules = data.draw(st.lists(st.tuples(name, name, name), max_size=4, unique=True))
+        letters = data.draw(st.dictionaries(name, st.sampled_from([("a",), ("b",), ("a", "b")])))
         pairs = {x: tuple(sorted((y, z) for head, y, z in rules if head == x)) for x in names}
-        cnf = CnfGrammar("S", {x: p for x, p in pairs.items() if p},
-                         {x: ("a",) for x in lettered})
-        cfg = Cfg("S", {x: pairs[x] + ((("a",),) if x in lettered else ()) for x in names})
+        cnf = CnfGrammar("S", {x: p for x, p in pairs.items() if p}, letters)
+        cfg = Cfg("S", {x: pairs[x] + tuple((a,) for a in letters.get(x, ())) for x in names})
         k = len(cnf.nonterminals)
         words = generate_words(cfg, 2 ** (k + 1) - 1)
         infinite = any(len(w) >= 2**k for w in words)

@@ -16,8 +16,8 @@ import langmart
 # The public names each module defines.
 HOMES = {
     "langmart.automata": """
-        ArityMismatchError AutomatonError ConvolvedWord Dfa EmptyLanguageError
-        NoSuccessorError PAD admissible_columns convolve count_below_length count_leq_ll
+        ArityMismatchError AutomatonError Dfa EmptyLanguageError
+        NoSuccessorError PAD admissible_columns count_below_length count_leq_ll
         enumerate_ll iter_ll min_ll min_word_of_length_at_least slice_count succ_ll
         words_of_length""",
     "langmart.constructions": """
@@ -50,8 +50,8 @@ HOME = {name: module for module, names in HOMES.items() for name in names.split(
 # The public names of each module: those it defines, and for the package
 # the names it exports from their homes.
 PUBLIC = {**HOMES, "langmart": """
-    CapitalTrace ConvolvedWord Dfa Dyadic MState PAUSE Setup audit_fairness bettor compare
-    convolve count_leq_ll enumerate_ll ll_text min_ll run run_dynamic sequence_text
+    CapitalTrace Dfa Dyadic MState PAUSE Setup audit_fairness bettor compare
+    count_leq_ll enumerate_ll ll_text min_ll run run_dynamic sequence_text
     succ_ll succeeded truncated_sum weighted_sum"""}
 
 MODULES = ["langmart"] + [f"langmart.{m.name}" for m in pkgutil.iter_modules(langmart.__path__)]
