@@ -23,7 +23,8 @@ def main():
 
     trace = run(setup, ll_text(domain), language, 40)
     print("stage  word   label  capital")
-    for entry in trace.entries[:6] + trace.entries[-3:]:
+    for i in [*range(6), *range(-3, 0)]:  # the first six stages and the last three
+        entry = trace[i]
         word = entry.word if entry.word is not None else "-"
         label = entry.label if entry.label is not None else "-"
         print(f"{entry.stage:>5}  {word:<6} {label:<5}  {entry.capital}")

@@ -303,14 +303,21 @@ def _bit(value) -> int:
 
 def enumeration_hash(descriptors, domain_json) -> str:
     """The enum_hash of a certificate: SHA-256 of its setup descriptors (or
-    names), domain and weight base."""
-    import hashlib  # only certificates hash; other runs need not load OpenSSL
+    names), domain and weight base.  It takes sha256 from CPython's builtin
+    module, because hashlib maps OpenSSL's libcrypto into the process."""
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
 
     payload = json.dumps(
         {"setups": descriptors, "domain": domain_json, "weight_base": str(WEIGHT_BASE)},
         sort_keys=True,
     )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return sha256(payload.encode()).hexdigest()
 
 
 def diagonalize(enum, domain: Dfa, words: int, descriptors=None) -> DiagonalCertificate:

@@ -24,7 +24,8 @@ The run loop (shared by `run` and `run_dynamic`), `diagonalize` and
 step) call per item and raises the first fault with the memory, the word
 (or pause) and the stage; the run loop then applies only the labelled
 outcome.  `audit_fairness`, which explores a bettor by memory and any
-other setup by full state, records a fault as a violation.
+other setup by full state, records a fault as a violation.  A run's
+trace is one flat list of three cells per stage (see `CapitalTrace`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import functools
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, NamedTuple
@@ -105,8 +105,8 @@ class _PauseType:
 PAUSE = _PauseType()
 
 
-# MState and TraceEntry are made once per stage or more, so they are plain
-# immutable tuples with named fields.
+# An MState is made once per stage or more, so it is a plain immutable tuple
+# with named fields.
 class MState(NamedTuple):
     capital: Dyadic
     memory: tuple[str, ...]
@@ -137,7 +137,7 @@ class Setup:
         if self.bet is not None and self.start.capital.num < 0:
             raise ValueError(f"{self.name}: a bettor starts at a nonnegative capital")
 
-    @property
+    @functools.cached_property
     def arity(self) -> int:
         """Number of memory words, fixed by the start state."""
         return len(self.start.memory)
@@ -226,54 +226,65 @@ class TraceEntry(NamedTuple):
 
 
 class CapitalTrace:
-    """The entries of one run, the start (stage 0) first.  `write` streams
-    one line of trace.csv and one record of trace.json per entry: the bytes
-    of `csv.writer` and of `json.dump(..., indent=1, sort_keys=True)` plus
-    a newline, without holding either file's text in memory.  It makes
-    both files in one pass over `to_rows`, which carries each numerator's
-    decimal numeral forward from the previous one, so a run whose capital
-    is multiplied by small factors writes its exact capitals in time
-    linear in their digits, and each numeral is made once.  `write_csv`
-    and `write_json` write one of the files."""
+    """The stages of one run, the start (stage 0) first, in the flat list
+    `cells`: stage i's word, label and capital are cells[3*i:3*i+3].  Reads
+    use the cells; trace[i] makes one TraceEntry, `entries` all of them.
+    `write` streams one line of trace.csv and one record of trace.json per
+    stage: the bytes of `csv.writer` and of `json.dump(..., indent=1,
+    sort_keys=True)` plus a newline, without holding either file's text.
+    It makes both files in one pass over `to_rows`, which carries each
+    numerator's decimal numeral forward from the previous one, so a run
+    whose capital is multiplied by small factors writes its exact capitals
+    in time linear in their digits, and each numeral is made once."""
 
-    def __init__(self, entries):
-        self.entries = list(entries)
+    def __init__(self, entries=()):
+        self.cells = []
+        for stage, e in enumerate(entries):
+            if e.stage != stage:
+                raise ValueError(f"entry {stage} has stage {e.stage}: stages run 0, 1, 2, ...")
+            self.cells += (e.word, e.label, e.capital)
+
+    @property
+    def entries(self) -> list[TraceEntry]:
+        it = iter(self.cells)
+        return [TraceEntry(stage, *cells) for stage, cells in enumerate(zip(it, it, it))]
 
     def capitals(self):
-        return [e.capital for e in self.entries]
+        return self.cells[2::3]
 
     @property
     def final(self) -> Dyadic:
-        return self.entries[-1].capital
+        return self.cells[-1]
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.cells) // 3
 
     def __getitem__(self, i):
-        return self.entries[i]
+        stage = range(len(self))[i]  # a negative i counts from the end
+        return TraceEntry(stage, *self.cells[3 * stage:3 * stage + 3])
 
     def max_capital(self) -> Dyadic:
-        top = self.entries[0].capital
-        for e in self.entries:
-            if e.capital > top:
-                top = e.capital
-        return top
+        return max(self.capitals())
 
     def to_rows(self):
-        """Yield (stage, word, label, numerator text, exp) per entry, word
+        """Yield (stage, word, label, numerator text, exp) per stage, word
         '#' for a pause.  str() of an int is quadratic in its size, so the
         previous numerator is kept as a Decimal too: a numerator that is
         the previous one times an integer of at most 64 bits gets its
         numeral by one exact, linear Decimal multiply (see `_carry`), any
         other is converted afresh, and an equal one (a pause keeps its
-        capital) is not converted again."""
-        num, numeral, text = 0, None, "0"
-        for e in self.entries:
-            if e.capital.num != num:
-                numeral = _carry(num, numeral, e.capital.num)
-                num = e.capital.num
+        capital) is not converted again.  The first call loads decimal."""
+        global Decimal, _EXACT
+        if _EXACT is None:
+            from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
+            _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+        num, numeral, text, it = 0, None, "0", iter(self.cells)
+        for stage, (word, label, capital) in enumerate(zip(it, it, it)):
+            if capital.num != num:
+                numeral = _carry(num, numeral, capital.num)
+                num = capital.num
                 text = str(numeral)
-            yield (*_cells(e), text, e.capital.exp)
+            yield (*_cells(stage, word, label), text, capital.exp)
 
     def write(self, csv_path=None, json_path=None):
         """Write trace.csv to csv_path and trace.json to json_path; either
@@ -303,19 +314,13 @@ class CapitalTrace:
     def write_csv(self, path):
         self.write(csv_path=path)
 
-    def to_json_obj(self):
-        return [
-            dict(zip(("stage", "word", "label"), _cells(e)),
-                 capital_num=e.capital.num, capital_exp=e.capital.exp)
-            for e in self.entries
-        ]
-
     def write_json(self, path):
         self.write(json_path=path)
 
 
-# Exact decimal arithmetic: a product that would round raises instead.
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+# Exact decimal arithmetic, set with Decimal by the first to_rows: a product
+# that would round raises instead.
+_EXACT = None
 
 
 def _carry(old: int, numeral: Decimal | None, new: int) -> Decimal:
@@ -330,17 +335,17 @@ def _carry(old: int, numeral: Decimal | None, new: int) -> Decimal:
     return Decimal(new)
 
 
-def _cells(e: TraceEntry) -> tuple:
-    """An entry's stage, word ('#' for a pause) and label as trace cells."""
-    word = "#" if e.word is None and e.stage > 0 else (e.word or "")
-    return e.stage, word, "" if e.label is None else str(e.label)
+def _cells(stage: int, word, label) -> tuple:
+    """A stage's number, word ('#' for a pause) and label as trace cells."""
+    word = "#" if word is None and stage > 0 else (word or "")
+    return stage, word, "" if label is None else str(label)
 
 
 def succeeded(trace: CapitalTrace, threshold: Dyadic = DEFAULT_THRESHOLD) -> bool:
     """Threshold proxy for success: some capital in the trace reaches it."""
-    if threshold <= trace.entries[0].capital:
+    if threshold <= trace.cells[2]:
         raise ValueError("threshold must exceed the starting capital")
-    return any(e.capital >= threshold for e in trace.entries)
+    return any(c >= threshold for c in trace.capitals())
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +414,7 @@ def step_fault(setup: Setup, state, word, outs) -> tuple[str, str] | None:
         if len(nxt) != arity:
             return "memory", f"memory arity changed {arity} -> {len(nxt)}"
         for before, after in zip(memory, nxt):
-            if len(after) - len(before) > allowed:
+            if after is not before and len(after) - len(before) > allowed:
                 return "memory", f"memory word grew by {len(after) - len(before)} in one step"
     return None
 
@@ -439,7 +444,8 @@ def _run(setup: Setup, text, oracle, steps: int, stop_threshold: Dyadic | None,
     member = oracle.accepts if isinstance(oracle, Dfa) else oracle
     after = setup.after
     state = setup.start
-    entries = [TraceEntry(0, None, None, state.capital)]
+    trace = CapitalTrace()
+    cells = trace.cells = [None, None, state.capital]
     pause_streak = 0
     for n in range(steps):
         item = text(n, state)
@@ -454,10 +460,10 @@ def _run(setup: Setup, text, oracle, steps: int, stop_threshold: Dyadic | None,
             word, label = item, 1 if member(item) else 0
         # only the labelled outcome is applied; a pause has one outcome
         state = after(state, checked_step(setup, state, item, n + 1)[label or 0])
-        entries.append(TraceEntry(n + 1, word, label, state.capital))
+        cells += (word, label, state.capital)
         if stop_threshold is not None and state.capital >= stop_threshold:
             break
-    return CapitalTrace(entries)
+    return trace
 
 
 def run(setup: Setup, text, oracle, steps: int = DEFAULT_STEP_BUDGET, *,

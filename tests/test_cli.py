@@ -86,7 +86,7 @@ language = zo.json
 LAZY_MODULES_SCRIPT = """
 import contextlib, importlib.util, sys
 lazy = {"langmart.regular", "langmart.learning", "langmart.tworow", "langmart.grammar",
-        "hashlib"}
+        "hashlib", "_hashlib", "decimal"}
 before = set(sys.modules)
 import langmart.cli
 print(sorted(lazy & (set(sys.modules) - before)))
@@ -100,10 +100,12 @@ print(sorted(m for m in lazy if m.startswith("langmart") and not importlib.util.
 def test_regular_run_loads_no_grammar_or_hashlib(workdir):
     """A regular-bettor run, a diagonalize --replay run and a verify load
     none of the modules that only rare paths use (langmart.regular,
-    langmart.learning, langmart.tworow, langmart.grammar), and only the
-    two certificate paths load hashlib (which maps OpenSSL); the
+    langmart.learning, langmart.tworow, langmart.grammar); the
     cfl-pipeline, oracle_grammar, learner, pclass, growth and dyadic-audit
-    tests show that their paths still load them."""
+    tests show that their paths still load them.  No path loads hashlib or
+    _hashlib (which maps OpenSSL): certificates hash with CPython's builtin
+    sha256.  import langmart.cli loads no decimal; only the run, which
+    writes a trace, loads it."""
     regular = write_config(workdir, "cfg.ini", """\
 [experiment]
 kind = regular-bettor
@@ -124,9 +126,9 @@ setup2 = subset_bettor:inside:one_zeros.json
     src = Path(__file__).resolve().parent.parent / "src"
     cert = workdir / "diag" / "certificate.json"
     for argv, loaded in [
-        (["run", regular, "--out-dir", str(workdir / "out")], []),
-        (["run", diag, "--replay", "--out-dir", str(cert.parent)], ["hashlib"]),
-        (["verify", str(cert)], ["hashlib"]),
+        (["run", regular, "--out-dir", str(workdir / "out")], ["decimal"]),
+        (["run", diag, "--replay", "--out-dir", str(cert.parent)], []),
+        (["verify", str(cert)], []),
     ]:
         done = subprocess.run([sys.executable, "-c", LAZY_MODULES_SCRIPT, *argv],
                               capture_output=True, text=True, timeout=120,
@@ -1205,3 +1207,121 @@ def test_run_exits_0_1_or_2_on_mutated_configs(workdir, text):
         signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Command-line fuzzing: every argument list ends in exit status 0, 1 or 2
+# ---------------------------------------------------------------------------
+
+# The inputs of one example, written afresh into its own directory, plus
+# an ordinary file, an empty directory and a directory whose entries take
+# every output file's name.
+CLI_CONFIGS = {
+    "regular.ini": "kind = regular-bettor\nsteps = 20\n[inputs]\n"
+                   "domain = sigma.json\nlanguage = zo.json",
+    "diag.ini": "kind = diagonalize\nwords = 6\n[inputs]\ndomain = sigma.json\n"
+                "setup1 = regular_bettor:zo.json\nsetup2 = subset_bettor:inside:one_zeros.json",
+    "adversarial.ini": "kind = adversarial\nhorizon = 20\nsearch_bound = 50\n[inputs]\n"
+                       "domain = sigma.json\nlanguage = zo.json\noracle_dfa = zo.json",
+    "cfl.ini": "kind = cfl-pipeline\nsteps = 40\nthreshold = 8/2^0\n[inputs]\n"
+               "domain = sigma.json\ngrammar = eq.grammar",
+}
+OUTPUT_NAMES = ["trace.csv", "trace.json", "audit.json", "certificate.json", "stall.json",
+                "extracted.json"]
+# Paths: inputs, a file, paths under a file, existing and taken directories,
+# a missing file, the empty path and a new nested directory.
+CLI_PATHS = st.sampled_from([*CLI_CONFIGS, "cert.json", "sigma.json", "zo.json",
+                             "one_zeros.json", "afile", "afile/under", "afile/a/b", "adir",
+                             "taken", "taken/audit.json", "missing.json", "", ".",
+                             "new/deeper"])
+# Numbers: half of them small, so that runs stay short; the rest signs,
+# zero, huge values and text int() reads or rejects.
+CLI_NUMBERS = st.integers(1, 9).map(str) | st.sampled_from([
+    "0", "-1", "-0", "+2", " 3", "1.5", "1e3", "0x10", "", "x", "\u0663", "--1",
+    "99999999999999999999", "-99999999999999999999"])
+CLI_THRESHOLDS = CLI_NUMBERS | st.sampled_from([
+    "3/2^1", "1/2^-5", "2^3", "8/2^0", "0/2^0", "-4/2^1", "1/2^99999999999999999999",
+    "99999999999999999999/2^0", "1/2^", "/2^3"])
+CLI_FLAGS = {
+    "run": {"--steps": CLI_NUMBERS, "--threshold": CLI_THRESHOLDS, "--horizon": CLI_NUMBERS,
+            "--search-bound": CLI_NUMBERS, "--seed": CLI_NUMBERS, "--out-dir": CLI_PATHS,
+            "--replay": None},
+    "verify": {},
+    "growth": {},
+    "audit": {"--dfa": st.sampled_from(["zo.json", "sigma.json"]) | CLI_PATHS,
+              "--side": st.sampled_from(["inside", "outside", "x", ""]),
+              "--seed": CLI_NUMBERS, "--out-dir": CLI_PATHS},
+}
+# Each subcommand's positional: half of the time the input it expects.
+CLI_POSITIONALS = {
+    "run": st.sampled_from(sorted(CLI_CONFIGS)) | CLI_PATHS,
+    "verify": st.just("cert.json") | CLI_PATHS,
+    "growth": st.sampled_from(["sigma.json", "zo.json"]) | CLI_PATHS,
+    "audit": st.sampled_from(["regular-bettor", "subset-bettor", "bettor", ""]),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand with zero to two positionals and up to four of its
+    flags, each maybe repeated, given a drawn value, or left without one at
+    the end; now and then an unknown flag or no subcommand."""
+    command = draw(st.sampled_from(sorted(CLI_FLAGS)))
+    argv = [command] if draw(st.sampled_from(range(16))) else []
+    flags = CLI_FLAGS[command]
+    positionals = [draw(CLI_POSITIONALS[command])
+                   for _ in range(draw(st.sampled_from([1, 1, 1, 1, 0, 2])))]
+    options = []
+    for _ in range(draw(st.integers(0, 4) if flags else st.sampled_from([0, 0, 0, 1]))):
+        flag = "--bogus" if not flags or not draw(st.sampled_from(range(10))) \
+            else draw(st.sampled_from(sorted(flags)))
+        values = flags.get(flag, st.just("1"))
+        options += [flag] if flag == "--replay" else [flag, draw(values)]
+    if options and not draw(st.sampled_from(range(10))):
+        options.pop()  # the last flag loses its value
+    at = draw(st.integers(0, len(options)))
+    return argv + options[:at] + positionals + options[at:]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=command_lines())
+@example(argv=["audit", "regular-bettor", "--dfa", "zo.json", "--out-dir", "taken"])
+@example(argv=["run", "regular.ini", "--out-dir", "afile/under"])
+@example(argv=["run", "diag.ini", "--replay", "--out-dir", "taken", "--out-dir", "adir"])
+@example(argv=["verify", "cert.json", "cert.json"])
+def test_every_command_line_exits_0_1_or_2(tmp_path, monkeypatch, argv):
+    """Each subcommand, on files, paths under files, existing and taken
+    directories, missing and repeated flags and odd numbers, returns 0, 1
+    or 2 (argparse's own exit included) with no traceback, and writes only
+    inside its own directory."""
+    case = Path(tempfile.mkdtemp(dir=tmp_path))
+    for name, obj in [("sigma.json", universe("01")), ("zo.json", ZEROS_THEN_ONES),
+                      ("one_zeros.json", ONE_ZEROS)]:
+        (case / name).write_text(json.dumps(obj.to_json()))
+    (case / "cert.json").write_text(json.dumps(SEED_OBJECTS[1]))
+    (case / "eq.grammar").write_text("S -> 0 S 1 | #eps\n")
+    for name, body in CLI_CONFIGS.items():
+        (case / name).write_text(f"[experiment]\n{body}\n")
+    (case / "afile").write_text("not a directory\n")
+    (case / "adir").mkdir()
+    for name in OUTPUT_NAMES:
+        (case / "taken" / name).mkdir(parents=True)
+    around = set(tmp_path.parent.iterdir()), set(tmp_path.iterdir())
+    monkeypatch.chdir(case)
+    err = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _overrun)
+    signal.alarm(RUN_ALARM_S)
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors and --help
+                code = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    monkeypatch.undo()
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert (set(tmp_path.parent.iterdir()), set(tmp_path.iterdir())) == around

@@ -1,3 +1,5 @@
+import json
+import sys
 from itertools import combinations
 from unittest import mock
 
@@ -469,6 +471,15 @@ def test_decide_matches_the_configuration_route(prog, words, budget):
                 assert prog.decide(word) == expected, word
 
 
+# JSON values for certificate payloads; long texts make payloads of several
+# SHA-256 blocks.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=200),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner,
+                                                                 max_size=4),
+    max_leaves=12)
+
+
 class TestDiagonalize:
     def enum(self, zeros_then_ones, one_zeros):
         return [
@@ -551,6 +562,20 @@ class TestDiagonalize:
         neutral = Setup("flat", lambda s, x: each(x, s), MState(ONE, ("",)), None)
         cert = diagonalize([neutral], sigma, 8)
         assert all(e.bit == 0 for e in cert.entries)
+
+    @settings(max_examples=100, deadline=None)
+    @given(json_values, json_values)
+    def test_enumeration_hash_is_hashlib_sha256(self, descriptors, domain_json):
+        """The builtin sha256 gives hashlib's digest of the certificate's
+        payload, and so does the hashlib fallback."""
+        import hashlib
+
+        payload = json.dumps({"setups": descriptors, "domain": domain_json,
+                              "weight_base": str(constructions.WEIGHT_BASE)}, sort_keys=True)
+        digest = hashlib.sha256(payload.encode()).hexdigest()
+        assert constructions.enumeration_hash(descriptors, domain_json) == digest
+        with mock.patch.dict(sys.modules, {"_sha2": None, "_sha256": None}):
+            assert constructions.enumeration_hash(descriptors, domain_json) == digest
 
 
 class TestBuildSetup:

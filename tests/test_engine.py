@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import equal_counts
+from conftest import equal_counts, equal_counts_tm
 from langmart import engine
 from langmart.automata import enumerate_ll
 from langmart.dyadic import Dyadic, HALF, ONE, THREE_HALVES, TWO, ZERO
@@ -41,7 +41,7 @@ from langmart.engine import (
     truncated_sum,
     weighted_sum,
 )
-from langmart.constructions import regular_bettor, subset_bettor
+from langmart.constructions import regular_bettor, subset_bettor, tm_dynamic_bettor
 from langmart.constructions import diagonalize
 from langmart.learning import family_learner, prefix_family
 from langmart.regular import concat, from_word, universe, word_star
@@ -255,15 +255,15 @@ class TestRun:
 class TestSucceeded:
     def test_examples(self):
         trace = CapitalTrace([
-            type("E", (), {"capital": c})() for c in
-            (ONE, THREE_HALVES, Dyadic(9, 2))
+            TraceEntry(stage, None, None, c) for stage, c in
+            enumerate((ONE, THREE_HALVES, Dyadic(9, 2)))
         ])
         assert succeeded(trace, Dyadic(2))
-        flat = CapitalTrace([type("E", (), {"capital": ONE})() for _ in range(5)])
+        flat = CapitalTrace([TraceEntry(stage, None, None, ONE) for stage in range(5)])
         assert not succeeded(flat, Dyadic(2))
 
     def test_threshold_must_exceed_start(self):
-        flat = CapitalTrace([type("E", (), {"capital": ONE})()])
+        flat = CapitalTrace([TraceEntry(0, None, None, ONE)])
         with pytest.raises(ValueError):
             succeeded(flat, ONE)
 
@@ -389,6 +389,22 @@ class TestRunDynamic:
         trace = run_dynamic(lazy_setup(), generator, lambda w: True, 7)
         assert len(trace) == 8
 
+    def test_trace_retains_under_64_bytes_per_stage(self):
+        """A 20,000-stage tm-dynamic run, nine stages in ten of them pauses,
+        keeps three cells per stage: the trace, its new words and its
+        capitals retain under 64 bytes per stage (a record per stage took
+        about 150)."""
+        setup, generator = tm_dynamic_bettor(equal_counts_tm(), universe("01"))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = run_dynamic(setup, generator, equal_counts, 20000)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / 20000 < 64, retained / 20000
+        assert len(trace) == 20001 and [e.word for e in trace.entries].count(None) > 17000
+
 
 # Trace words the writers must quote or escape, and plain ones.
 trace_words = st.text(st.sampled_from('01,"\r\n #a\u00e9\u20ac'), max_size=6) | st.text(max_size=4)
@@ -403,12 +419,12 @@ CAPITAL_MOVES = ["same", "equal", "new", "3/2", "1/2", "num*2", "num*64bit",
 
 
 @st.composite
-def traces(draw):
-    """A CapitalTrace with the start entry, pauses, words that need quoting,
-    capitals up to 2**3000, one Dyadic repeated and equal but distinct
-    copies, numerators multiplied by 3, 2 or a random integer of up to 70
-    bits or halved, and zero followed by a nonzero capital; the empty trace
-    when it has no entries."""
+def trace_entries(draw):
+    """The entries of a trace: the start entry, pauses, words that need
+    quoting, capitals up to 2**3000, one Dyadic repeated and equal but
+    distinct copies, numerators multiplied by 3, 2 or a random integer of up
+    to 70 bits or halved, and zero followed by a nonzero capital; or none,
+    for the empty trace."""
     entries, capital = [], ONE
     for stage in range(draw(st.integers(0, 12))):
         how = draw(st.sampled_from(CAPITAL_MOVES))
@@ -435,7 +451,60 @@ def traces(draw):
         else:
             word, label = draw(trace_words), draw(st.sampled_from([0, 1]))
         entries.append(TraceEntry(stage, word, label, capital))
-    return CapitalTrace(entries)
+    return entries
+
+
+def traces():
+    """A CapitalTrace of trace_entries()."""
+    return trace_entries().map(CapitalTrace)
+
+
+class TestTraceReads:
+    @settings(max_examples=150, deadline=None)
+    @given(trace_entries())
+    def test_reads_match_the_entry_list(self, entries):
+        """A trace keeps three cells per stage; every read of it equals the
+        same read on the entry list it was built from, errors included."""
+        trace = CapitalTrace(entries)
+        capitals = [e.capital for e in entries]
+        assert trace.entries == entries
+        assert len(trace) == len(entries)
+        assert trace.capitals() == capitals
+        for i in range(-len(entries) - 2, len(entries) + 2):
+            if -len(entries) <= i < len(entries):
+                assert trace[i] == entries[i] and trace[i].capital is entries[i].capital
+            else:
+                with pytest.raises(IndexError):
+                    trace[i]
+        if not entries:
+            for read, error in ((lambda: trace.final, IndexError),
+                                (trace.max_capital, ValueError),
+                                (lambda: succeeded(trace, ONE), IndexError)):
+                with pytest.raises(error):
+                    read()
+            return
+        assert trace.final is entries[-1].capital
+        top = entries[0].capital  # the first largest capital
+        for c in capitals:
+            if c > top:
+                top = c
+        assert trace.max_capital() is top
+        for threshold in {*capitals, top + ONE, ONE}:
+            if threshold <= capitals[0]:
+                with pytest.raises(ValueError):
+                    succeeded(trace, threshold)
+            else:
+                assert succeeded(trace, threshold) == any(c >= threshold for c in capitals)
+
+    def test_entries_are_read_only(self):
+        trace = CapitalTrace([TraceEntry(0, None, None, ONE)])
+        with pytest.raises(AttributeError):
+            trace.entries = []
+
+    @pytest.mark.parametrize("stages", [[1], [0, 2], [0, 1, 1], [0, 0]])
+    def test_entries_must_count_stages(self, stages):
+        with pytest.raises(ValueError, match="stages run 0, 1, 2"):
+            CapitalTrace([TraceEntry(stage, None, None, ONE) for stage in stages])
 
 
 class TestTraceSerialization:
@@ -449,7 +518,8 @@ class TestTraceSerialization:
         assert lines[1] == "0,,,1,0"
         assert lines[2] == "1,#,,1,0"
         assert lines[3] == "2,01,1,3,1"
-        obj = trace.to_json_obj()
+        trace.write_json(tmp_path / "t.json")
+        obj = json.loads((tmp_path / "t.json").read_text())
         assert obj[3]["word"] == "10" and obj[3]["label"] == "0"
 
     @settings(max_examples=150, deadline=None)
@@ -462,7 +532,6 @@ class TestTraceSerialization:
                  "" if e.label is None else str(e.label), e.capital.num, e.capital.exp]
                 for e in trace.entries]
         objs = [dict(zip(keys, row)) for row in rows]
-        assert trace.to_json_obj() == objs
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             with open(tmp / "ref.csv", "w", newline="") as fh:
@@ -491,8 +560,9 @@ class TestTraceSerialization:
             fresh.append(value)
             return Decimal(value)
 
-        monkeypatch.setattr(engine, "Decimal", counting)
         csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
+        trace.write_csv(csv_path)  # the first write loads decimal into engine
+        monkeypatch.setattr(engine, "Decimal", counting)
         for write, paths in ((trace.write_csv, [csv_path]), (trace.write_json, [json_path]),
                              (trace.write, [csv_path, json_path])):
             fresh.clear()
