@@ -21,7 +21,7 @@ def main():
     language = concat(word_star("0"), word_star("1"))
     setup = regular_bettor(language)
 
-    trace = run(setup, ll_text(domain), language, 40)
+    trace = run(setup, ll_text(domain), language.accepts, 40)
     print("stage  word   label  capital")
     for i in [*range(6), *range(-3, 0)]:  # the first six stages and the last three
         entry = trace[i]

@@ -17,7 +17,6 @@ from .engine import (
     bettor,
     ll_text,
     run,
-    run_dynamic,
     sequence_text,
     succeeded,
     truncated_sum,

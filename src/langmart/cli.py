@@ -51,7 +51,6 @@ from .engine import (
     audit_fairness,
     ll_text,
     run,
-    run_dynamic,
     succeeded,
 )
 from .rng import Lcg
@@ -303,7 +302,7 @@ def _run_regular_bettor(exp: Experiment, out_dir: Path) -> int:
     domain = exp.dfa("domain")
     language = exp.dfa("language", domain=domain)
     oracle_keys = ("oracle_dfa", "oracle_grammar", "oracle_tm")
-    oracle = exp.oracle(domain) if any(exp.inputs.get(k) for k in oracle_keys) else language
+    oracle = exp.oracle(domain) if any(map(exp.inputs.get, oracle_keys)) else language.accepts
     setup = regular_bettor(language)
     trace = run(setup, ll_text(domain), oracle, exp.steps)
     audit = _audited(setup, domain, exp.seed)
@@ -384,14 +383,14 @@ def _run_tm_dynamic(exp: Experiment, out_dir: Path) -> int:
     domain = exp.dfa("domain")
     prog = _load_object(exp.path("tm"), TmProgram.from_json, "machine")
     try:
-        setup, generator = tm_dynamic_bettor(prog, domain)
+        setup, text = tm_dynamic_bettor(prog, domain)
     except EmptyLanguageError:
         raise TextExhaustedError("domain exhausted by the self-scheduled text at stage 1: "
                                  "the domain has no members") from None
     except ConstructionError as exc:
         raise ConfigError(str(exc)) from None
     try:  # the bettor schedules the domain's words in ll order, one after another
-        trace = run_dynamic(setup, generator, _tm_oracle(prog), exp.steps)
+        trace = run(setup, text, _tm_oracle(prog), exp.steps)
         audit = _audited(setup, domain, exp.seed)
     except NoSuccessorError as exc:
         raise TextExhaustedError(

@@ -188,11 +188,13 @@ class TmProgram:
 
 
 def tm_dynamic_bettor(prog: TmProgram, domain: Dfa) -> tuple[Setup, Callable]:
-    """Simulates the machine one step per stage; the paired generator
-    pauses the text until an output is ready, then schedules the simulated
-    input itself and the bettor stakes everything on the computed verdict.
-    An input too long for one step's memory growth is first copied onto the
-    work word a bounded piece per pause; a configuration always holds '|'.
+    """The bettor and its self-scheduled text, a plain text(n, state) for
+    `run`.  The bettor simulates the machine one step per stage; the text
+    reads the run's state and pauses until an output is ready, then
+    schedules the simulated input itself, and the bettor stakes everything
+    on the computed verdict.  An input too long for one step's memory
+    growth is first copied onto the work word a bounded piece per pause; a
+    configuration always holds '|'.
     """
     if "|" in domain.alphabets[0]:
         raise ConstructionError("the domain letter '|' cannot appear in a machine configuration")
@@ -216,7 +218,7 @@ def tm_dynamic_bettor(prog: TmProgram, domain: Dfa) -> tuple[Setup, Callable]:
                 f"more than {MEMORY_GROWTH_LIMIT} letters in one pause")
     d0 = min_ll(domain)
 
-    def generator(state: MState):
+    def text(_n: int, state: MState):
         m_in, _, m_out = state.memory
         return m_in if m_out else PAUSE
 
@@ -238,7 +240,7 @@ def tm_dynamic_bettor(prog: TmProgram, domain: Dfa) -> tuple[Setup, Callable]:
             return tuple((TWO if bit == verdict else ZERO, nxt) for bit in (0, 1))
         return (ONE, memory), (ONE, memory)  # off-schedule words are not bet on
 
-    return bettor("tm_dynamic_bettor", bet, (d0, "", ""), {TWO, ZERO, ONE}), generator
+    return bettor("tm_dynamic_bettor", bet, (d0, "", ""), {TWO, ZERO, ONE}), text
 
 
 # ---------------------------------------------------------------------------

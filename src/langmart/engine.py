@@ -4,8 +4,9 @@ A state couples a capital value (exact dyadic) with a tuple of memory
 words.  step(state, item) returns the next state of every outcome of an
 item: (s0, s1) for a word's labels 0 and 1, (s,) for a pause.  A text is
 a plain function text(n, state) -> word | PAUSE (`ll_text`,
-`sequence_text`); `run` labels each word of it with the oracle, so there
-is no stream type.  A bettor is a memory automaton built by `bettor`:
+`sequence_text`, or a bettor's own self-scheduled text); `run` labels each
+word of it with the oracle, a predicate word -> bool, so there is no
+stream type.  A bettor is a memory automaton built by `bettor`:
 bet(memory, item) returns the same outcomes as (factor, memory) pairs;
 an outcome multiplies the capital by its factor and sets the memory, so
 a bettor cannot read the capital.  `weighted_sum`, the one combinator
@@ -19,13 +20,13 @@ keep capital nonnegative, keep the memory's arity and grow each memory
 word by at most MEMORY_GROWTH_LIMIT letters plus 2 per letter of the
 incoming word.  A bettor's factors must sum to 2 (1 for a pause), be
 nonnegative and be declared, which holds the contract at every capital.
-The run loop (shared by `run` and `run_dynamic`), `diagonalize` and
-`adversarial_text` step through `checked_step`, which makes one bet (or
-step) call per item and raises the first fault with the memory, the word
-(or pause) and the stage; the run loop then applies only the labelled
-outcome.  `audit_fairness`, which explores a bettor by memory and any
-other setup by full state, records a fault as a violation.  A run's
-trace is one flat list of three cells per stage (see `CapitalTrace`).
+The one run loop `run`, `diagonalize` and `adversarial_text` step
+through `checked_step`, which makes one bet (or step) call per item and
+raises the first fault with the memory, the word (or pause) and the
+stage; `run` then applies only the labelled outcome.  `audit_fairness`,
+which explores a bettor by memory and any other setup by full state,
+records a fault as a violation.  A run's trace is one flat list of three
+cells per stage (see `CapitalTrace`).
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ class TraceEntry(NamedTuple):
 class CapitalTrace:
     """The stages of one run, the start (stage 0) first, in the flat list
     `cells`: stage i's word, label and capital are cells[3*i:3*i+3].  Reads
-    use the cells; trace[i] makes one TraceEntry, `entries` all of them.
+    use the cells; trace[i] makes one TraceEntry, and iteration one per stage.
     `write` streams one line of trace.csv and one record of trace.json per
     stage: the bytes of `csv.writer` and of `json.dump(..., indent=1,
     sort_keys=True)` plus a newline, without holding either file's text.
@@ -244,10 +245,14 @@ class CapitalTrace:
                 raise ValueError(f"entry {stage} has stage {e.stage}: stages run 0, 1, 2, ...")
             self.cells += (e.word, e.label, e.capital)
 
+    def __iter__(self):
+        it = iter(self.cells)
+        return (TraceEntry(stage, *cells) for stage, cells in enumerate(zip(it, it, it)))
+
+    # perfbench's tracer reads entries by name; it goes once a benchmark change unpins it.
     @property
     def entries(self) -> list[TraceEntry]:
-        it = iter(self.cells)
-        return [TraceEntry(stage, *cells) for stage, cells in enumerate(zip(it, it, it))]
+        return list(self)
 
     def capitals(self):
         return self.cells[2::3]
@@ -311,9 +316,11 @@ class CapitalTrace:
             if json_fh is not None:
                 json_fh.write("[]\n" if sep == "[\n" else "\n]\n")
 
+    # perfbench's tracer wraps write_csv by name; it goes once a benchmark change unpins it.
     def write_csv(self, path):
         self.write(csv_path=path)
 
+    # perfbench's tracer wraps write_json by name; it goes once a benchmark change unpins it.
     def write_json(self, path):
         self.write(json_path=path)
 
@@ -439,9 +446,12 @@ def checked_step(setup: Setup, state: MState, word, stage: int) -> tuple:
     return outs
 
 
-def _run(setup: Setup, text, oracle, steps: int, stop_threshold: Dyadic | None,
-         budget: int) -> CapitalTrace:
-    member = oracle.accepts if isinstance(oracle, Dfa) else oracle
+def run(setup: Setup, text, oracle, steps: int = DEFAULT_STEP_BUDGET, *,
+        stop_threshold: Dyadic | None = None,
+        budget: int = DEFAULT_VALIDITY_BUDGET) -> CapitalTrace:
+    """Drive the setup over `steps` items of the text, each word labeled by
+    the oracle, a predicate word -> bool; the trace has steps+1 entries.
+    `budget` pauses in a row raise ValidityBudgetError."""
     after = setup.after
     state = setup.start
     trace = CapitalTrace()
@@ -457,7 +467,7 @@ def _run(setup: Setup, text, oracle, steps: int, stop_threshold: Dyadic | None,
             word, label = None, None
         else:
             pause_streak = 0
-            word, label = item, 1 if member(item) else 0
+            word, label = item, 1 if oracle(item) else 0
         # only the labelled outcome is applied; a pause has one outcome
         state = after(state, checked_step(setup, state, item, n + 1)[label or 0])
         cells += (word, label, state.capital)
@@ -466,20 +476,10 @@ def _run(setup: Setup, text, oracle, steps: int, stop_threshold: Dyadic | None,
     return trace
 
 
-def run(setup: Setup, text, oracle, steps: int = DEFAULT_STEP_BUDGET, *,
-        stop_threshold: Dyadic | None = None,
-        budget: int = DEFAULT_VALIDITY_BUDGET) -> CapitalTrace:
-    """Drive the setup over `steps` items of the text, each word labeled by
-    the oracle (a predicate or a Dfa); the trace has steps+1 entries.
-    `budget` pauses in a row raise ValidityBudgetError."""
-    return _run(setup, text, oracle, steps, stop_threshold, budget)
-
-
+# perfbench's tracer wraps run_dynamic by name; it goes once a benchmark change unpins it.
 def run_dynamic(setup: Setup, generator, oracle, steps: int = DEFAULT_STEP_BUDGET,
                 *, budget: int = DEFAULT_VALIDITY_BUDGET) -> CapitalTrace:
-    """Co-evolve text and state: stage n emits generator(state_n), labels it
-    with the oracle, then steps."""
-    return _run(setup, lambda _n, state: generator(state), oracle, steps, None, budget)
+    return run(setup, lambda _n, state: generator(state), oracle, steps, budget=budget)
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,6 @@ def adversarial_text(setup: Setup, domain: Dfa, oracle, *, mode: str = "any",
     """
     if mode not in ("any", "repetition-free"):
         raise ValueError(f"unknown mode {mode!r}")
-    oracle_fn = oracle.accepts if isinstance(oracle, Dfa) else oracle
     pool = enumerate_ll(domain, search_bound)
     used: set[str] = set()
     state = setup.start
@@ -120,7 +119,7 @@ def adversarial_text(setup: Setup, domain: Dfa, oracle, *, mode: str = "any",
             if mode == "repetition-free" and x in used:
                 continue
             outs = checked_step(setup, state, x, stage + 1)
-            nxt = setup.after(state, outs[1 if oracle_fn(x) else 0])
+            nxt = setup.after(state, outs[1 if oracle(x) else 0])
             if nxt.capital <= state.capital:
                 chosen = (x, nxt)
                 break
@@ -293,17 +292,16 @@ def pclass_bettor(hyp: HypothesisSpace, domain: Dfa) -> Setup:
     first = anchor_word(domain, 0)
 
     def ticked(memory: tuple) -> tuple:
-        counter, anchor, m_in, idx, phase, work, out = memory
-        if out == "" and phase == "run":
+        counter, anchor, idx, work, out = memory
+        if not out:
             work = work + "0"
             h = hyp.get(int(idx))
-            if len(work) >= h.cost(m_in):
-                out = str(h.decide(m_in))
-                phase = "done"
-        return (counter, anchor, m_in, idx, phase, work, out)
+            if len(work) >= h.cost(anchor):
+                out = str(h.decide(anchor))
+        return (counter, anchor, idx, work, out)
 
     def bet(memory: tuple, word):
-        counter, anchor, m_in, idx, phase, work, out = memory
+        counter, anchor, idx, work, out = memory
         if word is PAUSE:
             return ((ONE, ticked(memory)),)
         if word != anchor:
@@ -312,15 +310,15 @@ def pclass_bettor(hyp: HypothesisSpace, domain: Dfa) -> Setup:
         # activation: settle the bet, then schedule the next anchor
         counter = counter + "0"
         nxt = anchor_word(domain, max(len(counter), len(anchor) + 1))
-        settled = (counter, nxt, nxt, idx, "run", "", "")
+        settled = (counter, nxt, idx, "", "")
         if out == "":
             return (ONE, settled), (ONE, settled)
-        advanced = (counter, nxt, nxt, str(hyp.advance(int(idx))), "run", "", "")
+        advanced = (counter, nxt, str(hyp.advance(int(idx))), "", "")
         verdict = int(out)
         return tuple((THREE_HALVES, settled) if bit == verdict else (HALF, advanced)
                      for bit in (0, 1))
 
-    return bettor("pclass_bettor", bet, ("", first, first, "0", "run", "", ""),
+    return bettor("pclass_bettor", bet, ("", first, "0", "", ""),
                   {THREE_HALVES, HALF, ONE})
 
 

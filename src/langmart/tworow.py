@@ -6,8 +6,7 @@ least-significant first on top, the sign bit followed by the fraction bits
 (most significant first) on the bottom.  Addition on codes is done digit
 by digit with a carry that never exceeds one bit, which is the point: the
 whole layer stays realizable with a fixed finite memory.  Only the
-dyadic-audit kind uses it; `langmart.dyadic` still exports every name here
-and loads this module on first use.
+dyadic-audit kind uses it, and its names import only from here.
 """
 
 from __future__ import annotations

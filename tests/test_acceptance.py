@@ -22,7 +22,6 @@ from langmart.engine import (
     audit_fairness,
     ll_text,
     run,
-    run_dynamic,
     sequence_text,
     succeeded,
     weighted_sum,
@@ -97,7 +96,7 @@ def test_criterion_2_regular_bettor_growth():
     expected = THREE_HALVES**40
     for domain, language in cases:
         setup = regular_bettor(language)
-        trace = run(setup, ll_text(domain), language, 40)
+        trace = run(setup, ll_text(domain), language.accepts, 40)
         assert trace.final == expected
     report(2, "capital is exactly (3/2)^40 after 40 agreed words",
            "domains Sigma*, 0*1*, (00)*")
@@ -113,7 +112,7 @@ def test_criterion_3_adversarial_and_extraction():
     trace = run(bettor, text, equal_counts, 100)
     assert trace.max_capital() <= ONE
 
-    witness = adversarial_text(regular_bettor(zo), sigma, zo,
+    witness = adversarial_text(regular_bettor(zo), sigma, zo.accepts,
                                horizon=100, search_bound=1000)
     assert isinstance(witness, StallWitness)
     predicate = extract_language(regular_bettor(zo), witness.state)
@@ -153,9 +152,9 @@ def test_criterion_4_cfl_pipeline():
 
 def test_criterion_5_tm_bettor_exact_doubling():
     sigma = universe("01")
-    setup, generator = tm_dynamic_bettor(equal_counts_tm(), sigma)
-    trace = run_dynamic(setup, generator, equal_counts, 300)
-    bets = [e for e in trace.entries if e.word is not None]
+    setup, text = tm_dynamic_bettor(equal_counts_tm(), sigma)
+    trace = run(setup, text, equal_counts, 300)
+    bets = [e for e in trace if e.word is not None]
     assert len(bets) >= 6
     assert bets[5].capital == Dyadic(2**6)
     for k, entry in enumerate(bets[:6], start=1):
@@ -288,8 +287,8 @@ def test_criterion_10_anchored_bettor():
     setup = pclass_bettor(hyp, sigma)
     target = lambda w: set(w) <= {"0"}
     trace = run(setup, ll_text(sigma), target, 4200)
-    moves = [(i, e) for i, e in enumerate(trace.entries[1:], start=1)
-             if e.capital != trace.entries[i - 1].capital]
+    caps = trace.capitals()
+    moves = [(i, e) for i, e in enumerate(trace) if i and e.capital != caps[i - 1]]
     assert len(moves) >= 8
     assert [m[1].capital for m in moves[:2]] == [HALF, HALF * HALF]
     for k, (i, e) in enumerate(moves[2:], start=1):

@@ -33,7 +33,6 @@ from langmart.engine import (
     bettor,
     ll_text,
     run,
-    run_dynamic,
     sequence_text,
 )
 from langmart.learning import (
@@ -62,7 +61,7 @@ class TestRegularBettor:
         setup = regular_bettor(zeros_then_ones)
         trace = run(setup, ll_text(sigma), equal_counts, 60)
         agree = disagree = 0
-        for entry in trace.entries[1:]:
+        for entry in list(trace)[1:]:
             if zeros_then_ones.accepts(entry.word) == bool(entry.label):
                 agree += 1
             else:
@@ -72,7 +71,7 @@ class TestRegularBettor:
     def test_pause_only_text(self, zeros_then_ones):
         setup = regular_bettor(zeros_then_ones)
         text = sequence_text([PAUSE] * 10)
-        assert run(setup, text, zeros_then_ones, 10).capitals() == [ONE] * 11
+        assert run(setup, text, zeros_then_ones.accepts, 10).capitals() == [ONE] * 11
 
     def test_one_automaton_run_per_word(self, sigma, zeros_then_ones, monkeypatch):
         """One bet call per item: a run of N stages runs the bettor's
@@ -119,7 +118,7 @@ class TestSubsetBettor:
         target = lambda w: one_zeros.accepts(w) or equal_counts(w)
         setup = subset_bettor(one_zeros, "inside")
         trace = run(setup, ll_text(sigma), target, 2**7)
-        hits = sum(1 for e in trace.entries[1:] if e.word and one_zeros.accepts(e.word))
+        hits = sum(1 for e in list(trace)[1:] if e.word and one_zeros.accepts(e.word))
         assert trace.final == THREE_HALVES**hits
         assert hits >= 6
 
@@ -170,7 +169,7 @@ class TestAdversarial:
 
     def test_stalls_when_every_word_pays(self, sigma, zeros_then_ones):
         setup = regular_bettor(zeros_then_ones)
-        witness = adversarial_text(setup, sigma, zeros_then_ones,
+        witness = adversarial_text(setup, sigma, zeros_then_ones.accepts,
                                    horizon=50, search_bound=300)
         assert isinstance(witness, StallWitness)
         assert witness.stage == 0  # every bet is correct from the start
@@ -187,7 +186,7 @@ class TestAdversarial:
 
     def test_extracted_language_matches_dfa(self, sigma, zeros_then_ones):
         setup = regular_bettor(zeros_then_ones)
-        witness = adversarial_text(setup, sigma, zeros_then_ones,
+        witness = adversarial_text(setup, sigma, zeros_then_ones.accepts,
                                    horizon=10, search_bound=100)
         predicate = extract_language(setup, witness.state)
         for w in brute_words("01", 8):
@@ -270,7 +269,7 @@ class TestFamilyLearner:
         trace = run(setup, ll_text(sigma), target, 50)
         caps = trace.capitals()
         mind_changes = sum(1 for a, b in zip(caps, caps[1:]) if b == a * HALF)
-        history = [(e.word, e.label) for e in trace.entries[1:]]
+        history = [(e.word, e.label) for e in list(trace)[1:]]
         indices_upto_target = ["", "0", "1"]
         disagreeing = sum(
             1 for e in indices_upto_target
@@ -356,9 +355,9 @@ class TestTmBettor:
         assert setup.start.memory[0] == min_ll(sigma)
 
     def test_capital_doubles_per_completed_bet(self, sigma, tm_equal_counts):
-        setup, generator = tm_dynamic_bettor(tm_equal_counts, sigma)
-        trace = run_dynamic(setup, generator, equal_counts, 260)
-        bets = [e for e in trace.entries if e.word is not None]
+        setup, text = tm_dynamic_bettor(tm_equal_counts, sigma)
+        trace = run(setup, text, equal_counts, 260)
+        bets = [e for e in trace if e.word is not None]
         assert len(bets) >= 6
         for k, entry in enumerate(bets, start=1):
             assert entry.capital == TWO**k
@@ -366,9 +365,9 @@ class TestTmBettor:
     def test_long_inputs_are_loaded_within_the_memory_growth_limit(self, one_zeros,
                                                                     tm_equal_counts):
         # the words of 1 0* grow past what one pause may add to the work word
-        setup, generator = tm_dynamic_bettor(tm_equal_counts, one_zeros)
-        trace = run_dynamic(setup, generator, equal_counts, 500)
-        bets = [e for e in trace.entries if e.word is not None]
+        setup, text = tm_dynamic_bettor(tm_equal_counts, one_zeros)
+        trace = run(setup, text, equal_counts, 500)
+        bets = [e for e in trace if e.word is not None]
         assert len(bets[-1].word) > 2 * MEMORY_GROWTH_LIMIT
         for k, entry in enumerate(bets, start=1):
             assert entry.capital == TWO**k
@@ -384,9 +383,9 @@ class TestTmBettor:
         # a machine that instantly accepts everything is wrong on "0"
         always = TmProgram("q", "acc", "rej", "_", {("q", s): (s, "S", "acc")
                                                     for s in "01_"})
-        setup, generator = tm_dynamic_bettor(always, sigma)
-        trace = run_dynamic(setup, generator, equal_counts, 30)
-        bets = [e for e in trace.entries if e.word is not None]
+        setup, text = tm_dynamic_bettor(always, sigma)
+        trace = run(setup, text, equal_counts, 30)
+        bets = [e for e in trace if e.word is not None]
         assert bets[0].word == "" and bets[0].capital == TWO  # eps correct
         assert bets[1].word == "0" and bets[1].capital == ZERO
         assert len(bets) >= 3  # the run continues at capital 0
@@ -394,9 +393,9 @@ class TestTmBettor:
     def test_budget_violation_when_machine_too_slow(self, sigma):
         spinner = TmProgram("q", "acc", "rej", "_",
                             {("q", s): (s, "R", "q") for s in "01_"})
-        setup, generator = tm_dynamic_bettor(spinner, sigma)
+        setup, text = tm_dynamic_bettor(spinner, sigma)
         with pytest.raises(ValidityBudgetError):
-            run_dynamic(setup, generator, equal_counts, 50, budget=10)
+            run(setup, text, equal_counts, 50, budget=10)
 
     def test_json_roundtrip(self, tm_equal_counts):
         back = TmProgram.from_json(tm_equal_counts.to_json())
@@ -415,7 +414,7 @@ class TestTmBettor:
             spinner.decide("01")
 
     def test_audit_betting_state(self, sigma, tm_equal_counts):
-        setup, generator = tm_dynamic_bettor(tm_equal_counts, sigma)
+        setup, _ = tm_dynamic_bettor(tm_equal_counts, sigma)
         state = setup.start
         while not state.memory[2]:
             (state,) = setup.step(state, PAUSE)
@@ -610,8 +609,8 @@ class TestPclass:
         setup = pclass_bettor(three_hypotheses(), sigma)
         target = lambda w: set(w) <= {"0"}
         trace = run(setup, ll_text(sigma), target, 4200)
-        bets = [(i, e) for i, e in enumerate(trace.entries[1:], start=1)
-                if e.capital != trace.entries[i - 1].capital]
+        caps = trace.capitals()
+        bets = [(i, e) for i, e in enumerate(trace) if i and e.capital != caps[i - 1]]
         # two wrong hypotheses halve the capital, then each anchor pays 3/2
         assert [str(e.capital) for _, e in bets[:2]] == ["1/2^1", "1/2^2"]
         for (i, e), k in zip(bets[2:], range(1, 99)):

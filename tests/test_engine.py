@@ -142,27 +142,27 @@ CHECKED_STEP_CASES = {
 class TestRun:
     def test_trace_shape(self, sigma, zeros_then_ones):
         setup = regular_bettor(zeros_then_ones)
-        trace = run(setup, ll_text(sigma), zeros_then_ones, 0)
+        trace = run(setup, ll_text(sigma), zeros_then_ones.accepts, 0)
         assert len(trace) == 1 and trace[0].capital == ONE
-        trace = run(setup, ll_text(sigma), zeros_then_ones, 10)
+        trace = run(setup, ll_text(sigma), zeros_then_ones.accepts, 10)
         assert len(trace) == 11
 
     def test_growth_example(self, sigma, zeros_then_ones):
         setup = regular_bettor(zeros_then_ones)
-        trace = run(setup, ll_text(sigma), zeros_then_ones, 4)
+        trace = run(setup, ll_text(sigma), zeros_then_ones.accepts, 4)
         expected = [Dyadic(3, 1) ** n for n in range(5)]
         assert trace.capitals() == expected
 
     def test_pause_prefix_keeps_capital(self, zeros_then_ones):
         setup = regular_bettor(zeros_then_ones)
         items = [PAUSE] * 5 + ["01"]
-        trace = run(setup, sequence_text(items), zeros_then_ones, 6)
+        trace = run(setup, sequence_text(items), zeros_then_ones.accepts, 6)
         assert trace.capitals()[:6] == [ONE] * 6
         assert trace.final == THREE_HALVES
 
     def test_fairness_violation_detected(self, sigma):
         with pytest.raises(FairnessViolationError):
-            run(broken_setup(), ll_text(sigma), sigma, 3)
+            run(broken_setup(), ll_text(sigma), sigma.accepts, 3)
 
     def test_pause_violation_detected(self, sigma):
         def step(state, item):
@@ -170,7 +170,7 @@ class TestRun:
 
         bad = Setup("pause-breaker", step, MState(ONE, ("",)), None)
         with pytest.raises(PausePreservationError):
-            run(bad, sequence_text([PAUSE]), sigma, 1)
+            run(bad, sequence_text([PAUSE]), sigma.accepts, 1)
 
     @pytest.mark.parametrize("case", CHECKED_STEP_CASES, ids=list(CHECKED_STEP_CASES))
     def test_every_step_is_checked(self, case):
@@ -197,7 +197,7 @@ class TestRun:
         items = [PAUSE] * 6 + ["01"]
         with pytest.raises(FairnessViolationError,
                            match=r"in memory \(''\,\) at word '01' \(stage 7\)$"):
-            run(broken_setup(), sequence_text(items), sigma, 7)
+            run(broken_setup(), sequence_text(items), sigma.accepts, 7)
 
         def remembers_last_word(memory, word):
             if word is PAUSE:
@@ -208,7 +208,7 @@ class TestRun:
         bad = bettor("unfair-on-01", remembers_last_word, ("",), {ONE, THREE_HALVES})
         with pytest.raises(FairnessViolationError,
                            match=r"in memory \('1',\) at word '01' \(stage 7\)$"):
-            run(bad, sequence_text(["0"] * 5 + ["1", "01"]), sigma, 7)
+            run(bad, sequence_text(["0"] * 5 + ["1", "01"]), sigma.accepts, 7)
 
         def pause_doubles(state, item):
             return scaled(state, TWO) if item is PAUSE else (state, state)
@@ -216,7 +216,7 @@ class TestRun:
         bad = Setup("pause-doubles", pause_doubles, MState(ONE, ("",)), None)
         with pytest.raises(PausePreservationError,
                            match=r"in memory \(''\,\) at a pause \(stage 7\)$"):
-            run(bad, sequence_text(["0"] * 6 + [PAUSE]), sigma, 7)
+            run(bad, sequence_text(["0"] * 6 + [PAUSE]), sigma.accepts, 7)
 
     def test_diagonalize_errors_name_the_word_position(self, sigma):
         def unfair_on_1(state, item):
@@ -233,11 +233,11 @@ class TestRun:
     def test_validity_budget(self, sigma):
         items = [PAUSE] * 10 + ["0"]
         with pytest.raises(ValidityBudgetError):
-            run(lazy_setup(), sequence_text(items), sigma, 11, budget=5)
+            run(lazy_setup(), sequence_text(items), sigma.accepts, 11, budget=5)
 
     def test_text_exhaustion(self, sigma):
         with pytest.raises(TextExhaustedError):
-            run(lazy_setup(), sequence_text(["0"]), sigma, 2)
+            run(lazy_setup(), sequence_text(["0"]), sigma.accepts, 2)
 
     def test_ll_text_exhaustion_on_finite_domain(self):
         from langmart.regular import from_word
@@ -246,9 +246,9 @@ class TestRun:
             run(lazy_setup(), ll_text(from_word("01")), lambda w: True, 2)
 
     def test_honest_labels(self, sigma, zeros_then_ones):
-        trace = run(lazy_setup(), ll_text(sigma), zeros_then_ones, 40)
-        assert [e.word for e in trace.entries[1:]] == enumerate_ll(sigma, 40)
-        for e in trace.entries[1:]:
+        trace = run(lazy_setup(), ll_text(sigma), zeros_then_ones.accepts, 40)
+        assert [e.word for e in list(trace)[1:]] == enumerate_ll(sigma, 40)
+        for e in list(trace)[1:]:
             assert e.label == int(zeros_then_ones.accepts(e.word))
 
 
@@ -269,7 +269,7 @@ class TestSucceeded:
 
     def test_long_run_reaches_big_threshold(self, sigma, zeros_then_ones):
         setup = regular_bettor(zeros_then_ones)
-        trace = run(setup, ll_text(sigma), zeros_then_ones, 36)
+        trace = run(setup, ll_text(sigma), zeros_then_ones.accepts, 36)
         assert succeeded(trace, Dyadic(2**20))  # (3/2)^n tops 2^20 at n >= 35
 
 
@@ -394,16 +394,16 @@ class TestRunDynamic:
         keeps three cells per stage: the trace, its new words and its
         capitals retain under 64 bytes per stage (a record per stage took
         about 150)."""
-        setup, generator = tm_dynamic_bettor(equal_counts_tm(), universe("01"))
+        setup, text = tm_dynamic_bettor(equal_counts_tm(), universe("01"))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            trace = run_dynamic(setup, generator, equal_counts, 20000)
+            trace = run(setup, text, equal_counts, 20000)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert retained / 20000 < 64, retained / 20000
-        assert len(trace) == 20001 and [e.word for e in trace.entries].count(None) > 17000
+        assert len(trace) == 20001 and [e.word for e in trace].count(None) > 17000
 
 
 # Trace words the writers must quote or escape, and plain ones.
@@ -467,7 +467,7 @@ class TestTraceReads:
         same read on the entry list it was built from, errors included."""
         trace = CapitalTrace(entries)
         capitals = [e.capital for e in entries]
-        assert trace.entries == entries
+        assert list(trace) == entries
         assert len(trace) == len(entries)
         assert trace.capitals() == capitals
         for i in range(-len(entries) - 2, len(entries) + 2):
@@ -498,6 +498,7 @@ class TestTraceReads:
 
     def test_entries_are_read_only(self):
         trace = CapitalTrace([TraceEntry(0, None, None, ONE)])
+        assert trace.entries == list(trace)
         with pytest.raises(AttributeError):
             trace.entries = []
 
@@ -511,14 +512,14 @@ class TestTraceSerialization:
     def test_csv_and_json(self, tmp_path, sigma, zeros_then_ones):
         setup = regular_bettor(zeros_then_ones)
         items = [PAUSE, "01", "10"]
-        trace = run(setup, sequence_text(items), zeros_then_ones, 3)
-        trace.write_csv(tmp_path / "t.csv")
+        trace = run(setup, sequence_text(items), zeros_then_ones.accepts, 3)
+        trace.write(csv_path=tmp_path / "t.csv")
         lines = (tmp_path / "t.csv").read_text().splitlines()
         assert lines[0] == "stage,word,label,capital_num,capital_exp"
         assert lines[1] == "0,,,1,0"
         assert lines[2] == "1,#,,1,0"
         assert lines[3] == "2,01,1,3,1"
-        trace.write_json(tmp_path / "t.json")
+        trace.write(json_path=tmp_path / "t.json")
         obj = json.loads((tmp_path / "t.json").read_text())
         assert obj[3]["word"] == "10" and obj[3]["label"] == "0"
 
@@ -530,7 +531,7 @@ class TestTraceSerialization:
         keys = ["stage", "word", "label", "capital_num", "capital_exp"]
         rows = [[e.stage, "#" if e.word is None and e.stage > 0 else (e.word or ""),
                  "" if e.label is None else str(e.label), e.capital.num, e.capital.exp]
-                for e in trace.entries]
+                for e in trace]
         objs = [dict(zip(keys, row)) for row in rows]
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
@@ -539,13 +540,15 @@ class TestTraceSerialization:
             with open(tmp / "ref.json", "w") as fh:
                 json.dump(objs, fh, indent=1, sort_keys=True)
                 fh.write("\n")
-            trace.write_csv(tmp / "out.csv")
-            trace.write_json(tmp / "out.json")
-            trace.write(tmp / "both.csv", tmp / "both.json")  # the one-pass writer
+            trace.write(csv_path=tmp / "out.csv")
+            trace.write(json_path=tmp / "out.json")
+            trace.write(tmp / "both.csv", tmp / "both.json")  # both files in one pass
+            trace.write_csv(tmp / "shim.csv")  # the single-file shims perfbench wraps
+            trace.write_json(tmp / "shim.json")
             for ext in ("csv", "json"):
                 ref = (tmp / f"ref.{ext}").read_bytes()
-                assert (tmp / f"out.{ext}").read_bytes() == ref
-                assert (tmp / f"both.{ext}").read_bytes() == ref
+                for name in ("out", "both", "shim"):
+                    assert (tmp / f"{name}.{ext}").read_bytes() == ref, name
 
     def test_writers_convert_afresh_once(self, tmp_path, monkeypatch):
         """On a run whose numerator is only ever multiplied by 3 or kept,
@@ -553,7 +556,7 @@ class TestTraceSerialization:
         every other forward by a multiply, so its cost stays linear; the
         one-pass writer does so once for both files together."""
         sigma = universe("01")
-        trace = run(regular_bettor(sigma), ll_text(sigma), sigma, 3000)
+        trace = run(regular_bettor(sigma), ll_text(sigma), sigma.accepts, 3000)
         fresh = []
 
         def counting(value):
@@ -561,13 +564,12 @@ class TestTraceSerialization:
             return Decimal(value)
 
         csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
-        trace.write_csv(csv_path)  # the first write loads decimal into engine
+        trace.write(csv_path=csv_path)  # the first write loads decimal into engine
         monkeypatch.setattr(engine, "Decimal", counting)
-        for write, paths in ((trace.write_csv, [csv_path]), (trace.write_json, [json_path]),
-                             (trace.write, [csv_path, json_path])):
+        for paths in ((csv_path, None), (None, json_path), (csv_path, json_path)):
             fresh.clear()
-            write(*paths)
-            assert fresh == [1], [path.name for path in paths]
+            trace.write(*paths)
+            assert fresh == [1], paths
         monkeypatch.undo()
         assert (tmp_path / "t.csv").read_text().splitlines()[-1].split(",")[3] \
             == str(trace.final.num)
@@ -576,18 +578,17 @@ class TestTraceSerialization:
         """Each writer's peak allocation is a small fraction of what it
         writes: none holds a file's text nor every numerator's digits."""
         sigma = universe("01")
-        trace = run(regular_bettor(sigma), ll_text(sigma), sigma, 3000)
+        trace = run(regular_bettor(sigma), ll_text(sigma), sigma.accepts, 3000)
         csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
         tracemalloc.start()
         try:
-            for write, paths in ((trace.write_csv, [csv_path]), (trace.write_json, [json_path]),
-                                 (trace.write, [csv_path, json_path])):
+            for paths in ((csv_path, None), (None, json_path), (csv_path, json_path)):
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
-                write(*paths)
+                trace.write(*paths)
                 peak = tracemalloc.get_traced_memory()[1] - before
-                size = sum(path.stat().st_size for path in paths)
-                assert peak < 0.05 * size, ([path.name for path in paths], peak)
+                size = sum(path.stat().st_size for path in paths if path is not None)
+                assert peak < 0.05 * size, (paths, peak)
         finally:
             tracemalloc.stop()
 

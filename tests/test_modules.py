@@ -6,8 +6,10 @@ callers import it from there.  No module forwards names it does not
 define: there is no PEP 562 module `__getattr__` anywhere in the package.
 """
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -51,7 +53,7 @@ HOME = {name: module for module, names in HOMES.items() for name in names.split(
 # the names it exports from their homes.
 PUBLIC = {**HOMES, "langmart": """
     CapitalTrace Dfa Dyadic MState PAUSE Setup audit_fairness bettor compare
-    count_leq_ll enumerate_ll ll_text min_ll run run_dynamic sequence_text
+    count_leq_ll enumerate_ll ll_text min_ll run sequence_text
     succ_ll succeeded truncated_sum weighted_sum"""}
 
 MODULES = ["langmart"] + [f"langmart.{m.name}" for m in pkgutil.iter_modules(langmart.__path__)]
@@ -84,3 +86,24 @@ def test_no_module_forwards_names(module):
 def test_names_import_only_from_their_home(module, name):
     with pytest.raises(ImportError):
         exec(f"from {module} import {name}", {})
+
+
+# Names that engine.py keeps only because perfbench's tracer wraps them by name.
+PINNED = {"run_dynamic", "write_csv", "write_json"}
+
+
+def test_no_caller_names_the_pinned_shims():
+    """The package and the scripts run a setup through `run` and write a
+    trace through `CapitalTrace.write`: apart from engine.py's definitions,
+    no code names a pinned shim."""
+    root = Path(__file__).resolve().parent.parent
+    paths = [*(root / "src" / "langmart").glob("*.py"), *(root / "scripts").glob("*.py")]
+    assert len(paths) > 10
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.alias):
+                named |= {node.name, node.asname}
+            found += [(path.name, node.lineno, name) for name in named & PINNED]
+    assert not found

@@ -22,7 +22,7 @@ def test_demo_runs(name):
 
 def test_benchmark_smoke_passes():
     """perfbench's tracer wraps package functions by name (engine.run,
-    run_dynamic, audit_fairness, Dfa.accepts, ...), so renaming one breaks
+    engine.run_dynamic, audit_fairness, Dfa.accepts, ...), so renaming one breaks
     the benchmark; its smoke test runs every workload at a tiny size."""
     done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "smoke.py")],
                           capture_output=True, text=True, timeout=600)
