@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -55,12 +56,12 @@ from .engine import (
 )
 from .rng import Lcg
 
-# The modules that only rare paths use are imported inside them, so the
+# The modules that only some paths use are imported inside them, so the
 # other commands do not pay for loading them: langmart.grammar where a
 # grammar is read (_load_grammar, an oracle_grammar input, cfl-pipeline),
 # langmart.learning in the adversarial, learner and pclass kinds,
-# langmart.regular in the growth report and langmart.tworow in the
-# dyadic audit.
+# langmart.regular in the growth report, langmart.tworow in the dyadic
+# audit and langmart.tracefiles where a run writes a trace.
 
 
 class ConfigError(Exception):
@@ -152,20 +153,55 @@ def _write_json(path: Path, obj):
         fh.write("\n")
 
 
-def _write_outputs(out_dir: Path, trace=None, audit=None, extra=None):
+def _make_dir(out_dir: Path) -> list[Path]:
+    """Make out_dir and its missing parents; return those made, deepest first."""
     try:
+        made = []
+        for path in (out_dir, *out_dir.parents):
+            if path.exists():
+                break
+            made.append(path)
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # out_dir, or a directory above it, is a file
         raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
+    return made
+
+
+def _write_error(exc: OSError, out_dir: Path) -> ConfigError:
+    """The error of an output that could not be written, e.g. to a path a
+    directory takes, naming the path (a rename names its target second)."""
+    return ConfigError(f"cannot write {exc.filename2 or exc.filename or out_dir}: {exc.strerror}")
+
+
+@contextlib.contextmanager
+def _streamed(out_dir: Path):
+    """A TraceFiles sink for out_dir's trace.csv and trace.json, which take
+    their names when the block ends.  If the block raises, they are
+    removed, and so is every directory made for them."""
+    from .tracefiles import TraceFiles
+
+    made = _make_dir(out_dir)
     try:
-        if trace is not None:
-            trace.write(out_dir / "trace.csv", out_dir / "trace.json")
+        with TraceFiles(out_dir / "trace.csv", out_dir / "trace.json") as files:
+            yield files
+    except BaseException as exc:
+        for path in made:
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        if isinstance(exc, OSError):
+            raise _write_error(exc, out_dir) from None
+        raise
+
+
+def _write_outputs(out_dir: Path, audit=None, extra=None):
+    _make_dir(out_dir)
+    try:
         if audit is not None:
             _write_json(out_dir / "audit.json", audit.to_json_obj())
         for name, obj in (extra or {}).items():
             _write_json(out_dir / name, obj)
-    except OSError as exc:  # an output path is taken, e.g. by a directory
-        raise ConfigError(f"cannot write {exc.filename or out_dir}: {exc.strerror}") from None
+    except OSError as exc:
+        raise _write_error(exc, out_dir) from None
 
 
 def _one_of(*options):
@@ -284,8 +320,8 @@ def _audited(setup, domain, seed) -> "AuditReport":
     return audit_fairness(setup, _probe_words(domain, seed))
 
 
-def _finish(out_dir, trace, audit, extra=None, *, held: bool) -> int:
-    _write_outputs(out_dir, trace, audit, extra)
+def _finish(out_dir, audit, extra=None, *, held: bool) -> int:
+    _write_outputs(out_dir, audit, extra)
     if audit is not None and not audit.ok:
         print(f"fairness audit failed: {len(audit.violations)} violations",
               file=sys.stderr)
@@ -304,18 +340,21 @@ def _run_regular_bettor(exp: Experiment, out_dir: Path) -> int:
     oracle_keys = ("oracle_dfa", "oracle_grammar", "oracle_tm")
     oracle = exp.oracle(domain) if any(map(exp.inputs.get, oracle_keys)) else language.accepts
     setup = regular_bettor(language)
-    trace = run(setup, ll_text(domain), oracle, exp.steps)
-    audit = _audited(setup, domain, exp.seed)
-    return _finish(out_dir, trace, audit, held=True)
+    with _streamed(out_dir) as trace:
+        run(setup, ll_text(domain), oracle, exp.steps, trace=trace)
+        audit = _audited(setup, domain, exp.seed)
+    return _finish(out_dir, audit, held=True)
 
 
 def _run_subset_bettor(exp: Experiment, out_dir: Path) -> int:
     domain = exp.dfa("domain")
     subset = exp.dfa("subset", domain=domain)
     setup = subset_bettor(subset, exp.value("side", "inside", _one_of("inside", "outside")))
-    trace = run(setup, ll_text(domain), exp.oracle(domain), exp.steps)
-    audit = _audited(setup, domain, exp.seed)
-    return _finish(out_dir, trace, audit, held=True)
+    oracle = exp.oracle(domain)
+    with _streamed(out_dir) as trace:
+        run(setup, ll_text(domain), oracle, exp.steps, trace=trace)
+        audit = _audited(setup, domain, exp.seed)
+    return _finish(out_dir, audit, held=True)
 
 
 def _run_adversarial(exp: Experiment, out_dir: Path) -> int:
@@ -339,12 +378,13 @@ def _run_adversarial(exp: Experiment, out_dir: Path) -> int:
             "capital": str(outcome.state.capital),
             "extracted_sample": {w: bool(v) for w, v in sample.items()},
         }}
-        return _finish(out_dir, None, audit, extra, held=True)
-    trace = run(bettor, outcome, oracle, exp.horizon)
+        return _finish(out_dir, audit, extra, held=True)
+    with _streamed(out_dir) as trace:
+        run(bettor, outcome, oracle, exp.horizon, trace=trace)
     held = trace.max_capital() <= bettor.start.capital
     if not held:
         print("adversarial text let the capital rise", file=sys.stderr)
-    return _finish(out_dir, trace, audit, held=held)
+    return _finish(out_dir, audit, held=held)
 
 
 def _run_family_learner(exp: Experiment, out_dir: Path, variant: bool) -> int:
@@ -372,11 +412,12 @@ def _run_family_learner(exp: Experiment, out_dir: Path, variant: bool) -> int:
 
     setup = variant_family_learner(fam) if variant else family_learner(fam)
     try:  # each step also tries the losing label, which advances the index
-        trace = run(setup, ll_text(domain), oracle, exp.steps)
-        audit = _audited(setup, domain, exp.seed)
+        with _streamed(out_dir) as trace:
+            run(setup, ll_text(domain), oracle, exp.steps, trace=trace)
+            audit = _audited(setup, domain, exp.seed)
     except (LearnerStallError, NoSuccessorError) as exc:
         raise ConfigError(f"index_language is finite: {exc}") from None
-    return _finish(out_dir, trace, audit, held=True)
+    return _finish(out_dir, audit, held=True)
 
 
 def _run_tm_dynamic(exp: Experiment, out_dir: Path) -> int:
@@ -390,12 +431,13 @@ def _run_tm_dynamic(exp: Experiment, out_dir: Path) -> int:
     except ConstructionError as exc:
         raise ConfigError(str(exc)) from None
     try:  # the bettor schedules the domain's words in ll order, one after another
-        trace = run(setup, text, _tm_oracle(prog), exp.steps)
-        audit = _audited(setup, domain, exp.seed)
+        with _streamed(out_dir) as trace:
+            run(setup, text, _tm_oracle(prog), exp.steps, trace=trace)
+            audit = _audited(setup, domain, exp.seed)
     except NoSuccessorError as exc:
         raise TextExhaustedError(
             f"domain exhausted by the self-scheduled text: the domain has {exc}") from None
-    return _finish(out_dir, trace, audit, held=True)
+    return _finish(out_dir, audit, held=True)
 
 
 def _diagonalize_parts(exp: Experiment):
@@ -466,16 +508,18 @@ def _run_pclass(exp: Experiment, out_dir: Path) -> int:
     try:
         setup = pclass_bettor(space, domain)
         anchors = anchor_gap_report(domain, exp._num("anchors", 10))
+        oracle = exp.oracle(domain)
         # each step also tries the losing label, which may need a next hypothesis
-        trace = run(setup, ll_text(domain), exp.oracle(domain), exp.steps)
-        audit = _audited(setup, domain, exp.seed)
+        with _streamed(out_dir) as trace:
+            run(setup, ll_text(domain), oracle, exp.steps, trace=trace)
+            audit = _audited(setup, domain, exp.seed)
     except (ConstructionError, AutomatonError) as exc:
         raise ConfigError(str(exc)) from None
     held = all(row["ok"] for row in anchors)
     for row in anchors:
         row["predecessors"] = str(row["predecessors"])
         row["gap"] = str(row["gap"])
-    return _finish(out_dir, trace, audit, {"anchors.json": anchors}, held=held)
+    return _finish(out_dir, audit, {"anchors.json": anchors}, held=held)
 
 
 def _run_cfl_pipeline(exp: Experiment, out_dir: Path) -> int:
@@ -495,8 +539,9 @@ def _run_cfl_pipeline(exp: Experiment, out_dir: Path) -> int:
         raise ConfigError(f"threshold {exp.threshold} must exceed the starting "
                           f"capital {setup.start.capital}")
     oracle = lambda w: cyk_member(cnf, w)
-    trace = run(setup, ll_text(domain), oracle, exp.steps, stop_threshold=exp.threshold)
-    audit = _audited(setup, domain, exp.seed)
+    with _streamed(out_dir) as trace:
+        run(setup, ll_text(domain), oracle, exp.steps, stop_threshold=exp.threshold, trace=trace)
+        audit = _audited(setup, domain, exp.seed)
     members = enumerate_ll(r, 100)
     expect = side == "inside"
     leaks = [w for w in members if cyk_member(cnf, w) != expect]
@@ -510,7 +555,7 @@ def _run_cfl_pipeline(exp: Experiment, out_dir: Path) -> int:
               file=sys.stderr)
     extra = {"extracted.json": {"side": side, "dfa": r.to_json(),
                                 "first_members": members[:20]}}
-    return _finish(out_dir, trace, audit, extra, held=held)
+    return _finish(out_dir, audit, extra, held=held)
 
 
 def _run_growth_report(exp: Experiment, out_dir: Path) -> int:

@@ -25,18 +25,18 @@ through `checked_step`, which makes one bet (or step) call per item and
 raises the first fault with the memory, the word (or pause) and the
 stage; `run` then applies only the labelled outcome.  `audit_fairness`,
 which explores a bettor by memory and any other setup by full state,
-records a fault as a violation.  A run's trace is one flat list of three
-cells per stage (see `CapitalTrace`).
+records a fault as a violation.  `run` appends each stage to a trace
+sink: a `CapitalTrace`, one flat list of three cells per stage, or a
+`langmart.tracefiles.TraceFiles`, which writes trace.csv and trace.json
+as the run goes and keeps no stage.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import deque
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import accumulate
-from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, NamedTuple
 
 from .automata import Dfa, iter_ll
@@ -184,19 +184,24 @@ def is_normed(setup: Setup) -> bool:
 
 
 def ll_text(domain: Dfa):
-    """The domain's members in length-lexicographic order."""
-    cache: list[str] = []
-    source = iter_ll(domain)
+    """The domain's members in length-lexicographic order.  Only the last
+    word read and its index are kept; asking for an earlier one restarts
+    the enumeration."""
+    source, at, word = iter_ll(domain), -1, None
 
     def text(n: int, _state) -> str:
-        while len(cache) <= n:
+        nonlocal source, at, word
+        if n < at:
+            source, at = iter_ll(domain), -1
+        while at < n:
             try:
-                cache.append(next(source))
+                word = next(source)
             except StopIteration:
                 raise TextExhaustedError(
                     f"domain exhausted by the ordered text at stage {n + 1}: "
-                    f"it has only {len(cache)} words") from None
-        return cache[n]
+                    f"it has only {at + 1} words") from None
+            at += 1
+        return word
 
     return text
 
@@ -227,16 +232,11 @@ class TraceEntry(NamedTuple):
 
 
 class CapitalTrace:
-    """The stages of one run, the start (stage 0) first, in the flat list
-    `cells`: stage i's word, label and capital are cells[3*i:3*i+3].  Reads
-    use the cells; trace[i] makes one TraceEntry, and iteration one per stage.
-    `write` streams one line of trace.csv and one record of trace.json per
-    stage: the bytes of `csv.writer` and of `json.dump(..., indent=1,
-    sort_keys=True)` plus a newline, without holding either file's text.
-    It makes both files in one pass over `to_rows`, which carries each
-    numerator's decimal numeral forward from the previous one, so a run
-    whose capital is multiplied by small factors writes its exact capitals
-    in time linear in their digits, and each numeral is made once."""
+    """The list sink: the stages of one run, the start (stage 0) first, in
+    the flat list `cells`, where stage i's word, label and capital are
+    cells[3*i:3*i+3].  `append` adds a stage.  Reads use the cells; trace[i]
+    makes one TraceEntry, a slice a list of them, and iteration one per
+    stage.  `write` feeds the cells through a `TraceFiles` sink."""
 
     def __init__(self, entries=()):
         self.cells = []
@@ -244,6 +244,11 @@ class CapitalTrace:
             if e.stage != stage:
                 raise ValueError(f"entry {stage} has stage {e.stage}: stages run 0, 1, 2, ...")
             self.cells += (e.word, e.label, e.capital)
+
+    def append(self, word, label, capital: Dyadic) -> None:
+        """Add the next stage; word and label are None for the start and
+        for a pause."""
+        self.cells += (word, label, capital)
 
     def __iter__(self):
         it = iter(self.cells)
@@ -258,6 +263,10 @@ class CapitalTrace:
         return self.cells[2::3]
 
     @property
+    def start(self) -> Dyadic:
+        return self.cells[2]
+
+    @property
     def final(self) -> Dyadic:
         return self.cells[-1]
 
@@ -265,56 +274,23 @@ class CapitalTrace:
         return len(self.cells) // 3
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[stage] for stage in range(len(self))[i]]
         stage = range(len(self))[i]  # a negative i counts from the end
         return TraceEntry(stage, *self.cells[3 * stage:3 * stage + 3])
 
     def max_capital(self) -> Dyadic:
         return max(self.capitals())
 
-    def to_rows(self):
-        """Yield (stage, word, label, numerator text, exp) per stage, word
-        '#' for a pause.  str() of an int is quadratic in its size, so the
-        previous numerator is kept as a Decimal too: a numerator that is
-        the previous one times an integer of at most 64 bits gets its
-        numeral by one exact, linear Decimal multiply (see `_carry`), any
-        other is converted afresh, and an equal one (a pause keeps its
-        capital) is not converted again.  The first call loads decimal."""
-        global Decimal, _EXACT
-        if _EXACT is None:
-            from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
-            _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
-        num, numeral, text, it = 0, None, "0", iter(self.cells)
-        for stage, (word, label, capital) in enumerate(zip(it, it, it)):
-            if capital.num != num:
-                numeral = _carry(num, numeral, capital.num)
-                num = capital.num
-                text = str(numeral)
-            yield (*_cells(stage, word, label), text, capital.exp)
-
     def write(self, csv_path=None, json_path=None):
         """Write trace.csv to csv_path and trace.json to json_path; either
-        may be None.  One pass over to_rows fills both."""
-        with ExitStack() as files:
-            csv_fh = json_fh = None
-            if csv_path is not None:
-                csv_fh = files.enter_context(open(csv_path, "w", newline=""))
-                csv_fh.write("stage,word,label,capital_num,capital_exp\r\n")
-            if json_path is not None:
-                json_fh = files.enter_context(open(json_path, "w"))
-            sep = "[\n"
-            for stage, word, label, num, exp in self.to_rows():
-                if csv_fh is not None:
-                    cell = word
-                    if "," in word or '"' in word or "\r" in word or "\n" in word:
-                        cell = '"' + word.replace('"', '""') + '"'
-                    csv_fh.write(f"{stage},{cell},{label},{num},{exp}\r\n")
-                if json_fh is not None:
-                    json_fh.write(f'{sep} {{\n  "capital_exp": {exp},\n  "capital_num": {num},'
-                                  f'\n  "label": {_json_str(label)},\n  "stage": {stage},'
-                                  f'\n  "word": {_json_str(word)}\n }}')
-                    sep = ",\n"
-            if json_fh is not None:
-                json_fh.write("[]\n" if sep == "[\n" else "\n]\n")
+        may be None.  One pass through a TraceFiles sink fills both."""
+        from .tracefiles import TraceFiles
+
+        with TraceFiles(csv_path, json_path) as files:
+            it = iter(self.cells)
+            for cells in zip(it, it, it):
+                files.append(*cells)
 
     # perfbench's tracer wraps write_csv by name; it goes once a benchmark change unpins it.
     def write_csv(self, path):
@@ -325,34 +301,13 @@ class CapitalTrace:
         self.write(json_path=path)
 
 
-# Exact decimal arithmetic, set with Decimal by the first to_rows: a product
-# that would round raises instead.
-_EXACT = None
-
-
-def _carry(old: int, numeral: Decimal | None, new: int) -> Decimal:
-    """new as a Decimal, given old and its numeral: numeral * (new // old)
-    when old > 0 divides new with a quotient of at most 64 bits, else
-    Decimal(new).  The bit-length guard keeps divmod linear: a large
-    quotient would make it quadratic."""
-    if old > 0 and 0 <= new.bit_length() - old.bit_length() <= 64:
-        q, r = divmod(new, old)
-        if not r:
-            return _EXACT.multiply(numeral, q)
-    return Decimal(new)
-
-
-def _cells(stage: int, word, label) -> tuple:
-    """A stage's number, word ('#' for a pause) and label as trace cells."""
-    word = "#" if word is None and stage > 0 else (word or "")
-    return stage, word, "" if label is None else str(label)
-
-
-def succeeded(trace: CapitalTrace, threshold: Dyadic = DEFAULT_THRESHOLD) -> bool:
-    """Threshold proxy for success: some capital in the trace reaches it."""
-    if threshold <= trace.cells[2]:
+def succeeded(trace, threshold: Dyadic = DEFAULT_THRESHOLD) -> bool:
+    """Threshold proxy for success: some capital in the trace (either sink)
+    reaches it.  The final capital is tried first, since a file sink reads
+    its file back for max_capital."""
+    if threshold <= trace.start:
         raise ValueError("threshold must exceed the starting capital")
-    return any(c >= threshold for c in trace.capitals())
+    return trace.final >= threshold or trace.max_capital() >= threshold
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +403,18 @@ def checked_step(setup: Setup, state: MState, word, stage: int) -> tuple:
 
 def run(setup: Setup, text, oracle, steps: int = DEFAULT_STEP_BUDGET, *,
         stop_threshold: Dyadic | None = None,
-        budget: int = DEFAULT_VALIDITY_BUDGET) -> CapitalTrace:
+        budget: int = DEFAULT_VALIDITY_BUDGET, trace=None):
     """Drive the setup over `steps` items of the text, each word labeled by
-    the oracle, a predicate word -> bool; the trace has steps+1 entries.
-    `budget` pauses in a row raise ValidityBudgetError."""
+    the oracle, a predicate word -> bool, and append each stage to trace, a
+    sink: a CapitalTrace (by default a new one) or a TraceFiles.  Returns
+    the sink, which gets at most steps+1 stages.  `budget` pauses in a row
+    raise ValidityBudgetError."""
     after = setup.after
     state = setup.start
-    trace = CapitalTrace()
-    cells = trace.cells = [None, None, state.capital]
+    if trace is None:
+        trace = CapitalTrace()
+    append = trace.append
+    append(None, None, state.capital)
     pause_streak = 0
     for n in range(steps):
         item = text(n, state)
@@ -470,7 +429,7 @@ def run(setup: Setup, text, oracle, steps: int = DEFAULT_STEP_BUDGET, *,
             word, label = item, 1 if oracle(item) else 0
         # only the labelled outcome is applied; a pause has one outcome
         state = after(state, checked_step(setup, state, item, n + 1)[label or 0])
-        cells += (word, label, state.capital)
+        append(word, label, state.capital)
         if stop_threshold is not None and state.capital >= stop_threshold:
             break
     return trace

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import langmart.cli
 from conftest import equal_counts, equal_counts_tm
 from langmart.automata import Dfa
 from langmart.cli import _HANDLERS, main
@@ -21,8 +22,10 @@ from langmart.constructions import (
     subset_bettor,
 )
 from langmart.dyadic import Dyadic
+from langmart.engine import run
 from langmart.learning import prefix_family
 from langmart.regular import combine, concat, empty, from_word, universe, word_star
+from langmart.tracefiles import TraceFiles, read_trace
 
 
 @pytest.fixture()
@@ -86,7 +89,7 @@ language = zo.json
 LAZY_MODULES_SCRIPT = """
 import contextlib, importlib.util, sys
 lazy = {"langmart.regular", "langmart.learning", "langmart.tworow", "langmart.grammar",
-        "hashlib", "_hashlib", "decimal"}
+        "langmart.tracefiles", "hashlib", "_hashlib", "decimal"}
 before = set(sys.modules)
 import langmart.cli
 print(sorted(lazy & (set(sys.modules) - before)))
@@ -104,8 +107,8 @@ def test_regular_run_loads_no_grammar_or_hashlib(workdir):
     cfl-pipeline, oracle_grammar, learner, pclass, growth and dyadic-audit
     tests show that their paths still load them.  No path loads hashlib or
     _hashlib (which maps OpenSSL): certificates hash with CPython's builtin
-    sha256.  import langmart.cli loads no decimal; only the run, which
-    writes a trace, loads it."""
+    sha256.  import langmart.cli loads neither decimal nor
+    langmart.tracefiles; only the run, which writes a trace, loads them."""
     regular = write_config(workdir, "cfg.ini", """\
 [experiment]
 kind = regular-bettor
@@ -126,7 +129,8 @@ setup2 = subset_bettor:inside:one_zeros.json
     src = Path(__file__).resolve().parent.parent / "src"
     cert = workdir / "diag" / "certificate.json"
     for argv, loaded in [
-        (["run", regular, "--out-dir", str(workdir / "out")], ["decimal"]),
+        (["run", regular, "--out-dir", str(workdir / "out")],
+         ["decimal", "langmart.tracefiles"]),
         (["run", diag, "--replay", "--out-dir", str(cert.parent)], []),
         (["verify", str(cert)], []),
     ]:
@@ -387,6 +391,100 @@ grammar = eq.grammar
     extracted = json.loads((out / "extracted.json").read_text())
     assert extracted["side"] == "outside"
     assert extracted["first_members"][0] == "0"
+
+
+# A config of each kind that writes a trace.
+STREAMED_CONFIGS = {
+    "regular-bettor": "steps = 40\n[inputs]\ndomain = sigma.json\nlanguage = zo.json",
+    "subset-bettor": "steps = 60\nside = outside\n[inputs]\ndomain = sigma.json\n"
+                     "subset = zero_star.json\noracle_grammar = eq.grammar",
+    "adversarial": "horizon = 50\n[inputs]\ndomain = sigma.json\nlanguage = zo.json\n"
+                   "oracle_grammar = eq.grammar",
+    "family-learner": "steps = 30\ntarget_index = 1\n[inputs]\ndomain = sigma.json\n"
+                      "index_language = prefix_index.json\nmembership = prefix_member.json",
+    "variant-learner": "steps = 60\ntarget_index = 1\ndifference = 1,00\n[inputs]\n"
+                       "domain = sigma.json\nindex_language = prefix_index.json\n"
+                       "membership = prefix_member.json",
+    "tm-dynamic": "steps = 260\n[inputs]\ndomain = sigma.json\ntm = tm.json",
+    "pclass": "steps = 300\nhypotheses = const0, dfa:ones.json, dfa:zero_star.json\n"
+              "anchors = 4\n[inputs]\ndomain = sigma.json\noracle_dfa = zero_star.json",
+    "cfl-pipeline": "steps = 3000\nthreshold = 8/2^0\n[inputs]\ndomain = sigma.json\n"
+                    "grammar = eq.grammar",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STREAMED_CONFIGS))
+def test_streamed_trace_is_the_list_sink_run(workdir, monkeypatch, kind):
+    """Each kind that writes a trace streams it into --out-dir as the run
+    goes.  Read back, trace.csv holds the cells of a list-sink run of the
+    same setup, text and oracle, cell for cell, and trace.json the bytes
+    that run's write makes; no partial file is left."""
+    listed = []
+
+    def both(*args, trace, **kwargs):
+        listed.append(run(*args, **kwargs))
+        return run(*args, trace=trace, **kwargs)
+
+    monkeypatch.setattr(langmart.cli, "run", both)
+    cfg = write_config(workdir, "cfg.ini", f"[experiment]\nkind = {kind}\n"
+                                           f"{STREAMED_CONFIGS[kind]}\n")
+    out = workdir / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    (trace,) = listed
+    assert len(trace) > 10
+    assert read_trace(out / "trace.csv").cells == trace.cells
+    trace.write(json_path=workdir / "listed.json")
+    assert (out / "trace.json").read_bytes() == (workdir / "listed.json").read_bytes()
+    assert not [p for p in out.iterdir() if p.suffix == ".partial"]
+
+
+# Runs that fail after stage 1, with the stderr each prints.
+FAILING_RUNS = {
+    "finite-domain": ("kind = regular-bettor\nsteps = 8\n[inputs]\ndomain = three.json\n"
+                      "language = zo.json", "text error: domain exhausted by the ordered "
+                                            "text at stage 6"),
+    "tm-undecided": ("kind = tm-dynamic\nsteps = 10000\n[inputs]\ndomain = sigma.json\n"
+                     "tm = loop.tm.json", "text error: 10000 consecutive pauses"),
+    "learner-finite-index": ("kind = family-learner\nsteps = 50\ntarget_index = 10\n[inputs]\n"
+                             "domain = sigma.json\nindex_language = three.json\n"
+                             "membership = prefix_member.json",
+                             "config error: index_language is finite"),
+}
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new-dir", "old-dir"])
+@pytest.mark.parametrize("name", sorted(FAILING_RUNS))
+def test_failed_run_takes_its_trace_back(workdir, monkeypatch, capsys, name, existed):
+    """A run that fails after stage 1 exits 2 and removes what it streamed:
+    an --out-dir that did not exist is gone again, with the parent made for
+    it, and one that existed keeps exactly its entries and their bytes, an
+    older trace.csv included."""
+    (workdir / "loop.tm.json").write_text(json.dumps(LOOPING_TM))
+    body, message = FAILING_RUNS[name]
+    cfg = write_config(workdir, "cfg.ini", f"[experiment]\n{body}\n")
+    stages = []
+    discard = TraceFiles.discard
+
+    def counted_discard(files):
+        stages.append(len(files))
+        discard(files)
+
+    monkeypatch.setattr(TraceFiles, "discard", counted_discard)
+    if existed:
+        out = workdir / "old"
+        out.mkdir()
+        (out / "trace.csv").write_text("an older trace\n")
+        (out / "notes.txt").write_text("kept\n")
+    else:
+        out = workdir / "new" / "deeper"
+    before = {p.name: p.read_bytes() for p in out.iterdir()} if existed else None
+    assert main(["run", cfg, "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert stages and stages[0] > 1
+    if existed:
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    else:
+        assert not (workdir / "new").exists()
 
 
 def test_growth_report_kind(workdir):

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import equal_counts, equal_counts_tm
-from langmart import engine
 from langmart.automata import enumerate_ll
 from langmart.dyadic import Dyadic, HALF, ONE, THREE_HALVES, TWO, ZERO
 from langmart.engine import (
@@ -46,6 +45,8 @@ from langmart.constructions import diagonalize
 from langmart.learning import family_learner, prefix_family
 from langmart.regular import concat, from_word, universe, word_star
 from langmart.rng import Lcg
+from langmart import tracefiles
+from langmart.tracefiles import TraceFiles, read_trace
 
 
 def each(item, state):
@@ -303,6 +304,11 @@ class TestTexts:
         text = ll_text(sigma)
         assert [text(i, None) for i in range(5)] == ["", "0", "1", "00", "01"]
 
+    def test_ll_text_restarts_for_an_earlier_word(self, sigma):
+        text = ll_text(sigma)
+        order = [0, 4, 4, 2, 3, 0, 6, 1]
+        assert [text(i, None) for i in order] == [enumerate_ll(sigma, 7)[i] for i in order]
+
 
 class TestSetupAlgebra:
     def test_sum_start_and_traces(self, sigma, zeros_then_ones, one_zeros):
@@ -464,7 +470,8 @@ class TestTraceReads:
     @given(trace_entries())
     def test_reads_match_the_entry_list(self, entries):
         """A trace keeps three cells per stage; every read of it equals the
-        same read on the entry list it was built from, errors included."""
+        same read on the entry list it was built from, errors included, and
+        a slice is a list of entries, as the list's own slice is."""
         trace = CapitalTrace(entries)
         capitals = [e.capital for e in entries]
         assert list(trace) == entries
@@ -476,6 +483,8 @@ class TestTraceReads:
             else:
                 with pytest.raises(IndexError):
                     trace[i]
+            for j, step in ((None, None), (i + 3, 1), (None, 2), (i - 1, -1), (None, -3)):
+                assert trace[i:j:step] == entries[i:j:step], (i, j, step)
         if not entries:
             for read, error in ((lambda: trace.final, IndexError),
                                 (trace.max_capital, ValueError),
@@ -506,6 +515,76 @@ class TestTraceReads:
     def test_entries_must_count_stages(self, stages):
         with pytest.raises(ValueError, match="stages run 0, 1, 2"):
             CapitalTrace([TraceEntry(stage, None, None, ONE) for stage in stages])
+
+
+class TestTraceFiles:
+    @settings(max_examples=150, deadline=None)
+    @given(trace_entries())
+    def test_read_trace_reads_back_what_the_sink_wrote(self, entries):
+        """Stages appended one by one to a TraceFiles read back, through
+        read_trace, as the cells of the list sink, pauses, labels, words
+        that need quoting and capitals of any size included; the sink's own
+        reads agree with the list's, during the run and after it."""
+        trace = CapitalTrace(entries)
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path, json_path = Path(tmp) / "t.csv", Path(tmp) / "t.json"
+            with TraceFiles(csv_path, json_path) as files:
+                for e in entries:
+                    files.append(e.word, e.label, e.capital)
+                assert files.entries == entries
+            assert read_trace(csv_path).cells == trace.cells
+            assert len(files) == len(trace) and files.entries == entries
+            trace.write(Path(tmp) / "list.csv", Path(tmp) / "list.json")
+            for ext in ("csv", "json"):
+                assert (Path(tmp) / f"t.{ext}").read_bytes() \
+                    == (Path(tmp) / f"list.{ext}").read_bytes()
+            if entries:
+                assert (files.start, files.final) == (trace.start, trace.final)
+                assert files.max_capital() == trace.max_capital()
+                for threshold in {*trace.capitals(), trace.max_capital() + ONE}:
+                    if threshold > trace.start:
+                        assert succeeded(files, threshold) == succeeded(trace, threshold)
+
+    def test_files_take_their_names_when_closed(self, tmp_path):
+        """The files are written under '.partial' names and renamed when the
+        sink closes; a sink left by an exception removes them, so an older
+        trace.csv in the directory keeps its bytes."""
+        csv_path, json_path = tmp_path / "trace.csv", tmp_path / "trace.json"
+        with TraceFiles(csv_path, json_path) as files:
+            files.append(None, None, ONE)
+            assert sorted(p.name for p in tmp_path.iterdir()) \
+                == ["trace.csv.partial", "trace.json.partial"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv", "trace.json"]
+        json_path.unlink()
+        csv_path.write_text("an older trace\n")
+        with pytest.raises(RuntimeError):
+            with TraceFiles(csv_path, json_path) as files:
+                files.append(None, None, ONE)
+                raise RuntimeError("the run failed")
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+        assert csv_path.read_text() == "an older trace\n"
+
+    def test_streamed_run_keeps_no_stage(self, tmp_path, sigma, zeros_then_ones):
+        """A streamed 20,000-stage run peaks below twice a 5,000-stage one.
+        The bettor loses every bet, so its capital is 1/2^n, each line stays
+        about as short as the last and the files grow linearly; the ll text
+        keeps one word, not every word it read."""
+        setup = regular_bettor(zeros_then_ones)
+        loses = lambda w: not zeros_then_ones.accepts(w)
+        paths = tmp_path / "t.csv", tmp_path / "t.json"
+        with TraceFiles(*paths) as files:  # a warm-up: first-use caches are not measured
+            run(setup, ll_text(sigma), loses, 10, trace=files)
+        peaks = []
+        for steps in (5000, 20000):
+            tracemalloc.start()
+            try:
+                with TraceFiles(*paths) as files:
+                    run(setup, ll_text(sigma), loses, steps, trace=files)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert files.final == Dyadic(1, steps)
+        assert peaks[1] < 2 * peaks[0], peaks
 
 
 class TestTraceSerialization:
@@ -564,8 +643,7 @@ class TestTraceSerialization:
             return Decimal(value)
 
         csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
-        trace.write(csv_path=csv_path)  # the first write loads decimal into engine
-        monkeypatch.setattr(engine, "Decimal", counting)
+        monkeypatch.setattr(tracefiles, "Decimal", counting)
         for paths in ((csv_path, None), (None, json_path), (csv_path, json_path)):
             fresh.clear()
             trace.write(*paths)

@@ -43,6 +43,7 @@ HOMES = {
         LearnerStallError SliceCodec StallWitness adversarial_text anchor_gap_report
         anchor_word dovetail_pairs extract_language family_learner finite_set_indexing
         pclass_bettor prefix_family variant_family_learner""",
+    "langmart.tracefiles": "TraceFiles read_trace",
     "langmart.tworow": """
         MalformedCodeError TwoRowCode decode_tworow encode_tworow rel_l rel_p rel_z
         tworow_add""",
