@@ -8,8 +8,9 @@ Subcommands:
 
 Configs are line-oriented ``key = value`` under ``[experiment]`` and
 ``[inputs]`` sections.  Artifacts (trace.csv, trace.json, audit.json,
-certificate.json, ...) land in --out-dir.  Identical configs and seeds
-produce byte-identical artifacts.  Exit status: 0 all invariants held,
+certificate.json, ...) land in --out-dir together when the command ends,
+so one that exits 2 leaves --out-dir as it was.  Identical configs and
+seeds produce byte-identical artifacts.  Exit status: 0 all invariants held,
 1 invariant violation, 2 unreadable config or inputs.
 """
 
@@ -153,55 +154,71 @@ def _write_json(path: Path, obj):
         fh.write("\n")
 
 
-def _make_dir(out_dir: Path) -> list[Path]:
-    """Make out_dir and its missing parents; return those made, deepest first."""
-    try:
-        made = []
-        for path in (out_dir, *out_dir.parents):
-            if path.exists():
-                break
-            made.append(path)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # out_dir, or a directory above it, is a file
-        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
-    return made
+class _Outputs:
+    """The output stage of one command.  Every artifact is written in
+    out_dir, made on first use, under its name plus '.partial'.  When the
+    block ends normally the trace sink is closed and, unless a final name
+    is taken by a directory, every file takes its name.  If the block or
+    that commit raises, every staged file is removed, and so is every
+    directory made for them, so a command that exits 2 leaves out_dir as
+    it was; an OSError becomes a ConfigError naming the path."""
 
+    def __init__(self, out_dir: Path):
+        self.out_dir = out_dir
+        self.made = []  # the directories made, deepest first
+        self.staged = {}  # final path: staged path
+        self.sink = None
 
-def _write_error(exc: OSError, out_dir: Path) -> ConfigError:
-    """The error of an output that could not be written, e.g. to a path a
-    directory takes, naming the path (a rename names its target second)."""
-    return ConfigError(f"cannot write {exc.filename2 or exc.filename or out_dir}: {exc.strerror}")
+    def path(self, name: str) -> Path:
+        """The staged path of the artifact name."""
+        if not self.staged:
+            self.made = [p for p in (self.out_dir, *self.out_dir.parents) if not p.exists()]
+            try:
+                self.out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:  # out_dir, or a directory above it, is a file
+                raise ConfigError(f"cannot create output directory {self.out_dir}: "
+                                  f"{exc.strerror}") from None
+        self.staged[self.out_dir / name] = self.out_dir / f"{name}.partial"
+        return self.staged[self.out_dir / name]
 
+    def json(self, name: str, obj) -> None:
+        _write_json(self.path(name), obj)
 
-@contextlib.contextmanager
-def _streamed(out_dir: Path):
-    """A TraceFiles sink for out_dir's trace.csv and trace.json, which take
-    their names when the block ends.  If the block raises, they are
-    removed, and so is every directory made for them."""
-    from .tracefiles import TraceFiles
+    def trace(self) -> "TraceFiles":
+        """A sink that writes trace.csv and trace.json as the run goes."""
+        from .tracefiles import TraceFiles
 
-    made = _make_dir(out_dir)
-    try:
-        with TraceFiles(out_dir / "trace.csv", out_dir / "trace.json") as files:
-            yield files
-    except BaseException as exc:
-        for path in made:
-            with contextlib.suppress(OSError):
-                path.rmdir()
-        if isinstance(exc, OSError):
-            raise _write_error(exc, out_dir) from None
-        raise
+        self.sink = TraceFiles(self.path("trace.csv"), self.path("trace.json"))
+        return self.sink
 
+    def __enter__(self):
+        return self
 
-def _write_outputs(out_dir: Path, audit=None, extra=None):
-    _make_dir(out_dir)
-    try:
-        if audit is not None:
-            _write_json(out_dir / "audit.json", audit.to_json_obj())
-        for name, obj in (extra or {}).items():
-            _write_json(out_dir / name, obj)
-    except OSError as exc:
-        raise _write_error(exc, out_dir) from None
+    def __exit__(self, _type, exc, _tb):
+        try:
+            if exc is not None:
+                raise exc
+            if self.sink is not None:
+                self.sink.close()
+            for final in self.staged:  # rename nothing if any name is taken
+                if final.is_dir():
+                    raise ConfigError(f"cannot write {final}: Is a directory")
+            for final, staged in self.staged.items():
+                staged.replace(final)
+        except BaseException as failed:
+            if self.sink is not None:
+                with contextlib.suppress(OSError):
+                    self.sink.close()
+            for path in self.staged.values():
+                with contextlib.suppress(OSError):
+                    path.unlink()
+            for path in self.made:
+                with contextlib.suppress(OSError):  # a directory that is not empty stays
+                    path.rmdir()
+            if isinstance(failed, OSError):  # a rename names its target second
+                name = failed.filename2 or failed.filename or self.out_dir
+                raise ConfigError(f"cannot write {name}: {failed.strerror}") from None
+            raise
 
 
 def _one_of(*options):
@@ -320,9 +337,10 @@ def _audited(setup, domain, seed) -> "AuditReport":
     return audit_fairness(setup, _probe_words(domain, seed))
 
 
-def _finish(out_dir, audit, extra=None, *, held: bool) -> int:
-    _write_outputs(out_dir, audit, extra)
-    if audit is not None and not audit.ok:
+def _finish(out: _Outputs, audit, extra=None, *, held: bool) -> int:
+    for name, obj in {"audit.json": audit.to_json_obj(), **(extra or {})}.items():
+        out.json(name, obj)
+    if not audit.ok:
         print(f"fairness audit failed: {len(audit.violations)} violations",
               file=sys.stderr)
         return 1
@@ -334,30 +352,28 @@ def _finish(out_dir, audit, extra=None, *, held: bool) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_regular_bettor(exp: Experiment, out_dir: Path) -> int:
+def _run_regular_bettor(exp: Experiment, out: _Outputs) -> int:
     domain = exp.dfa("domain")
     language = exp.dfa("language", domain=domain)
     oracle_keys = ("oracle_dfa", "oracle_grammar", "oracle_tm")
     oracle = exp.oracle(domain) if any(map(exp.inputs.get, oracle_keys)) else language.accepts
     setup = regular_bettor(language)
-    with _streamed(out_dir) as trace:
-        run(setup, ll_text(domain), oracle, exp.steps, trace=trace)
-        audit = _audited(setup, domain, exp.seed)
-    return _finish(out_dir, audit, held=True)
+    run(setup, ll_text(domain), oracle, exp.steps, trace=out.trace())
+    audit = _audited(setup, domain, exp.seed)
+    return _finish(out, audit, held=True)
 
 
-def _run_subset_bettor(exp: Experiment, out_dir: Path) -> int:
+def _run_subset_bettor(exp: Experiment, out: _Outputs) -> int:
     domain = exp.dfa("domain")
     subset = exp.dfa("subset", domain=domain)
     setup = subset_bettor(subset, exp.value("side", "inside", _one_of("inside", "outside")))
     oracle = exp.oracle(domain)
-    with _streamed(out_dir) as trace:
-        run(setup, ll_text(domain), oracle, exp.steps, trace=trace)
-        audit = _audited(setup, domain, exp.seed)
-    return _finish(out_dir, audit, held=True)
+    run(setup, ll_text(domain), oracle, exp.steps, trace=out.trace())
+    audit = _audited(setup, domain, exp.seed)
+    return _finish(out, audit, held=True)
 
 
-def _run_adversarial(exp: Experiment, out_dir: Path) -> int:
+def _run_adversarial(exp: Experiment, out: _Outputs) -> int:
     from .learning import StallWitness, adversarial_text, extract_language
 
     domain = exp.dfa("domain")
@@ -378,16 +394,15 @@ def _run_adversarial(exp: Experiment, out_dir: Path) -> int:
             "capital": str(outcome.state.capital),
             "extracted_sample": {w: bool(v) for w, v in sample.items()},
         }}
-        return _finish(out_dir, audit, extra, held=True)
-    with _streamed(out_dir) as trace:
-        run(bettor, outcome, oracle, exp.horizon, trace=trace)
+        return _finish(out, audit, extra, held=True)
+    trace = run(bettor, outcome, oracle, exp.horizon, trace=out.trace())
     held = trace.max_capital() <= bettor.start.capital
     if not held:
         print("adversarial text let the capital rise", file=sys.stderr)
-    return _finish(out_dir, audit, held=held)
+    return _finish(out, audit, held=held)
 
 
-def _run_family_learner(exp: Experiment, out_dir: Path, variant: bool) -> int:
+def _run_family_learner(exp: Experiment, out: _Outputs, variant: bool) -> int:
     from .learning import (AutomaticFamily, LearnerStallError, family_learner,
                            variant_family_learner)
 
@@ -412,15 +427,14 @@ def _run_family_learner(exp: Experiment, out_dir: Path, variant: bool) -> int:
 
     setup = variant_family_learner(fam) if variant else family_learner(fam)
     try:  # each step also tries the losing label, which advances the index
-        with _streamed(out_dir) as trace:
-            run(setup, ll_text(domain), oracle, exp.steps, trace=trace)
-            audit = _audited(setup, domain, exp.seed)
+        run(setup, ll_text(domain), oracle, exp.steps, trace=out.trace())
+        audit = _audited(setup, domain, exp.seed)
     except (LearnerStallError, NoSuccessorError) as exc:
         raise ConfigError(f"index_language is finite: {exc}") from None
-    return _finish(out_dir, audit, held=True)
+    return _finish(out, audit, held=True)
 
 
-def _run_tm_dynamic(exp: Experiment, out_dir: Path) -> int:
+def _run_tm_dynamic(exp: Experiment, out: _Outputs) -> int:
     domain = exp.dfa("domain")
     prog = _load_object(exp.path("tm"), TmProgram.from_json, "machine")
     try:
@@ -431,13 +445,12 @@ def _run_tm_dynamic(exp: Experiment, out_dir: Path) -> int:
     except ConstructionError as exc:
         raise ConfigError(str(exc)) from None
     try:  # the bettor schedules the domain's words in ll order, one after another
-        with _streamed(out_dir) as trace:
-            run(setup, text, _tm_oracle(prog), exp.steps, trace=trace)
-            audit = _audited(setup, domain, exp.seed)
+        run(setup, text, _tm_oracle(prog), exp.steps, trace=out.trace())
+        audit = _audited(setup, domain, exp.seed)
     except NoSuccessorError as exc:
         raise TextExhaustedError(
             f"domain exhausted by the self-scheduled text: the domain has {exc}") from None
-    return _finish(out_dir, audit, held=True)
+    return _finish(out, audit, held=True)
 
 
 def _diagonalize_parts(exp: Experiment):
@@ -459,7 +472,7 @@ def _diagonalize_parts(exp: Experiment):
     return domain, setups, descriptors
 
 
-def _run_diagonalize(exp: Experiment, out_dir: Path) -> int:
+def _run_diagonalize(exp: Experiment, out: _Outputs) -> int:
     domain, setups, descriptors = _diagonalize_parts(exp)
     words = exp._num("words", 30)
     try:
@@ -474,15 +487,14 @@ def _run_diagonalize(exp: Experiment, out_dir: Path) -> int:
             print(message, file=sys.stderr)
         held = not problems
     audits = [_audited(s, domain, exp.seed) for s in setups]
-    _write_outputs(out_dir, extra={
-        "certificate.json": cert.to_json_obj(),
-        "audit.json": [v.to_json_obj() for a in audits for v in a.violations]})
+    out.json("certificate.json", cert.to_json_obj())
+    out.json("audit.json", [v.to_json_obj() for a in audits for v in a.violations])
     if any(not a.ok for a in audits):
         return 1
     return 0 if held else 1
 
 
-def _run_pclass(exp: Experiment, out_dir: Path) -> int:
+def _run_pclass(exp: Experiment, out: _Outputs) -> int:
     from .learning import Hypothesis, HypothesisSpace, anchor_gap_report, pclass_bettor
 
     domain = exp.dfa("domain")
@@ -510,19 +522,18 @@ def _run_pclass(exp: Experiment, out_dir: Path) -> int:
         anchors = anchor_gap_report(domain, exp._num("anchors", 10))
         oracle = exp.oracle(domain)
         # each step also tries the losing label, which may need a next hypothesis
-        with _streamed(out_dir) as trace:
-            run(setup, ll_text(domain), oracle, exp.steps, trace=trace)
-            audit = _audited(setup, domain, exp.seed)
+        run(setup, ll_text(domain), oracle, exp.steps, trace=out.trace())
+        audit = _audited(setup, domain, exp.seed)
     except (ConstructionError, AutomatonError) as exc:
         raise ConfigError(str(exc)) from None
     held = all(row["ok"] for row in anchors)
     for row in anchors:
         row["predecessors"] = str(row["predecessors"])
         row["gap"] = str(row["gap"])
-    return _finish(out_dir, audit, {"anchors.json": anchors}, held=held)
+    return _finish(out, audit, {"anchors.json": anchors}, held=held)
 
 
-def _run_cfl_pipeline(exp: Experiment, out_dir: Path) -> int:
+def _run_cfl_pipeline(exp: Experiment, out: _Outputs) -> int:
     from .grammar import NoPumpError, cfl_nonrandom_pipeline, cyk_member, to_cnf
 
     domain = exp.dfa("domain")
@@ -539,9 +550,9 @@ def _run_cfl_pipeline(exp: Experiment, out_dir: Path) -> int:
         raise ConfigError(f"threshold {exp.threshold} must exceed the starting "
                           f"capital {setup.start.capital}")
     oracle = lambda w: cyk_member(cnf, w)
-    with _streamed(out_dir) as trace:
-        run(setup, ll_text(domain), oracle, exp.steps, stop_threshold=exp.threshold, trace=trace)
-        audit = _audited(setup, domain, exp.seed)
+    trace = run(setup, ll_text(domain), oracle, exp.steps, stop_threshold=exp.threshold,
+                trace=out.trace())
+    audit = _audited(setup, domain, exp.seed)
     members = enumerate_ll(r, 100)
     expect = side == "inside"
     leaks = [w for w in members if cyk_member(cnf, w) != expect]
@@ -555,13 +566,13 @@ def _run_cfl_pipeline(exp: Experiment, out_dir: Path) -> int:
               file=sys.stderr)
     extra = {"extracted.json": {"side": side, "dfa": r.to_json(),
                                 "first_members": members[:20]}}
-    return _finish(out_dir, audit, extra, held=held)
+    return _finish(out, audit, extra, held=held)
 
 
-def _run_growth_report(exp: Experiment, out_dir: Path) -> int:
+def _run_growth_report(exp: Experiment, out: _Outputs) -> int:
     domain = exp.dfa("domain")
     report = _growth_obj(domain)
-    _write_outputs(out_dir, extra={"growth.json": report})
+    out.json("growth.json", report)
     return 0 if report["consistent"] else 1
 
 
@@ -601,7 +612,7 @@ def _growth_obj(domain: Dfa) -> dict:
     }
 
 
-def _run_dyadic_audit(exp: Experiment, out_dir: Path) -> int:
+def _run_dyadic_audit(exp: Experiment, out: _Outputs) -> int:
     from .tworow import decode_tworow, encode_tworow, rel_l, rel_p, rel_z, tworow_add
 
     rng = Lcg(exp.seed)
@@ -622,7 +633,7 @@ def _run_dyadic_audit(exp: Experiment, out_dir: Path) -> int:
             failures.append(f"relation mismatch at {x}, {y}")
     if max_carry > 1:
         failures.append(f"carry state used {max_carry} > 1 bit")
-    _write_outputs(out_dir, extra={"audit.json": failures})
+    out.json("audit.json", failures)
     for f in failures[:5]:
         print(f, file=sys.stderr)
     return 0 if not failures else 1
@@ -654,7 +665,8 @@ def cmd_run(args) -> int:
         handler = _HANDLERS.get(exp.kind)
         if handler is None:
             raise ConfigError(f"unknown experiment kind {exp.kind!r}")
-        return handler(exp, Path(args.out_dir))
+        with _Outputs(Path(args.out_dir)) as out:
+            return handler(exp, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -723,7 +735,8 @@ def cmd_audit(args) -> int:
         return 2
     report = audit_fairness(setup, _probe_words(domain, args.seed))
     try:
-        _write_outputs(Path(args.out_dir), audit=report)
+        with _Outputs(Path(args.out_dir)) as out:
+            out.json("audit.json", report.to_json_obj())
     except ConfigError as exc:
         print(f"audit output error: {exc}", file=sys.stderr)
         return 2

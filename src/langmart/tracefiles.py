@@ -6,8 +6,6 @@ Only a run that writes a trace loads this module, and with it decimal.
 
 from __future__ import annotations
 
-import os
-from contextlib import suppress
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -35,31 +33,23 @@ class TraceFiles:
     `max_capital` and `entries` read trace.csv back, so a stage pays for
     neither.
 
-    Each file is written under its name plus '.partial' and takes its name
-    at `close`; `discard` removes it under either name.  As a context
-    manager the sink closes on a normal exit and discards on an exception."""
+    The sink writes to the paths it is given and nothing else: the CLI's
+    output stage chooses them and gives the files their names.  As a
+    context manager it closes when the block ends."""
 
     def __init__(self, csv_path=None, json_path=None):
         self.stages = 0
         self.start = self.final = None
         self._num, self._numeral, self._text, self._sep = 0, None, "0", "[\n"
         self._csv = self._json = None
-        self._names = []  # per file: [the name it has now, its own name]
         try:
-            self._csv = self._open(csv_path, newline="")
-            self._json = self._open(json_path)
+            self._csv = None if csv_path is None else open(csv_path, "w", newline="")
+            self._json = None if json_path is None else open(json_path, "w")
         except BaseException:
-            self.discard()
+            self.close()
             raise
         if self._csv is not None:
             self._csv.write(_CSV_HEADER + "\r\n")
-
-    def _open(self, path, **kwargs):
-        if path is None:
-            return None
-        fh = open(f"{path}.partial", "w", **kwargs)
-        self._names.append([fh.name, path])
-        return fh
 
     def append(self, word, label, capital: Dyadic) -> None:
         """Write the next stage; word and label are None for the start and
@@ -97,7 +87,7 @@ class TraceFiles:
         """The stages written so far, read back from trace.csv."""
         if not self._csv.closed:
             self._csv.flush()
-        return read_trace(self._names[0][0])
+        return read_trace(self._csv.name)
 
     def max_capital(self) -> Dyadic:
         """The first largest capital, read back: no stage pays for it."""
@@ -109,37 +99,18 @@ class TraceFiles:
         return self._read().entries
 
     def close(self) -> None:
-        """Finish trace.json, close both files and give each its name."""
-        if self._json is not None:
+        """Finish trace.json and close both files; closing again does nothing."""
+        if self._json is not None and not self._json.closed:
             self._json.write("[]\n" if self._sep == "[\n" else "\n]\n")
         for fh in (self._csv, self._json):
             if fh is not None:
                 fh.close()
-        for names in self._names:
-            os.replace(*names)
-            names[0] = names[1]
-
-    def discard(self) -> None:
-        """Close both files and remove them."""
-        for fh in (self._csv, self._json):
-            if fh is not None:
-                with suppress(OSError):  # a failed flush still closes the file
-                    fh.close()
-        for now, _ in self._names:
-            with suppress(FileNotFoundError):
-                os.remove(now)
 
     def __enter__(self):
         return self
 
-    def __exit__(self, exc_type, *_):
-        if exc_type is None:
-            try:
-                return self.close()
-            except BaseException:
-                self.discard()
-                raise
-        self.discard()
+    def __exit__(self, *_):
+        self.close()
 
 
 def _carry(old: int, numeral: Decimal | None, new: int) -> Decimal:

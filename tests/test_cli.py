@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -25,7 +26,7 @@ from langmart.dyadic import Dyadic
 from langmart.engine import run
 from langmart.learning import prefix_family
 from langmart.regular import combine, concat, empty, from_word, universe, word_star
-from langmart.tracefiles import TraceFiles, read_trace
+from langmart.tracefiles import read_trace
 
 
 @pytest.fixture()
@@ -462,14 +463,13 @@ def test_failed_run_takes_its_trace_back(workdir, monkeypatch, capsys, name, exi
     (workdir / "loop.tm.json").write_text(json.dumps(LOOPING_TM))
     body, message = FAILING_RUNS[name]
     cfg = write_config(workdir, "cfg.ini", f"[experiment]\n{body}\n")
-    stages = []
-    discard = TraceFiles.discard
+    sinks = []
 
-    def counted_discard(files):
-        stages.append(len(files))
-        discard(files)
+    def kept(*args, trace, **kwargs):
+        sinks.append(trace)
+        return run(*args, trace=trace, **kwargs)
 
-    monkeypatch.setattr(TraceFiles, "discard", counted_discard)
+    monkeypatch.setattr(langmart.cli, "run", kept)
     if existed:
         out = workdir / "old"
         out.mkdir()
@@ -480,11 +480,122 @@ def test_failed_run_takes_its_trace_back(workdir, monkeypatch, capsys, name, exi
     before = {p.name: p.read_bytes() for p in out.iterdir()} if existed else None
     assert main(["run", cfg, "--out-dir", str(out)]) == 2
     assert message in capsys.readouterr().err
-    assert stages and stages[0] > 1
+    assert sinks and len(sinks[0]) > 1
     if existed:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     else:
         assert not (workdir / "new").exists()
+
+
+def test_run_stages_its_files_until_it_ends(workdir, monkeypatch):
+    """While a run goes, --out-dir holds its trace files only under
+    '.partial' names, next to an older trace.csv that keeps its bytes; when
+    the command ends, they and audit.json take their names."""
+    out = workdir / "old"
+    out.mkdir()
+    (out / "trace.csv").write_text("an older trace\n")
+    seen = []
+
+    def watched(setup, text, oracle, *args, **kwargs):
+        def looking(w):
+            seen.append((sorted(p.name for p in out.iterdir()), (out / "trace.csv").read_text()))
+            return oracle(w)
+
+        return run(setup, text, looking, *args, **kwargs)
+
+    monkeypatch.setattr(langmart.cli, "run", watched)
+    cfg = write_config(workdir, "cfg.ini", "[experiment]\nkind = regular-bettor\n"
+                                           f"{STREAMED_CONFIGS['regular-bettor']}\n")
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    assert seen == [(["trace.csv", "trace.csv.partial", "trace.json.partial"],
+                     "an older trace\n")] * 40
+    assert sorted(p.name for p in out.iterdir()) == ["audit.json", "trace.csv", "trace.json"]
+    assert (out / "trace.csv").read_text().startswith("stage,word,label")
+
+
+def test_interrupted_run_takes_its_files_back(workdir, monkeypatch):
+    """A KeyboardInterrupt in a run goes on up, and the files staged for
+    it are removed with the new --out-dir and the parent made for it."""
+    def interrupted(*args, trace, **kwargs):
+        trace.append(None, None, Dyadic(1))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(langmart.cli, "run", interrupted)
+    cfg = write_config(workdir, "cfg.ini", "[experiment]\nkind = regular-bettor\n"
+                                           f"{STREAMED_CONFIGS['regular-bettor']}\n")
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", cfg, "--out-dir", str(workdir / "new" / "deeper")])
+    assert not (workdir / "new").exists()
+
+
+# Each command that writes artifacts: its command line, its config and the
+# last artifact it writes.
+ARTIFACT_COMMANDS = {
+    "regular-bettor": (["run", "cfg.ini"], "kind = regular-bettor\n"
+                       + STREAMED_CONFIGS["regular-bettor"], "audit.json"),
+    "diagonalize-replay": (["run", "cfg.ini", "--replay"],
+                           "kind = diagonalize\nwords = 6\n[inputs]\ndomain = sigma.json\n"
+                           "setup1 = regular_bettor:zo.json\n"
+                           "setup2 = subset_bettor:inside:one_zeros.json", "audit.json"),
+    "pclass": (["run", "cfg.ini"], "kind = pclass\n" + STREAMED_CONFIGS["pclass"],
+               "anchors.json"),
+    "cfl-pipeline": (["run", "cfg.ini"], "kind = cfl-pipeline\n"
+                     + STREAMED_CONFIGS["cfl-pipeline"], "extracted.json"),
+    "adversarial-stall": (["run", "cfg.ini"],
+                          "kind = adversarial\nhorizon = 40\nsearch_bound = 200\n[inputs]\n"
+                          "domain = sigma.json\nlanguage = zo.json\noracle_dfa = zo.json",
+                          "stall.json"),
+    "growth-report": (["run", "cfg.ini"], "kind = growth-report\n[inputs]\ndomain = zoro.json",
+                      "growth.json"),
+    "dyadic-audit": (["run", "cfg.ini"], "kind = dyadic-audit\ncount = 200", "audit.json"),
+    "audit": (["audit", "regular-bettor", "--dfa", "zo.json"], None, "audit.json"),
+}
+
+
+@pytest.mark.parametrize("existed", [True, False], ids=["old-dir-name-taken", "new-dir-full"])
+@pytest.mark.parametrize("command", sorted(ARTIFACT_COMMANDS))
+def test_exit_2_leaves_the_out_dir_as_it_was(workdir, monkeypatch, capsys, command, existed):
+    """A command whose last artifact cannot take its name, because a
+    directory in an existing --out-dir takes it, exits 2 with one stderr
+    line naming that artifact, and the directory keeps exactly its older
+    entries and bytes: no artifact of the command is left.  A command whose
+    last write fails in a new nested --out-dir (the disk is full) exits 2
+    and leaves no directory."""
+    argv, body, last = ARTIFACT_COMMANDS[command]
+    if body is not None:
+        write_config(workdir, "cfg.ini", f"[experiment]\n{body}\n")
+    monkeypatch.chdir(workdir)
+    if existed:
+        out = Path("old")
+        (out / last).mkdir(parents=True)
+        (out / "trace.csv").write_text("an older trace\n")
+        (out / "notes.txt").write_text("kept\n")
+    else:
+        out = Path("new") / "deeper"
+        write_json = langmart.cli._write_json
+
+        def full(path, obj):
+            write_json(path, obj)
+            if path.name.startswith(last):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(langmart.cli, "_write_json", full)
+
+    def entries():
+        return {p.name: p.read_bytes() if p.is_file() else sorted(os.listdir(p))
+                for p in out.iterdir()}
+
+    before = entries() if existed else None
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    prefix = "audit output error:" if argv[0] == "audit" else "config error:"
+    err = capsys.readouterr().err.splitlines()
+    if existed:
+        assert err == [f"{prefix} cannot write {out / last}: Is a directory"]
+        assert entries() == before
+    else:
+        assert len(err) == 1 and err[0].startswith(f"{prefix} cannot write {out / last}")
+        assert "No space left on device" in err[0]
+        assert not Path("new").exists()
 
 
 def test_growth_report_kind(workdir):

@@ -545,25 +545,6 @@ class TestTraceFiles:
                     if threshold > trace.start:
                         assert succeeded(files, threshold) == succeeded(trace, threshold)
 
-    def test_files_take_their_names_when_closed(self, tmp_path):
-        """The files are written under '.partial' names and renamed when the
-        sink closes; a sink left by an exception removes them, so an older
-        trace.csv in the directory keeps its bytes."""
-        csv_path, json_path = tmp_path / "trace.csv", tmp_path / "trace.json"
-        with TraceFiles(csv_path, json_path) as files:
-            files.append(None, None, ONE)
-            assert sorted(p.name for p in tmp_path.iterdir()) \
-                == ["trace.csv.partial", "trace.json.partial"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv", "trace.json"]
-        json_path.unlink()
-        csv_path.write_text("an older trace\n")
-        with pytest.raises(RuntimeError):
-            with TraceFiles(csv_path, json_path) as files:
-                files.append(None, None, ONE)
-                raise RuntimeError("the run failed")
-        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
-        assert csv_path.read_text() == "an older trace\n"
-
     def test_streamed_run_keeps_no_stage(self, tmp_path, sigma, zeros_then_ones):
         """A streamed 20,000-stage run peaks below twice a 5,000-stage one.
         The bettor loses every bet, so its capital is 1/2^n, each line stays

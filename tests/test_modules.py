@@ -108,3 +108,42 @@ def test_no_caller_names_the_pinned_shims():
                 named |= {node.name, node.asname}
             found += [(path.name, node.lineno, name) for name in named & PINNED]
     assert not found
+
+
+# Calls that write, make, rename or remove a file or directory.
+WRITES = {"TraceFiles", "_write_json", "link", "makedirs", "mkdir", "remove", "removedirs",
+          "rename", "replace", "rmdir", "rmtree", "symlink_to", "touch", "unlink",
+          "write_bytes", "write_text"}
+
+
+def test_cli_writes_only_through_its_output_stage():
+    """cli.py opens a file for writing, makes a directory, or renames or
+    removes a path only in its output stage, `_Outputs`, and in
+    `_write_json`, which only the stage calls, so every artifact is staged
+    and a command that exits 2 leaves --out-dir as it was.  tracefiles.py
+    writes to the paths it is given: it does not import os."""
+    src = Path(__file__).resolve().parent.parent / "src" / "langmart"
+    tree = ast.parse((src / "cli.py").read_text())
+    stage = {id(node) for top in tree.body
+             if getattr(top, "name", None) in ("_Outputs", "_write_json")
+             for node in ast.walk(top)}
+    assert len(stage) > 100
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in stage:
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name == "open":
+            mode = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+            if mode and not (isinstance(mode[0], ast.Constant) and set(mode[0].value) <= set("rbt")):
+                found.append((node.lineno, name))
+        elif name in WRITES:
+            found.append((node.lineno, name))
+    assert not found
+    imported = set()
+    for node in ast.walk(ast.parse((src / "tracefiles.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").partition(".")[0])
+    assert "os" not in imported and "shutil" not in imported
